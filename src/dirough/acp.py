@@ -11,7 +11,7 @@ the four operator laws, each tagged by tier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ._bits import bits, is_subset, lex_key, mix, popcount, subsets_of
 from .errors import StructureError
@@ -262,48 +262,43 @@ def audit_acp_laws(
                 break
     verdicts.append(LawVerdict("A1", 1, a1_witness is None, a1_witness))
 
+    def neg(x: AcpElement) -> AcpElement:
+        return acp_neg(g, x, cap)
+
+    def coprod(x: AcpElement) -> AcpElement:
+        return acp_coprod(g, x, cap)
+
+    def each(law: str, tier: int, holds: Callable[[AcpElement], bool]) -> None:
+        """Verdict from the first carrier element x where holds(x) fails."""
+        w = next(({"x": labels(x)} for x in carrier if not holds(x)), None)
+        verdicts.append(LawVerdict(law, tier, w is None, w))
+
+    def each_pair(
+        law: str, tier: int, stream: int,
+        holds: Callable[[AcpElement, AcpElement], bool],
+    ) -> None:
+        """Verdict from the first checked pair (x, y) where holds fails."""
+        pairs = _pairs_to_check(carrier, mix(seed, stream), pair_limit)
+        w = next(
+            ({"x": labels(x), "y": labels(y)} for x, y in pairs if not holds(x, y)),
+            None,
+        )
+        verdicts.append(LawVerdict(law, tier, w is None, w))
+
     # A2: x ⊴ ¬¬x (audit)
-    a2_witness = None
-    for x in carrier:
-        if not acp_leq(x, acp_neg(g, acp_neg(g, x, cap), cap)):
-            a2_witness = {"x": labels(x)}
-            break
-    verdicts.append(LawVerdict("A2", 2, a2_witness is None, a2_witness))
-
+    each("A2", 2, lambda x: acp_leq(x, neg(neg(x))))
     # A3: x ⊴ y implies ∐x ⊴ ∐y
-    a3_witness = None
-    for x, y in _pairs_to_check(carrier, mix(seed, 3), pair_limit):
-        if acp_leq(x, y) and not acp_leq(
-            acp_coprod(g, x, cap), acp_coprod(g, y, cap)
-        ):
-            a3_witness = {"x": labels(x), "y": labels(y)}
-            break
-    verdicts.append(LawVerdict("A3", 1, a3_witness is None, a3_witness))
-
+    each_pair(
+        "A3", 1, 3, lambda x, y: not acp_leq(x, y) or acp_leq(coprod(x), coprod(y))
+    )
     # A4: x ⊴ ∐x
-    a4_witness = None
-    for x in carrier:
-        if not acp_leq(x, acp_coprod(g, x, cap)):
-            a4_witness = {"x": labels(x)}
-            break
-    verdicts.append(LawVerdict("A4", 1, a4_witness is None, a4_witness))
-
+    each("A4", 1, lambda x: acp_leq(x, coprod(x)))
     # A5: x ⊴ y implies ¬y ⊴ ¬x
-    a5_witness = None
-    for x, y in _pairs_to_check(carrier, mix(seed, 5), pair_limit):
-        if acp_leq(x, y) and not acp_leq(acp_neg(g, y, cap), acp_neg(g, x, cap)):
-            a5_witness = {"x": labels(x), "y": labels(y)}
-            break
-    verdicts.append(LawVerdict("A5", 1, a5_witness is None, a5_witness))
-
+    each_pair(
+        "A5", 1, 5, lambda x, y: not acp_leq(x, y) or acp_leq(neg(y), neg(x))
+    )
     # A6: ¬∐¬x ⊴ ∐x (audit)
-    a6_witness = None
-    for x in carrier:
-        lhs = acp_neg(g, acp_coprod(g, acp_neg(g, x, cap), cap), cap)
-        if not acp_leq(lhs, acp_coprod(g, x, cap)):
-            a6_witness = {"x": labels(x)}
-            break
-    verdicts.append(LawVerdict("A6", 2, a6_witness is None, a6_witness))
+    each("A6", 2, lambda x: acp_leq(neg(coprod(neg(x))), coprod(x)))
 
     # well-definedness of every operation over the carrier
     wd_witness = None

@@ -2,7 +2,9 @@
 
 Every theorem-shaped statement the library leans on is registered here as a
 claim: an identifier, a tier, the variables it quantifies over, and a
-predicate. Tier-1 claims are hard expectations; a failure means the build
+predicate. Most predicates come from a few law templates (monotony,
+sub-additivity, idempotence, ...) applied to the named operators in
+OPERATORS. Tier-1 claims are hard expectations; a failure means the build
 is wrong. Tier-2 claims are audited: failures are reported with replayable
 witnesses and treated as documented deviations, not crashes.
 
@@ -14,13 +16,16 @@ a report is reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+import operator
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
 from ._bits import bits, is_subset, mix, subsets_of
 from .acp import audit_acp_laws
-from .cud import approx_cud, cud_family, cudas_op, eth_closure, is_cud
+from .cud import approx_cud, cud_family, cudas_op, eth_closure
 from .errors import LawError
 from .grpd import (
     ChoiceStrategy,
@@ -78,13 +83,7 @@ class ClaimResult:
     witness: dict | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "tier": self.tier,
-            "instance": self.instance,
-            "status": self.status,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -139,34 +138,122 @@ def random_updirected_system(
 
 
 # ---------------------------------------------------------------------------
-# Predicate helpers
-
-def _l(i: AuditInstance, A: int) -> int:
-    return approx_basic(i.sys, A, "l")
+# Named operators
 
 
-def _u(i: AuditInstance, A: int) -> int:
-    return approx_basic(i.sys, A, "u")
+@dataclass(frozen=True)
+class Operator:
+    """A subset operator that claims are stated over.
+
+    needs says whether it reads the system or the groupoid, which also
+    fixes the universe a law over it ranges across. updir marks operators
+    defined only on up-directed systems.
+    """
+
+    needs: str  # "sys" or "grpd"
+    fn: Callable[[AuditInstance, int], int]
+    updir: bool = False
 
 
-def _lcd(i: AuditInstance, A: int) -> int:
-    return approx_cud(i.sys, A, "l")
+OPERATORS: dict[str, Operator] = {
+    "l": Operator("sys", lambda i, A: approx_basic(i.sys, A, "l")),
+    "u": Operator("sys", lambda i, A: approx_basic(i.sys, A, "u")),
+    "eth": Operator("sys", lambda i, A: eth_closure(i.sys, A), updir=True),
+    "l_cd": Operator("sys", lambda i, A: approx_cud(i.sys, A, "l"), updir=True),
+    "u_cd": Operator("sys", lambda i, A: approx_cud(i.sys, A, "u"), updir=True),
+    "u_cd_coll": Operator(
+        "sys", lambda i, A: approx_cud(i.sys, A, "u", "collection"), updir=True
+    ),
+    "l_pi": Operator("grpd", lambda i, A: approx_pi(i.g, A, "l_pi")),
+    "u_pi": Operator("grpd", lambda i, A: approx_pi(i.g, A, "u_pi")),
+    "u_a": Operator("grpd", lambda i, A: approx_pi(i.g, A, "u_a")),
+}
 
 
-def _ucd(i: AuditInstance, A: int, mode: str = "pointwise") -> int:
-    return approx_cud(i.sys, A, "u", mode)
+def _holder(i: AuditInstance, needs: str) -> RelationalSystem | Groupoid:
+    return i.g if needs == "grpd" else i.sys
 
 
-def _lpi(i: AuditInstance, A: int) -> int:
-    return approx_pi(i.g, A, "l_pi")
+# ---------------------------------------------------------------------------
+# Law templates: each returns (operator names, vars, predicate)
+
+Predicate = Callable[[AuditInstance, dict[str, int]], bool]
+LawSpec = tuple[tuple[str, ...], tuple[str, ...], Predicate]
 
 
-def _upi(i: AuditInstance, A: int) -> int:
-    return approx_pi(i.g, A, "u_pi")
+def mono(f: str) -> LawSpec:
+    """A ⊆ B implies f A ⊆ f B."""
+    F = OPERATORS[f].fn
+    return (f,), ("A", "B"), lambda i, a: not is_subset(a["A"], a["B"]) or (
+        is_subset(F(i, a["A"]), F(i, a["B"]))
+    )
 
 
-def _ua(i: AuditInstance, A: int) -> int:
-    return approx_pi(i.g, A, "u_a")
+def sadd(f: str) -> LawSpec:
+    """f A ∪ f B ⊆ f(A ∪ B)."""
+    F = OPERATORS[f].fn
+    return (f,), ("A", "B"), lambda i, a: is_subset(
+        F(i, a["A"]) | F(i, a["B"]), F(i, a["A"] | a["B"])
+    )
+
+
+def smul(f: str) -> LawSpec:
+    """f(A ∩ B) ⊆ f A ∩ f B."""
+    F = OPERATORS[f].fn
+    return (f,), ("A", "B"), lambda i, a: is_subset(
+        F(i, a["A"] & a["B"]), F(i, a["A"]) & F(i, a["B"])
+    )
+
+
+def _on_image(f: str, h: str, rel: Callable[[int, int], bool]) -> LawSpec:
+    """rel(h A, f(h A)), evaluating h A once."""
+    F, H = OPERATORS[f].fn, OPERATORS[h].fn
+
+    def pred(i, a):
+        x = H(i, a["A"])
+        return rel(x, F(i, x))
+
+    return (f, h), ("A",), pred
+
+
+def fixes(f: str, h: str | None = None) -> LawSpec:
+    """f(h A) = h A; idempotence when h is f (the default)."""
+    return _on_image(f, h or f, operator.eq)
+
+
+def within(f: str, h: str | None = None) -> LawSpec:
+    """h A ⊆ f(h A); h defaults to f."""
+    return _on_image(f, h or f, is_subset)
+
+
+def sandwich(lo: str, up: str) -> LawSpec:
+    """lo A ⊆ A ⊆ up A."""
+    L, U = OPERATORS[lo].fn, OPERATORS[up].fn
+    return (lo, up), ("A",), lambda i, a: is_subset(L(i, a["A"]), a["A"]) and (
+        is_subset(a["A"], U(i, a["A"]))
+    )
+
+
+def bottom(*fs: str) -> LawSpec:
+    """Every f sends the empty set to itself."""
+    Fs = [OPERATORS[f].fn for f in fs]
+    return fs, (), lambda i, a: all(F(i, 0) == 0 for F in Fs)
+
+
+def top(*fs: str) -> LawSpec:
+    """Every f fixes the whole universe of its operators."""
+    Fs = [OPERATORS[f].fn for f in fs]
+    needs = OPERATORS[fs[0]].needs
+
+    def pred(i, a):
+        full = _holder(i, needs).full_mask
+        return all(F(i, full) == full for F in Fs)
+
+    return fs, (), pred
+
+
+# ---------------------------------------------------------------------------
+# Helpers for hand-written predicates, and checkers
 
 
 def _cone(i: AuditInstance, A: int) -> int:
@@ -224,6 +311,7 @@ def _acp_checker(law: str) -> Callable[[AuditInstance], tuple[bool, dict | None]
 def _claims() -> tuple[Claim, ...]:
     S = "sys"
     G = "grpd"
+    op = {name: o.fn for name, o in OPERATORS.items()}
     out: list[Claim] = []
 
     def claim(id, tier, needs, vars=(), domain="all", updir=False):
@@ -238,61 +326,54 @@ def _claims() -> tuple[Claim, ...]:
 
         return wrap
 
+    def law(id, tier, spec: LawSpec):
+        # needs, universe and the up-directedness guard come from the operators
+        names, vars, pred = spec
+        ops = [OPERATORS[k] for k in names]
+        claim(id, tier, ops[0].needs, vars, updir=any(o.updir for o in ops))(pred)
+
     def checked(id, tier, needs, fn, updir=False):
         out.append(Claim(id, tier, needs, checker=fn, requires_updirected=updir))
 
     # --- basic neighborhood approximations
     @claim("lup.l-id0", 1, S, ["A"])
     def _(i, a):
-        lo = _l(i, a["A"])
-        return _l(i, lo) == lo and is_subset(lo, a["A"])
+        lo = op["l"](i, a["A"])
+        return op["l"](i, lo) == lo and is_subset(lo, a["A"])
 
-    @claim("lup.u-wid0", 1, S, ["A"])
-    def _(i, a):
-        up = _u(i, a["A"])
-        return is_subset(up, _u(i, up))
+    law("lup.u-wid0", 1, within("u"))
 
     @claim("lup.lu-inc", 1, S, ["A"])
     def _(i, a):
-        lo = _l(i, a["A"])
-        return is_subset(lo, _u(i, lo)) and is_subset(_u(i, lo), _u(i, a["A"]))
+        lo = op["l"](i, a["A"])
+        return is_subset(lo, op["u"](i, lo)) and is_subset(
+            op["u"](i, lo), op["u"](i, a["A"])
+        )
 
-    @claim("lup.l-mo", 1, S, ["A", "B"])
-    def _(i, a):
-        return not is_subset(a["A"], a["B"]) or is_subset(_l(i, a["A"]), _l(i, a["B"]))
-
-    @claim("lup.u-mo", 1, S, ["A", "B"])
-    def _(i, a):
-        return not is_subset(a["A"], a["B"]) or is_subset(_u(i, a["A"]), _u(i, a["B"]))
+    law("lup.l-mo", 1, mono("l"))
+    law("lup.u-mo", 1, mono("u"))
 
     @claim("lup.bnd0", 1, S)
     def _(i, a):
         full = i.sys.full_mask
         return (
-            _l(i, full) == _u(i, full)
-            and is_subset(_u(i, full), full)
-            and _l(i, 0) == 0 == _u(i, 0)
+            op["l"](i, full) == op["u"](i, full)
+            and is_subset(op["u"](i, full), full)
+            and op["l"](i, 0) == 0 == op["u"](i, 0)
         )
 
     @claim("lup.u-union", 1, S, ["A", "B"])
     def _(i, a):
-        return _u(i, a["A"] | a["B"]) == _u(i, a["A"]) | _u(i, a["B"])
+        u = op["u"]
+        return u(i, a["A"] | a["B"]) == u(i, a["A"]) | u(i, a["B"])
 
-    @claim("lup.l-union", 1, S, ["A", "B"])
-    def _(i, a):
-        return is_subset(_l(i, a["A"]) | _l(i, a["B"]), _l(i, a["A"] | a["B"]))
-
-    @claim("lup.l-cap", 1, S, ["A", "B"])
-    def _(i, a):
-        return is_subset(_l(i, a["A"] & a["B"]), _l(i, a["A"]) & _l(i, a["B"]))
-
-    @claim("lup.u-cap", 1, S, ["A", "B"])
-    def _(i, a):
-        return is_subset(_u(i, a["A"] & a["B"]), _u(i, a["A"]) & _u(i, a["B"]))
+    law("lup.l-union", 1, sadd("l"))
+    law("lup.l-cap", 1, smul("l"))
+    law("lup.u-cap", 1, smul("u"))
 
     @claim("lup.upper-cone", 1, S, ["A"], updir=True)
     def _(i, a):
-        return is_subset(_cone(i, a["A"]), _u(i, a["A"]))
+        return is_subset(_cone(i, a["A"]), op["u"](i, a["A"]))
 
     # --- neighborhood structure
     @claim("nbd.nu1", 1, S, ["x", "y", "z"])
@@ -341,18 +422,9 @@ def _claims() -> tuple[Claim, ...]:
     def _(i, a):
         return is_subset(a["A"], eth_closure(i.sys, a["A"]))
 
-    @claim("eth.idempotence", 1, S, ["A"], updir=True)
-    def _(i, a):
-        e = eth_closure(i.sys, a["A"])
-        return eth_closure(i.sys, e) == e
-
-    @claim("eth.bottom", 1, S, updir=True)
-    def _(i, a):
-        return eth_closure(i.sys, 0) == 0
-
-    @claim("eth.top", 1, S, updir=True)
-    def _(i, a):
-        return eth_closure(i.sys, i.sys.full_mask) == i.sys.full_mask
+    law("eth.idempotence", 1, fixes("eth"))
+    law("eth.bottom", 1, bottom("eth"))
+    law("eth.top", 1, top("eth"))
 
     @claim("eth.cmo", 2, S, ["A", "B"], updir=True)
     def _(i, a):
@@ -403,92 +475,27 @@ def _claims() -> tuple[Claim, ...]:
         return is_subset(cudas_op(i.sys, a["A"], a["B"], "odot"), a["A"])
 
     # --- cud approximations, pointwise reading
-    @claim("cdbas.cdInclusion", 1, S, ["A"], updir=True)
-    def _(i, a):
-        lo, up = _lcd(i, a["A"]), _ucd(i, a["A"])
-        return is_subset(lo, a["A"]) and is_subset(a["A"], up)
-
-    @claim("cdbas.lcdId", 1, S, ["A"], updir=True)
-    def _(i, a):
-        lo = _lcd(i, a["A"])
-        return _lcd(i, lo) == lo
-
-    @claim("cdbas.ucdpId", 1, S, ["A"], updir=True)
-    def _(i, a):
-        up = _ucd(i, a["A"])
-        return is_subset(up, _ucd(i, up))
-
-    @claim("cdbas.lucdpId", 1, S, ["A"], updir=True)
-    def _(i, a):
-        lo = _lcd(i, a["A"])
-        return is_subset(lo, _ucd(i, lo))
-
-    @claim("cdbas.ulcdId", 1, S, ["A"], updir=True)
-    def _(i, a):
-        up = _ucd(i, a["A"])
-        return _lcd(i, up) == up
-
-    @claim("cdbas.lcdmo", 1, S, ["A", "B"], updir=True)
-    def _(i, a):
-        return not is_subset(a["A"], a["B"]) or is_subset(
-            _lcd(i, a["A"]), _lcd(i, a["B"])
-        )
-
-    @claim("cdbas.ucdmo", 1, S, ["A", "B"], updir=True)
-    def _(i, a):
-        return not is_subset(a["A"], a["B"]) or is_subset(
-            _ucd(i, a["A"]), _ucd(i, a["B"])
-        )
-
-    @claim("cdbas.lcdsadd", 1, S, ["A", "B"], updir=True)
-    def _(i, a):
-        return is_subset(
-            _lcd(i, a["A"]) | _lcd(i, a["B"]), _lcd(i, a["A"] | a["B"])
-        )
-
-    @claim("cdbas.ucdsadd", 1, S, ["A", "B"], updir=True)
-    def _(i, a):
-        return is_subset(
-            _ucd(i, a["A"]) | _ucd(i, a["B"]), _ucd(i, a["A"] | a["B"])
-        )
-
-    @claim("cdbas.lcdsmul", 1, S, ["A", "B"], updir=True)
-    def _(i, a):
-        return is_subset(
-            _lcd(i, a["A"] & a["B"]), _lcd(i, a["A"]) & _lcd(i, a["B"])
-        )
-
-    @claim("cdbas.ucdsmul", 1, S, ["A", "B"], updir=True)
-    def _(i, a):
-        return is_subset(
-            _ucd(i, a["A"] & a["B"]), _ucd(i, a["A"]) & _ucd(i, a["B"])
-        )
-
-    @claim("cdbas.cdbottom", 1, S, updir=True)
-    def _(i, a):
-        return _lcd(i, 0) == 0 == _ucd(i, 0)
-
-    @claim("cdbas.cdtop", 1, S, updir=True)
-    def _(i, a):
-        full = i.sys.full_mask
-        return _lcd(i, full) == full == _ucd(i, full)
+    law("cdbas.cdInclusion", 1, sandwich("l_cd", "u_cd"))
+    law("cdbas.lcdId", 1, fixes("l_cd"))
+    law("cdbas.ucdpId", 1, within("u_cd"))
+    law("cdbas.lucdpId", 1, within("u_cd", "l_cd"))
+    law("cdbas.ulcdId", 1, fixes("l_cd", "u_cd"))
+    law("cdbas.lcdmo", 1, mono("l_cd"))
+    law("cdbas.ucdmo", 1, mono("u_cd"))
+    law("cdbas.lcdsadd", 1, sadd("l_cd"))
+    law("cdbas.ucdsadd", 1, sadd("u_cd"))
+    law("cdbas.lcdsmul", 1, smul("l_cd"))
+    law("cdbas.ucdsmul", 1, smul("u_cd"))
+    law("cdbas.cdbottom", 1, bottom("l_cd", "u_cd"))
+    law("cdbas.cdtop", 1, top("l_cd", "u_cd"))
 
     # --- cud approximations, collection reading (audited; known to fail)
-    @claim("cdbas.cdInclusion-collection", 2, S, ["A"], updir=True)
-    def _(i, a):
-        lo = _lcd(i, a["A"])
-        up = _ucd(i, a["A"], "collection")
-        return is_subset(lo, a["A"]) and is_subset(a["A"], up)
-
-    @claim("cdbas.ucdmo-collection", 2, S, ["A", "B"], updir=True)
-    def _(i, a):
-        return not is_subset(a["A"], a["B"]) or is_subset(
-            _ucd(i, a["A"], "collection"), _ucd(i, a["B"], "collection")
-        )
+    law("cdbas.cdInclusion-collection", 2, sandwich("l_cd", "u_cd_coll"))
+    law("cdbas.ucdmo-collection", 2, mono("u_cd_coll"))
 
     def _cdtop_collection(i: AuditInstance) -> tuple[bool, dict | None]:
         full = i.sys.full_mask
-        up = _ucd(i, full, "collection")
+        up = op["u_cd_coll"](i, full)
         if up == full:
             return True, None
         # the witness carries the collection-mode value so the gap is visible
@@ -497,78 +504,23 @@ def _claims() -> tuple[Claim, ...]:
     checked("cdbas.cdtop-collection", 2, S, _cdtop_collection, updir=True)
 
     # --- subgroupoid approximations
-    @claim("pi9.piInclusion", 1, G, ["A"])
-    def _(i, a):
-        return is_subset(_lpi(i, a["A"]), a["A"]) and is_subset(a["A"], _upi(i, a["A"]))
-
-    @claim("pi9.lpiId", 1, G, ["A"])
-    def _(i, a):
-        lo = _lpi(i, a["A"])
-        return _lpi(i, lo) == lo
-
-    @claim("pi9.upipId", 1, G, ["A"])
-    def _(i, a):
-        up = _upi(i, a["A"])
-        return _upi(i, up) == up
-
-    @claim("pi9.ulpiId", 1, G, ["A"])
-    def _(i, a):
-        up = _upi(i, a["A"])
-        return _lpi(i, up) == up
-
-    @claim("pi9.lupipId", 2, G, ["A"])
-    def _(i, a):
-        lo = _lpi(i, a["A"])
-        return _upi(i, lo) == lo
-
-    @claim("pi9.lpimo", 1, G, ["A", "B"])
-    def _(i, a):
-        return not is_subset(a["A"], a["B"]) or is_subset(
-            _lpi(i, a["A"]), _lpi(i, a["B"])
-        )
-
-    @claim("pi9.upimo", 1, G, ["A", "B"])
-    def _(i, a):
-        return not is_subset(a["A"], a["B"]) or is_subset(
-            _upi(i, a["A"]), _upi(i, a["B"])
-        )
-
-    @claim("pi9.lpisadd", 1, G, ["A", "B"])
-    def _(i, a):
-        return is_subset(
-            _lpi(i, a["A"]) | _lpi(i, a["B"]), _lpi(i, a["A"] | a["B"])
-        )
-
-    @claim("pi9.upisadd", 1, G, ["A", "B"])
-    def _(i, a):
-        return is_subset(
-            _upi(i, a["A"]) | _upi(i, a["B"]), _upi(i, a["A"] | a["B"])
-        )
-
-    @claim("pi9.lpismul", 1, G, ["A", "B"])
-    def _(i, a):
-        return is_subset(
-            _lpi(i, a["A"] & a["B"]), _lpi(i, a["A"]) & _lpi(i, a["B"])
-        )
-
-    @claim("pi9.upismul", 1, G, ["A", "B"])
-    def _(i, a):
-        return is_subset(
-            _upi(i, a["A"] & a["B"]), _upi(i, a["A"]) & _upi(i, a["B"])
-        )
-
-    @claim("pi9.pibottom", 1, G)
-    def _(i, a):
-        return _lpi(i, 0) == 0 == _upi(i, 0)
-
-    @claim("pi9.pitop", 1, G)
-    def _(i, a):
-        full = i.g.full_mask
-        return _lpi(i, full) == full == _upi(i, full)
+    law("pi9.piInclusion", 1, sandwich("l_pi", "u_pi"))
+    law("pi9.lpiId", 1, fixes("l_pi"))
+    law("pi9.upipId", 1, fixes("u_pi"))
+    law("pi9.ulpiId", 1, fixes("l_pi", "u_pi"))
+    law("pi9.lupipId", 2, fixes("u_pi", "l_pi"))
+    law("pi9.lpimo", 1, mono("l_pi"))
+    law("pi9.upimo", 1, mono("u_pi"))
+    law("pi9.lpisadd", 1, sadd("l_pi"))
+    law("pi9.upisadd", 1, sadd("u_pi"))
+    law("pi9.lpismul", 1, smul("l_pi"))
+    law("pi9.upismul", 1, smul("u_pi"))
+    law("pi9.pibottom", 1, bottom("l_pi", "u_pi"))
+    law("pi9.pitop", 1, top("l_pi", "u_pi"))
 
     @claim("sappr.sandwich", 1, G, ["A"])
     def _(i, a):
-        lo = _lpi(i, a["A"])
+        lo = op["l_pi"](i, a["A"])
         return is_subset(lo, generate(i.g, lo)) and is_subset(
             generate(i.g, lo), generate(i.g, a["A"])
         )
@@ -578,45 +530,22 @@ def _claims() -> tuple[Claim, ...]:
     def _(i, a):
         A = a["A"]
         return (
-            is_subset(_lpi(i, A), A)
-            and is_subset(A, _upi(i, A))
-            and is_subset(_upi(i, A), _ua(i, A))
+            is_subset(op["l_pi"](i, A), A)
+            and is_subset(A, op["u_pi"](i, A))
+            and is_subset(op["u_pi"](i, A), op["u_a"](i, A))
         )
 
-    @claim("aup.uapIn", 1, G, ["A"])
-    def _(i, a):
-        ua = _ua(i, a["A"])
-        return is_subset(ua, _ua(i, ua))
-
-    @claim("aup.luaIn", 1, G, ["A"])
-    def _(i, a):
-        lo = _lpi(i, a["A"])
-        return is_subset(lo, _ua(i, lo))
-
-    @claim("aup.ulaId", 1, G, ["A"])
-    def _(i, a):
-        ua = _ua(i, a["A"])
-        return _lpi(i, ua) == ua
-
-    @claim("aup.uamo", 2, G, ["A", "B"])
-    def _(i, a):
-        return not is_subset(a["A"], a["B"]) or is_subset(
-            _ua(i, a["A"]), _ua(i, a["B"])
-        )
-
-    @claim("aup.uaadd", 2, G, ["A", "B"])
-    def _(i, a):
-        return is_subset(
-            _ua(i, a["A"]) | _ua(i, a["B"]), _ua(i, a["A"] | a["B"])
-        )
+    law("aup.uapIn", 1, within("u_a"))
+    law("aup.luaIn", 1, within("u_a", "l_pi"))
+    law("aup.ulaId", 1, fixes("l_pi", "u_a"))
+    law("aup.uamo", 2, mono("u_a"))
+    law("aup.uaadd", 2, sadd("u_a"))
 
     @claim("aup.abottom", 1, G)
     def _(i, a):
-        return _lpi(i, 0) == 0 and is_subset(0, _ua(i, 0))
+        return op["l_pi"](i, 0) == 0 and is_subset(0, op["u_a"](i, 0))
 
-    @claim("aup.atop", 1, G)
-    def _(i, a):
-        return _ua(i, i.g.full_mask) == i.g.full_mask
+    law("aup.atop", 1, top("u_a"))
 
     # --- construction and the pair algebra
     checked("grpd.bs-sound", 1, S, _construction_sound, updir=True)
@@ -652,13 +581,12 @@ def _hash_str(s: str) -> int:
 
 
 def _domains(claim: Claim, inst: AuditInstance) -> list[list[int]]:
-    subset_pool: list[int]
+    holder = _holder(inst, claim.needs)
     if claim.domain == "cud":
         subset_pool = list(cud_family(inst.sys).members)
     else:
-        n = inst.sys.n if claim.needs == "sys" else inst.g.n
-        subset_pool = list(subsets_of((1 << n) - 1))
-    element_pool = list(range(inst.sys.n if claim.needs == "sys" else inst.g.n))
+        subset_pool = list(subsets_of(holder.full_mask))
+    element_pool = list(range(holder.n))
     return [
         subset_pool if v[0].isupper() else element_pool for v in claim.vars
     ]
@@ -668,19 +596,9 @@ def _assignments(
     claim: Claim, inst: AuditInstance, limit: int, seed: int
 ) -> Iterator[dict[str, int]]:
     domains = _domains(claim, inst)
-    total = 1
-    for d in domains:
-        total *= len(d)
-    if total <= limit:
-        def rec(k: int, acc: dict) -> Iterator[dict[str, int]]:
-            if k == len(domains):
-                yield dict(acc)
-                return
-            for v in domains[k]:
-                acc[claim.vars[k]] = v
-                yield from rec(k + 1, acc)
-
-        yield from rec(0, {})
+    if math.prod(len(d) for d in domains) <= limit:
+        for values in itertools.product(*domains):
+            yield dict(zip(claim.vars, values))
         return
     base = mix(seed, _hash_str(claim.id), _hash_str(inst.name))
     for t in range(limit):
@@ -693,7 +611,7 @@ def _assignments(
 def _witness_labels(
     claim: Claim, inst: AuditInstance, asg: dict[str, int]
 ) -> dict:
-    holder = inst.g if claim.needs == "grpd" else inst.sys
+    holder = _holder(inst, claim.needs)
     out: dict = {}
     for v in claim.vars:
         if v[0].isupper():
@@ -739,7 +657,7 @@ def replay_witness(
     if claim.checker is not None:
         holds, again = claim.checker(inst)
         return not holds and again == witness
-    holder = inst.g if claim.needs == "grpd" else inst.sys
+    holder = _holder(inst, claim.needs)
     asg = {}
     for v in claim.vars:
         if v[0].isupper():

@@ -38,6 +38,7 @@ from .relsys import (
     approx_basic,
     classify,
     load_relation,
+    read_text,
 )
 
 
@@ -276,16 +277,22 @@ def _cluster_set_dict(cs: cluster_mod.ClusterSet) -> dict:
 def _load_cluster_set(
     path: str, sys: RelationalSystem, g, flavor_flag: str
 ) -> cluster_mod.ClusterSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if "clusters" not in raw:  # composite output of `cluster run --json`
+    try:
+        raw = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{path} is not valid JSON: {exc}")
+    if isinstance(raw, dict) and "clusters" not in raw:
+        # composite output of `cluster run --json`
         raw = raw.get("selected") or raw.get("proposed") or {}
-    if "clusters" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("clusters"), list):
         raise InputFormatError(f"{path}: no cluster list found")
     flavor = raw.get("flavor", flavor_flag)
     clusters = []
     for c in raw["clusters"]:
-        support = sys.mask(c["support"])
+        labels = c.get("support") if isinstance(c, dict) else None
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise InputFormatError(f"{path}: a cluster has no support label list")
+        support = sys.mask(labels)
         t = cluster_mod.rough_tuple_for(sys, g, support, flavor)
         clusters.append(cluster_mod.RoughCluster(support, t))
     return cluster_mod.ClusterSet(tuple(clusters), flavor, sys, g)

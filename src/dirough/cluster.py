@@ -29,6 +29,7 @@ from .relsys import (
     exhaustive_cap,
     from_id_pairs,
     is_up_directed,
+    read_text,
 )
 
 RHO_NAMES = ("euclidean", "chebyshev")
@@ -133,6 +134,8 @@ def parse_dataset(text: str, schema: Mapping[str, str] | None = None) -> Dataset
                 coords.append((float(rec[lat_col]), float(rec[lon_col])))
             except ValueError:
                 raise InputFormatError(f"row {ids[-1]!r}: bad coordinate")
+    if not rows:
+        raise InputFormatError("dataset has no rows")
     return Dataset(
         tuple(ids),
         tuple(header[i] for i in band_cols),
@@ -142,8 +145,7 @@ def parse_dataset(text: str, schema: Mapping[str, str] | None = None) -> Dataset
 
 
 def load_dataset(path: str, schema: Mapping[str, str] | None = None) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_dataset(fh.read(), schema)
+    return parse_dataset(read_text(path), schema)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +232,12 @@ class ValidityReport:
         }
 
 
+def _reflexive_past_cap(sys: RelationalSystem, cap: int | None) -> bool:
+    """Reflexive and wider than the cap: every singleton is CUD, so the CUD
+    family need not (and cannot) be enumerated."""
+    return sys.n > exhaustive_cap(cap) and all(sys.has(x, x) for x in range(sys.n))
+
+
 def rough_tuple_for(
     sys: RelationalSystem,
     g: Groupoid | None,
@@ -240,14 +248,11 @@ def rough_tuple_for(
     """Approximate A per flavor.
 
     Reflexive systems admit a shortcut past the exponential granule family:
-    every singleton is CUD there, so both cud approximations collapse to A
-    itself. That keeps the cud flavor usable on datasets wider than the
-    exhaustive cap.
+    both cud approximations collapse to A itself. That keeps the cud flavor
+    usable on datasets wider than the exhaustive cap.
     """
     if flavor == "cud":
-        if sys.n > exhaustive_cap(cap) and all(
-            sys.has(x, x) for x in range(sys.n)
-        ):
+        if _reflexive_past_cap(sys, cap):
             return RoughTuple(A, A, 0, "cud")
         return cud_tuple(sys, A, "pointwise", cap)
     if flavor == "pi":
@@ -282,7 +287,7 @@ def _seed_candidates(
         if flavor == "pi":
             fam = subgroupoids(g, cap)
             cands = set(fam.minimal_members(tuple(m for m in fam.members if m)))
-        elif sys.n > exhaustive_cap(cap) and all(sys.has(x, x) for x in range(sys.n)):
+        elif _reflexive_past_cap(sys, cap):
             cands = {1 << x for x in range(sys.n)}  # the minimal CUD sets
         else:
             fam = cud_family(sys, cap)

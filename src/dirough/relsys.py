@@ -33,17 +33,20 @@ def exhaustive_cap(override: int | None = None) -> int:
     """Current cap on universe size for 2^n enumerations.
 
     Resolution order: explicit override, then the DIROUGH_CAP environment
-    variable, then the default of 16.
+    variable, then the default of 16. A negative cap is an input error.
     """
     if override is not None:
-        return int(override)
-    env = os.environ.get(_CAP_ENV)
-    if env is not None:
+        cap = int(override)
+    elif (env := os.environ.get(_CAP_ENV)) is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise InputFormatError(f"{_CAP_ENV} must be an integer, got {env!r}")
-    return DEFAULT_CAP
+    else:
+        return DEFAULT_CAP
+    if cap < 0:
+        raise InputFormatError(f"the exhaustive cap must be non-negative, got {cap}")
+    return cap
 
 
 def require_cap(n: int, cap: int | None = None, what: str = "enumeration") -> None:
@@ -208,8 +211,7 @@ def parse_table(text: str) -> InformationTable:
 
 
 def load_table(path: str) -> InformationTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_table(fh.read())
+    return parse_table(read_text(path))
 
 
 def derive_pawl_relation(
@@ -307,7 +309,7 @@ class SpaceProfile:
 def classify(sys: RelationalSystem) -> SpaceProfile:
     """Exhaustive first-order check of the five structural flags."""
     n, succ = sys.n, sys.succ
-    up = all(succ[a] & succ[b] for a in range(n) for b in range(a, n))
+    up = is_up_directed(sys)
     refl = all(succ[a] >> a & 1 for a in range(n))
     sym = succ == sys.pred
     anti = all(
@@ -456,9 +458,6 @@ class GranuleFamily:
             return ()
         return self._minimal_containing[x]
 
-    def members_within(self, A: int) -> tuple[int, ...]:
-        return tuple(m for m in self.members if is_subset(m, A))
-
     def members_meeting(self, A: int) -> tuple[int, ...]:
         return tuple(m for m in self.members if m & A)
 
@@ -499,9 +498,19 @@ def parse_relation(text: str) -> RelationalSystem:
     return build_relation(labels, pairs)
 
 
+def read_text(path: str) -> str:
+    """Contents of a UTF-8 text file; an unreadable file is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path} is not UTF-8 text (byte {exc.start})")
+
+
 def load_relation(path: str) -> RelationalSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_relation(fh.read())
+    return parse_relation(read_text(path))
 
 
 def dump_relation(sys: RelationalSystem) -> str:

@@ -5,31 +5,13 @@ from __future__ import annotations
 import itertools
 
 from dirough._bits import mix
+from dirough.audit import random_system, random_updirected_system
 from dirough.relsys import RelationalSystem, from_id_pairs
 
 
-def rand_system(seed: int, n: int, density_pct: int = 35) -> RelationalSystem:
-    labels = tuple(f"v{i}" for i in range(n))
-    pairs = [
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if mix(seed, a, b) % 100 < density_pct
-    ]
-    return from_id_pairs(labels, pairs)
-
-
-def rand_updirected(seed: int, n: int, density_pct: int = 35) -> RelationalSystem:
-    """Random system repaired to up-directedness by appointing a common
-    successor for every empty U_R(a, b)."""
-    succ = list(rand_system(seed, n, density_pct).succ)
-    for a in range(n):
-        for b in range(a, n):
-            if not succ[a] & succ[b]:
-                t = mix(seed, a, b, 7) % n
-                succ[a] |= 1 << t
-                succ[b] |= 1 << t
-    return RelationalSystem(tuple(f"v{i}" for i in range(n)), tuple(succ))
+# one generator for random systems: the package's own
+rand_system = random_system
+rand_updirected = random_updirected_system
 
 
 def rand_equivalence(seed: int, n: int) -> RelationalSystem:

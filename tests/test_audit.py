@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from dirough.audit import (
@@ -25,6 +28,19 @@ EXPECTED_DEVIATIONS = {
     "cudas.inclusiondot",
     "pi9.lupipId",
 }
+
+
+# sha256 of the registry metadata and of the default report as the CLI
+# prints it (`audit claims --json`); a change to any claim, witness or
+# sampling order shows up here
+CLAIMS_SHA256 = "f1d37e75580b3ed807781e1babc403968832547d9cb83c8e24cae785a1111eb0"
+DEFAULT_REPORT_SHA256 = (
+    "37d1db8ebb67219e7f1e6658270b9a77763b05f2b56286415815651e442a021e"
+)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +92,17 @@ class TestDefaultRun:
 
     def test_deterministic(self, default_report):
         assert audit_claims() == default_report
+
+    def test_golden_registry_and_report(self, default_report):
+        meta = [
+            [c.id, c.tier, c.needs, list(c.vars), c.domain,
+             c.requires_updirected, c.checker is not None]
+            for c in CLAIMS
+        ]
+        assert len(CLAIMS) == 75
+        assert sha256(json.dumps(meta)) == CLAIMS_SHA256
+        report = json.dumps(default_report.as_dict(), indent=2) + "\n"
+        assert sha256(report) == DEFAULT_REPORT_SHA256
 
     def test_as_dict_rows(self, default_report):
         d = default_report.as_dict()

@@ -314,6 +314,55 @@ class TestUsageErrors:
         assert e.value.code == 2
 
 
+# Each case: files to write into a fresh directory, the argv ({d} is that
+# directory) and a fragment the single "error:" line must name.
+MALFORMED_INPUTS = {
+    "missing-file": (
+        {}, ["approx", "--rel", "{d}/missing.rel", "--set", "a"], "missing.rel"
+    ),
+    "non-utf8-relation": (
+        {"bad.rel": b"elements: a \xff\n"},
+        ["approx", "--rel", "{d}/bad.rel", "--set", "a"],
+        "bad.rel",
+    ),
+    "header-only-dataset": (
+        {"head.csv": b"id,b1,b2\n"},
+        ["cluster", "run", "--data", "{d}/head.csv", "--eps", "1"],
+        "no rows",
+    ),
+    "negative-cap": ({}, ["granules", "cud", "--cap", "-1"], "non-negative"),
+    "clusters-not-json": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode(), "clusters.json": b"{not json"},
+        ["cluster", "validate", "{d}/clusters.json", "--data", "{d}/blobs.csv",
+         "--eps", "2"],
+        "clusters.json",
+    ),
+    "cluster-without-support": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode(), "clusters.json": b'{"clusters": [1]}'},
+        ["cluster", "validate", "{d}/clusters.json", "--data", "{d}/blobs.csv",
+         "--eps", "2"],
+        "support",
+    ),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_one_error_line_no_traceback(self, tmp_path, case):
+        files, argv, fragment = MALFORMED_INPUTS[case]
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        out = subprocess.run(
+            [sys.executable, "-m", "dirough", *(a.format(d=tmp_path) for a in argv)],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 1, out.stderr
+        assert "Traceback" not in out.stderr
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+        assert fragment in lines[0]
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         out = subprocess.run(

@@ -241,8 +241,10 @@ class TestGeneration:
                 assert got == oracles.generate(uni, table, set(g.set_labels(A)))
 
     def test_subgroupoids_match_oracle(self):
-        for seed in range(12):
-            sys = rand_updirected(seed, 5)
+        cases = [(seed, 5) for seed in range(12)]
+        cases += [(seed, 8) for seed in range(4)] + [(seed, 10) for seed in range(3)]
+        for seed, n in cases:
+            sys = rand_updirected(seed, n)
             g = build_updir_groupoid(sys, ChoiceStrategy.seeded(seed))
             uni = list(g.labels)
             table = {

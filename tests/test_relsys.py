@@ -296,3 +296,10 @@ class TestCaps:
         monkeypatch.setenv("DIROUGH_CAP", "5")
         with pytest.raises(CapExceededError):
             require_cap(6, None, "test enumeration")
+
+    def test_negative_cap_rejected(self, monkeypatch):
+        with pytest.raises(InputFormatError):
+            require_cap(3, -1, "test enumeration")
+        monkeypatch.setenv("DIROUGH_CAP", "-2")
+        with pytest.raises(InputFormatError):
+            require_cap(3, None, "test enumeration")
