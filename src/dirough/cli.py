@@ -25,7 +25,6 @@ from .grpd import (
     ChoiceStrategy,
     Groupoid,
     build_updir_groupoid,
-    check_laws,
     dump_cayley,
     law_violation,
     load_cayley,
@@ -37,6 +36,7 @@ from .relsys import (
     RelationalSystem,
     approx_basic,
     classify,
+    exhaustive_cap,
     load_relation,
     read_text,
 )
@@ -205,17 +205,17 @@ def _cmd_groupoid_laws(args) -> int:
     wanted = (
         tuple(t.strip() for t in args.laws.split(",") if t.strip())
         if args.laws
-        else None
+        else ALL_LAWS
     )
-    report = check_laws(g, wanted)
     data = {"laws": {}}
     lines = []
-    for law, holds in report.items():
-        entry: dict = {"holds": holds}
-        if not holds:
-            entry["witness"] = law_violation(g, law)
+    for law in dict.fromkeys(wanted):
+        witness = law_violation(g, law)
+        entry: dict = {"holds": witness is None}
+        if witness is not None:
+            entry["witness"] = witness
         data["laws"][law] = entry
-        lines.append(f"{law}: {'holds' if holds else 'fails ' + str(entry.get('witness'))}")
+        lines.append(f"{law}: {'holds' if witness is None else 'fails ' + str(witness)}")
     _emit(args, data, lines)
     return 0
 
@@ -546,6 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "cap"):
+            exhaustive_cap(args.cap)
         return args.fn(args)
     except DiroughError as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -14,6 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,14 +24,7 @@ from .cud import RoughTuple, cud_family, cud_tuple
 from .errors import InputFormatError, LawError, NotUpDirectedError, StructureError
 from .grpd import Groupoid, subgroupoids
 from .piappr import approx_pi
-from .relsys import (
-    RelationalSystem,
-    approx_basic,
-    exhaustive_cap,
-    from_id_pairs,
-    is_up_directed,
-    read_text,
-)
+from .relsys import RelationalSystem, approx_basic, from_id_pairs, is_up_directed, read_text
 
 RHO_NAMES = ("euclidean", "chebyshev")
 SEED_KINDS = ("neighborhood", "granule")
@@ -72,8 +66,16 @@ class Dataset:
     def dimension(self) -> int:
         return len(self.bands)
 
+    @cached_property
     def array(self) -> np.ndarray:
-        return np.asarray(self.rows, dtype=float)
+        """The rows as one read-only float array, built once and shared."""
+        X = np.asarray(self.rows, dtype=float)
+        X.flags.writeable = False
+        return X
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {rid: i for i, rid in enumerate(self.ids)}
 
 
 def parse_dataset(text: str, schema: Mapping[str, str] | None = None) -> Dataset:
@@ -171,19 +173,21 @@ def step1_relation(
         eps_by_row = np.asarray([float(eps[rid]) for rid in ds.ids])
     else:
         eps_by_row = np.full(len(ds.ids), float(eps))
-    if (eps_by_row <= 0).any():
+    if not (eps_by_row > 0).all():
         raise LawError("eps must be positive")
 
-    X = ds.array()
-    diff = X[None, :, :] - X[:, None, :]  # diff[a, c] = row c - row a
-    dominated = (diff >= 0).all(axis=2)
-    if rho == "euclidean":
-        dist = np.sqrt((diff**2).sum(axis=2))
-    else:
-        dist = np.abs(diff).max(axis=2) if ds.dimension else np.zeros_like(dominated, float)
-    rel = dominated & (dist <= eps_by_row[:, None])
-    pairs = [(a, c) for a in range(len(ds.ids)) for c in range(len(ds.ids)) if rel[a, c]]
-    return from_id_pairs(ds.ids, pairs)
+    X = ds.array
+    succ = []
+    for a in range(len(ds.ids)):
+        diff = X - X[a]  # diff[c] = row c - row a
+        dominated = (diff >= 0).all(axis=1)
+        if rho == "euclidean":
+            dist = np.sqrt((diff**2).sum(axis=1))
+        else:
+            dist = np.abs(diff).max(axis=1, initial=0.0)
+        row = dominated & (dist <= eps_by_row[a])
+        succ.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
+    return RelationalSystem(ds.ids, tuple(succ))
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +236,9 @@ class ValidityReport:
         }
 
 
-def _reflexive_past_cap(sys: RelationalSystem, cap: int | None) -> bool:
-    """Reflexive and wider than the cap: every singleton is CUD, so the CUD
-    family need not (and cannot) be enumerated."""
-    return sys.n > exhaustive_cap(cap) and all(sys.has(x, x) for x in range(sys.n))
+def _reflexive(sys: RelationalSystem) -> bool:
+    """Every singleton is CUD, so the CUD family need not be enumerated."""
+    return all(sys.has(x, x) for x in range(sys.n))
 
 
 def rough_tuple_for(
@@ -247,12 +250,14 @@ def rough_tuple_for(
 ) -> RoughTuple:
     """Approximate A per flavor.
 
-    Reflexive systems admit a shortcut past the exponential granule family:
-    both cud approximations collapse to A itself. That keeps the cud flavor
-    usable on datasets wider than the exhaustive cap.
+    Reflexive systems admit an exact shortcut past the exponential granule
+    family: every singleton is CUD, so both cud approximations collapse to A
+    itself, at any size and whether or not the system is up-directed.
     """
     if flavor == "cud":
-        if _reflexive_past_cap(sys, cap):
+        if _reflexive(sys):
+            if A & ~sys.full_mask:
+                raise LawError("set A is not a subset of the universe")
             return RoughTuple(A, A, 0, "cud")
         return cud_tuple(sys, A, "pointwise", cap)
     if flavor == "pi":
@@ -287,7 +292,7 @@ def _seed_candidates(
         if flavor == "pi":
             fam = subgroupoids(g, cap)
             cands = set(fam.minimal_members(tuple(m for m in fam.members if m)))
-        elif _reflexive_past_cap(sys, cap):
+        elif _reflexive(sys):
             cands = {1 << x for x in range(sys.n)}  # the minimal CUD sets
         else:
             fam = cud_family(sys, cap)
@@ -445,35 +450,20 @@ class ScoreTable:
 
 
 def _component_rows(ds: Dataset, sys: RelationalSystem, mask: int) -> np.ndarray:
-    idx = []
-    pos = {rid: i for i, rid in enumerate(ds.ids)}
-    for lab in sys.set_labels(mask):
-        if lab not in pos:
-            raise LawError(f"cluster element {lab!r} is not a dataset row")
-        idx.append(pos[lab])
-    return ds.array()[idx]
-
-
-def _nasd(rows: np.ndarray) -> float | None:
-    # mean squared Euclidean distance over all ordered pairs, self-pairs
-    # included, normalized by dimension
-    if len(rows) == 0:
-        return None
-    diff = rows[None, :, :] - rows[:, None, :]
-    sq = (diff**2).sum(axis=2)
-    return float(sq.mean() / rows.shape[1])
-
-
-def _band_variance(rows: np.ndarray) -> tuple[float, ...] | None:
-    if len(rows) == 0:
-        return None
-    return tuple(float(v) for v in rows.var(axis=0))
+    try:
+        idx = [ds._index[lab] for lab in sys.set_labels(mask)]
+    except KeyError as exc:
+        raise LawError(f"cluster element {exc.args[0]!r} is not a dataset row")
+    return ds.array[idx]
 
 
 def score_clusters(ds: Dataset, cs: ClusterSet, metric: str = "nasd") -> ScoreTable:
     """Population variance per band, or normalized average squared distance.
 
-    Empty components score null rather than zero; a singleton scores 0.
+    The mean squared Euclidean distance over all ordered pairs, self-pairs
+    included, is twice the summed per-band population variance, so both
+    metrics come from one variance vector. Empty components score null
+    rather than zero; a singleton scores 0.
     """
     if metric not in ("band_variance", "nasd"):
         raise LawError(f"unknown metric {metric!r}")
@@ -485,7 +475,13 @@ def score_clusters(ds: Dataset, cs: ClusterSet, metric: str = "nasd") -> ScoreTa
             ("boundary", c.approx.boundary),
         ):
             data = _component_rows(ds, cs.sys, mask)
-            val = _nasd(data) if metric == "nasd" else _band_variance(data)
+            val = None
+            if len(data):
+                var = data.var(axis=0)
+                if metric == "nasd":
+                    val = float(2 * var.sum() / ds.dimension)
+                else:
+                    val = tuple(float(v) for v in var)
             rows.append(ScoreRow(i, name, val))
     return ScoreTable(metric, tuple(rows), cs)
 

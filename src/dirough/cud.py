@@ -105,11 +105,14 @@ def approx_cud(
     The lower approximation unions the CUD sets inside A. The upper comes in
     two flavours: pointwise unions, for each element of A, the minimal CUD
     sets containing that element; collection unions the inclusion-minimal
-    family members that meet A at all.
+    family members that meet A at all. Both need an up-directed system,
+    which is one whose whole universe is CUD.
     """
     if A & ~sys.full_mask:
         raise LawError("set A is not a subset of the universe")
     fam = cud_family(sys, cap)
+    if sys.full_mask not in fam:
+        raise NotUpDirectedError("CUD approximations need an up-directed system")
     if op == "l":
         return fam.union_within(A)
     if op != "u":

@@ -140,22 +140,6 @@ class ChoiceStrategy:
 # Pseudo joins
 
 
-def _reach(sys: RelationalSystem) -> tuple[int, ...]:
-    """Reflexive-transitive closure, one successor mask per element."""
-    reach = [sys.succ[i] | (1 << i) for i in range(sys.n)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(sys.n):
-            acc = reach[i]
-            for j in bits(acc):
-                acc |= reach[j]
-            if acc != reach[i]:
-                reach[i] = acc
-                changed = True
-    return tuple(reach)
-
-
 def pseudo_joins(
     sys: RelationalSystem, a: int, b: int, mode: PseudoJoinMode = MINIMAL
 ) -> int:
@@ -172,7 +156,7 @@ def pseudo_joins(
             f"empty upper-bound set for pair ({sys.labels[a]}, {sys.labels[b]})"
         )
     if mode == MINIMAL:
-        reach = _reach(sys)
+        reach = sys.reach
         out = 0
         for x in bits(U):
             minimal = True
@@ -410,21 +394,7 @@ def _cancellation_holds(g: Groupoid, e: int) -> bool:
 def check_laws(g: Groupoid, laws: Iterable[str] | None = None) -> dict[str, bool]:
     """Evaluate the requested identities over every variable assignment."""
     wanted = tuple(laws) if laws is not None else ALL_LAWS
-    report: dict[str, bool] = {}
-    for law in wanted:
-        if law == "EC14":
-            report[law] = all(_cancellation_holds(g, e) for e in range(g.n))
-            continue
-        if law not in _EQUATIONAL_LAWS:
-            raise LawError(f"unknown law id {law!r}")
-        ok = True
-        for eq in _EQUATIONAL_LAWS[law]:
-            _, failures = _equation_failures(g, eq)
-            if len(failures):
-                ok = False
-                break
-        report[law] = ok
-    return report
+    return {law: law_violation(g, law) is None for law in wanted}
 
 
 def law_violation(g: Groupoid, law: str) -> dict[str, str] | None:

@@ -99,6 +99,23 @@ class RelationalSystem:
         return tuple(cols)
 
     @cached_property
+    def reach(self) -> tuple[int, ...]:
+        """reach[i] is the bitmask of elements reachable from i in zero or
+        more R-steps: the reflexive-transitive closure of R."""
+        reach = [self.succ[i] | (1 << i) for i in range(self.n)]
+        changed = True
+        while changed:
+            changed = False
+            for i in range(self.n):
+                acc = reach[i]
+                for j in bits(acc):
+                    acc |= reach[j]
+                if acc != reach[i]:
+                    reach[i] = acc
+                    changed = True
+        return tuple(reach)
+
+    @cached_property
     def _index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 

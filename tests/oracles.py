@@ -7,6 +7,7 @@ Slow is fine; these run on small instances only.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations
 
 
@@ -210,6 +211,24 @@ def regions(labels, table, universe, pairs, A, B, kind):
             labels, table, universe, pairs, A, B, "o2"
         )
     return frozenset(out)
+
+
+def step1(rows, rho, eps):
+    """Index pairs (a, c) with row a componentwise <= row c and within eps
+    of it; eps is one number or one per source row."""
+    out = set()
+    for a, p in enumerate(rows):
+        bound = eps[a] if isinstance(eps, (list, tuple)) else eps
+        for c, q in enumerate(rows):
+            if not all(y - x >= 0 for x, y in zip(p, q)):
+                continue
+            if rho == "euclidean":
+                dist = math.sqrt(sum((y - x) ** 2 for x, y in zip(p, q)))
+            else:
+                dist = max((abs(y - x) for x, y in zip(p, q)), default=0.0)
+            if dist <= bound:
+                out.add((a, c))
+    return out
 
 
 def nasd(rows):

@@ -331,6 +331,25 @@ MALFORMED_INPUTS = {
         "no rows",
     ),
     "negative-cap": ({}, ["granules", "cud", "--cap", "-1"], "non-negative"),
+    "negative-cap-unread": (
+        {}, ["approx", "--kind", "nbd", "--set", "a", "--cap", "-1"], "non-negative"
+    ),
+    "negative-cap-cluster": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode()},
+        ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "2", "--fallback", "basic",
+         "--cap", "-1"],
+        "non-negative",
+    ),
+    "eps-nan": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode()},
+        ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "nan", "--fallback", "basic"],
+        "eps",
+    ),
+    "cud-not-updirected": (
+        {"ab.rel": b"elements: a b\na b\n"},
+        ["approx", "--rel", "{d}/ab.rel", "--kind", "cud", "--set", "a"],
+        "up-directed",
+    ),
     "clusters-not-json": (
         {"blobs.csv": TWO_BLOBS_CSV.encode(), "clusters.json": b"{not json"},
         ["cluster", "validate", "{d}/clusters.json", "--data", "{d}/blobs.csv",

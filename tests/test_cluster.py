@@ -3,13 +3,14 @@ import math
 import pytest
 
 import oracles
-from conftest import mix
+from conftest import label_pairs, mix, rand_system, sample_masks
 
 from dirough.cluster import (
     ClusterSet,
     Dataset,
     RoughCluster,
     TOP_LABEL,
+    _seed_candidates,
     parse_dataset,
     propose_clusters,
     rough_tuple_for,
@@ -23,7 +24,7 @@ from dirough.cluster import (
 from dirough.cud import RoughTuple
 from dirough.errors import InputFormatError, LawError, NotUpDirectedError, StructureError
 from dirough.grpd import ChoiceStrategy, build_updir_groupoid
-from dirough.relsys import classify, is_up_directed
+from dirough.relsys import RelationalSystem, classify, is_up_directed
 
 
 def ds_from(rows, ids=None, bands=None):
@@ -81,6 +82,13 @@ class TestParse:
         with pytest.raises(InputFormatError):
             parse_dataset("id,v\np,1\np,2\n")
 
+    def test_array_built_once_and_read_only(self):
+        ds = parse_dataset("v,w\n1,2\n3,4\n")
+        assert ds.array is ds.array
+        assert ds.array.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(ValueError):
+            ds.array[0, 0] = 5.0
+
 
 class TestStep1:
     def test_dominated_within_eps(self):
@@ -125,8 +133,27 @@ class TestStep1:
             step1_relation(ds_from([(1,)], ids=("x",)), eps={"y": 1})
 
     def test_eps_positive(self):
-        with pytest.raises(LawError):
-            step1_relation(ds_from([(1,)]), eps=0)
+        for eps in (0, math.nan, {"r0": math.nan}):
+            with pytest.raises(LawError):
+                step1_relation(ds_from([(1,)]), eps=eps)
+
+    def test_matches_oracle(self):
+        # Integer bands keep every distance exact. Duplicated rows and rows
+        # shifted by a 3-4-5 offset put pairs exactly at eps 5 (euclidean)
+        # and eps 4 (chebyshev).
+        for seed in range(12):
+            d = 2 + seed % 3
+            base = [tuple(mix(seed, i, j) % 6 for j in range(d)) for i in range(5 + seed)]
+            rows = base + [base[0], base[-1]]
+            rows += [(r[0] + 3, r[1] + 4) + r[2:] for r in base[:: 2]]
+            assert len(rows) <= 40
+            ds = ds_from(rows)
+            per_row = [(4.0, 5.0, 2.5)[mix(seed, i, 7) % 3] for i in range(len(rows))]
+            for rho in ("euclidean", "chebyshev"):
+                for eps in (4.0, 5.0, per_row):
+                    arg = dict(zip(ds.ids, eps)) if isinstance(eps, list) else eps
+                    got = step1_relation(ds, rho, arg)
+                    assert set(got.pairs()) == oracles.step1(rows, rho, eps), (seed, rho, eps)
 
     def test_unknown_rho(self):
         with pytest.raises(LawError):
@@ -204,6 +231,31 @@ class TestPropose:
         sys = step1_relation(chain3(), eps=5)
         t = rough_tuple_for(sys, None, 0b011, "cud", cap=2)
         assert t == RoughTuple(0b011, 0b011, 0, "cud")
+        with pytest.raises(LawError):
+            rough_tuple_for(sys, None, 1 << sys.n, "cud")
+
+    def test_reflexive_shortcut_is_exact(self):
+        # every singleton of a reflexive system is CUD, up-directed or not
+        seen_not_updirected = False
+        for seed in range(12):
+            base = rand_system(seed, 5)
+            sys = RelationalSystem(
+                base.labels, tuple(row | 1 << i for i, row in enumerate(base.succ))
+            )
+            seen_not_updirected |= not is_up_directed(sys)
+            uni, prs = list(sys.labels), label_pairs(sys)
+            for A in sample_masks(seed, sys.n, 8):
+                labs = frozenset(sys.set_labels(A))
+                t = rough_tuple_for(sys, None, A, "cud")
+                assert frozenset(sys.set_labels(t.lower)) == oracles.cud_lower(uni, prs, labs)
+                assert frozenset(sys.set_labels(t.upper)) == oracles.cud_upper_pointwise(
+                    uni, prs, labs
+                )
+            granules = _seed_candidates(sys, None, "cud", "granule", None)
+            fam = [H for H in oracles.cud_family(uni, prs) if H]
+            minimal = {H for H in fam if not any(K < H for K in fam)}
+            assert {frozenset(sys.set_labels(m)) for m in granules} == minimal
+        assert seen_not_updirected
 
 
 class TestValidate:
@@ -259,6 +311,21 @@ class TestScores:
         sys, cs = self._basic_cs(ds, eps=3)
         assert score_clusters(ds, cs, "nasd").value(0, "boundary") is None
 
+    def _check_against_oracles(self, ds, sys, cs):
+        nasd_t = score_clusters(ds, cs, "nasd")
+        var_t = score_clusters(ds, cs, "band_variance")
+        for i, c in enumerate(cs.clusters):
+            for comp in ("lower", "upper", "boundary"):
+                mask = getattr(c.approx, comp)
+                members = [ds.rows[k] for k, rid in enumerate(ds.ids) if mask >> sys.id(rid) & 1]
+                if not members:
+                    assert nasd_t.value(i, comp) is None and var_t.value(i, comp) is None
+                    continue
+                assert nasd_t.value(i, comp) == pytest.approx(oracles.nasd(members), rel=1e-9)
+                assert var_t.value(i, comp) == pytest.approx(
+                    oracles.band_variance(members), rel=1e-9
+                )
+
     def test_matches_oracles(self):
         for seed in range(10):
             rows = [
@@ -266,17 +333,16 @@ class TestScores:
             ]
             ds = ds_from(rows)
             sys, cs = self._basic_cs(ds, eps=100)
-            nasd_t = score_clusters(ds, cs, "nasd")
-            var_t = score_clusters(ds, cs, "band_variance")
-            for i, c in enumerate(cs.clusters):
-                members = [rows[k] for k, rid in enumerate(ds.ids)
-                           if c.approx.lower >> sys.id(rid) & 1]
-                if not members:
-                    continue
-                assert nasd_t.value(i, "lower") == pytest.approx(oracles.nasd(members))
-                assert var_t.value(i, "lower") == pytest.approx(
-                    oracles.band_variance(members)
-                )
+            self._check_against_oracles(ds, sys, cs)
+        # components of 50 to 200 rows, every band offset by 1e4
+        for seed, m in ((0, 50), (1, 120), (2, 200)):
+            rows = [tuple(1e4 + mix(seed, i, j) % 1000 / 10 for j in range(3)) for i in range(m)]
+            ds = ds_from(rows)
+            sys = step1_relation(ds, eps=1.0)
+            lower = sum(1 << i for i in range(m) if mix(seed, i, 5) % 3)
+            t = RoughTuple(lower, sys.full_mask, sys.full_mask & ~lower, "basic")
+            cs = ClusterSet((RoughCluster(lower, t),), "basic", sys)
+            self._check_against_oracles(ds, sys, cs)
 
     def test_permutation_invariant(self):
         rows = [(0.0, 1.0), (5.0, 2.0), (3.0, 3.0)]

@@ -180,6 +180,14 @@ class TestApprox:
                 assert lo & ~A == 0
                 assert A & ~up == 0
 
+    def test_not_updirected_rejected(self):
+        sys = build_relation(["a", "b"], [("a", "b")])
+        for op, mode in (("l", "pointwise"), ("u", "pointwise"), ("u", "collection")):
+            with pytest.raises(NotUpDirectedError):
+                approx_cud(sys, sys.mask(["a"]), op, mode)
+        with pytest.raises(NotUpDirectedError):
+            compare_cud(sys, sys.mask(["a"]), sys.mask(["b"]))
+
     def test_bad_args(self, F):
         with pytest.raises(LawError):
             approx_cud(F, F.full_mask, "x")

@@ -52,6 +52,21 @@ class TestBuild:
         assert sys.succ[0] == 0b10
 
 
+class TestReach:
+    def test_reflexive_transitive_closure(self):
+        for seed in range(10):
+            sys = rand_system(seed, 6)
+            for x in range(sys.n):
+                seen, todo = {x}, [x]
+                while todo:
+                    y = todo.pop()
+                    for z in range(sys.n):
+                        if sys.has(y, z) and z not in seen:
+                            seen.add(z)
+                            todo.append(z)
+                assert sys.reach[x] == sum(1 << z for z in seen)
+
+
 class TestNeighborhood:
     def test_direct_b(self, F):
         assert F.set_labels(neighborhood(F, F.id("b"))) == ("c", "e", "f")
