@@ -274,6 +274,13 @@ def _cluster_set_dict(cs: cluster_mod.ClusterSet) -> dict:
     }
 
 
+def _parse_weights(spec: str) -> list[float]:
+    try:
+        return [float(w) for w in spec.split(",")]
+    except ValueError:
+        raise InputFormatError(f"--weights must be comma-separated numbers, got {spec!r}")
+
+
 def _load_cluster_set(
     path: str, sys: RelationalSystem, g, flavor_flag: str
 ) -> cluster_mod.ClusterSet:
@@ -307,14 +314,13 @@ def _cmd_cluster(args) -> int:
         cs = cluster_mod.propose_clusters(
             sys, g, args.kind, args.seeds, args.fallback, args.cap
         )
-        report = cluster_mod.validate_clustering(sys, g, cs, cs.flavor, args.cap)
+        # cs.sys is the step-1 system, or its augmentation under --fallback top
+        report = cluster_mod.validate_clustering(cs.sys, g, cs, cs.flavor, args.cap)
         scored = cluster_mod.score_clusters(ds, cs, args.metric)
-        weights = (
-            [float(w) for w in args.weights.split(",")] if args.weights else None
-        )
+        weights = _parse_weights(args.weights) if args.weights else None
         chosen = cluster_mod.select_clusters(scored, weights, args.k)
         final_report = cluster_mod.validate_clustering(
-            sys, g, chosen, chosen.flavor, args.cap
+            chosen.sys, g, chosen, chosen.flavor, args.cap
         )
         if args.segment:
             with open(args.segment, "w", encoding="utf-8") as fh:
@@ -332,8 +338,8 @@ def _cmd_cluster(args) -> int:
         ]
         for i, c in enumerate(chosen.clusters):
             lines.append(
-                f"cluster {i}: lower {_fmt_set(sys, c.approx.lower)} "
-                f"upper {_fmt_set(sys, c.approx.upper)}"
+                f"cluster {i}: lower {_fmt_set(chosen.sys, c.approx.lower)} "
+                f"upper {_fmt_set(chosen.sys, c.approx.upper)}"
             )
         lines.append(f"selected valid: {str(final_report.valid).lower()}")
         _emit(args, data, lines)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._bits import is_subset, lex_key, popcount
+from ._bits import bits, is_subset, lex_key, mask_of, popcount
 from .cud import RoughTuple, cud_family, cud_tuple
 from .errors import InputFormatError, LawError, NotUpDirectedError, StructureError
 from .grpd import Groupoid, subgroupoids
@@ -48,6 +48,8 @@ class Dataset:
     def __post_init__(self):
         if len(set(self.ids)) != len(self.ids):
             raise InputFormatError("duplicate row id")
+        if TOP_LABEL in self.ids:
+            raise InputFormatError(f"row id {TOP_LABEL!r} is reserved for the top fallback")
         if len(self.rows) != len(self.ids):
             raise InputFormatError("row count does not match id count")
         d = len(self.bands)
@@ -429,11 +431,16 @@ class ScoreTable:
     rows: tuple[ScoreRow, ...]
     cluster_set: ClusterSet
 
+    @cached_property
+    def _values(self) -> dict[tuple[int, str], tuple[float, ...] | float | None]:
+        # reversed, so that the first of two rows with one key wins
+        return {(r.cluster, r.component): r.value for r in reversed(self.rows)}
+
     def value(self, cluster: int, component: str):
-        for r in self.rows:
-            if r.cluster == cluster and r.component == component:
-                return r.value
-        raise LawError(f"no score for cluster {cluster} component {component!r}")
+        try:
+            return self._values[cluster, component]
+        except KeyError:
+            raise LawError(f"no score for cluster {cluster} component {component!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -449,24 +456,22 @@ class ScoreTable:
         }
 
 
-def _component_rows(ds: Dataset, sys: RelationalSystem, mask: int) -> np.ndarray:
-    try:
-        idx = [ds._index[lab] for lab in sys.set_labels(mask)]
-    except KeyError as exc:
-        raise LawError(f"cluster element {exc.args[0]!r} is not a dataset row")
-    return ds.array[idx]
-
-
 def score_clusters(ds: Dataset, cs: ClusterSet, metric: str = "nasd") -> ScoreTable:
     """Population variance per band, or normalized average squared distance.
 
     The mean squared Euclidean distance over all ordered pairs, self-pairs
     included, is twice the summed per-band population variance, so both
     metrics come from one variance vector. Empty components score null
-    rather than zero; a singleton scores 0.
+    rather than zero; a singleton scores 0. The synthetic top row of the
+    "top" fallback has no bands and is left out of every component.
     """
     if metric not in ("band_variance", "nasd"):
         raise LawError(f"unknown metric {metric!r}")
+    labels = cs.sys.labels
+    row_of = np.asarray([ds._index.get(lab, -1) for lab in labels], dtype=np.intp)
+    missing = mask_of(np.flatnonzero(row_of < 0).tolist())
+    top = 1 << labels.index(TOP_LABEL) if TOP_LABEL in labels else 0
+    nbytes = (cs.sys.n + 7) // 8
     rows: list[ScoreRow] = []
     for i, c in enumerate(cs.clusters):
         for name, mask in (
@@ -474,7 +479,14 @@ def score_clusters(ds: Dataset, cs: ClusterSet, metric: str = "nasd") -> ScoreTa
             ("upper", c.approx.upper),
             ("boundary", c.approx.boundary),
         ):
-            data = _component_rows(ds, cs.sys, mask)
+            if stray := mask & missing & ~top:
+                lab = labels[(stray & -stray).bit_length() - 1]
+                raise LawError(f"cluster element {lab!r} is not a dataset row")
+            member = np.unpackbits(
+                np.frombuffer((mask & ~top).to_bytes(nbytes, "little"), dtype=np.uint8),
+                bitorder="little",
+            )
+            data = ds.array[row_of[np.flatnonzero(member)]]
             val = None
             if len(data):
                 var = data.var(axis=0)
@@ -496,6 +508,8 @@ def _weighted(
             weights = [1.0] * len(value)
         if len(weights) != len(value):
             raise LawError("weight count does not match band count")
+        if not all(math.isfinite(w) for w in weights):
+            raise LawError("weights must be finite")
         if any(w < 0 for w in weights):
             raise LawError("weights must be non-negative")
         return float(sum(w * v for w, v in zip(weights, value)))
@@ -533,15 +547,21 @@ def segmentation_rows(cs: ClusterSet) -> list[tuple[str, str]]:
     """Row id -> cluster assignment from lower membership.
 
     Rows inside exactly one lower approximation get that cluster's index;
-    rows in no lower (or in several) are boundary.
+    rows in no lower (or in several) are boundary. The synthetic top row of
+    the "top" fallback is not a dataset row and gets no line.
     """
-    out = []
-    for i, lab in enumerate(cs.sys.labels):
-        hits = [
-            k for k, c in enumerate(cs.clusters) if c.approx.lower >> i & 1
-        ]
-        out.append((lab, str(hits[0]) if len(hits) == 1 else "boundary"))
-    return out
+    n = cs.sys.n
+    hits = [0] * n
+    owner = [""] * n
+    for k, c in enumerate(cs.clusters):
+        for i in bits(c.approx.lower):
+            hits[i] += 1
+            owner[i] = str(k)
+    return [
+        (lab, owner[i] if hits[i] == 1 else "boundary")
+        for i, lab in enumerate(cs.sys.labels)
+        if lab != TOP_LABEL
+    ]
 
 
 def segmentation_csv(cs: ClusterSet) -> str:

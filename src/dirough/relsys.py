@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from ._bits import bits, is_subset, lex_key, mask_of, popcount
-from .errors import CapExceededError, InputFormatError, LabelError, StructureError
+from .errors import CapExceededError, InputFormatError, LabelError, LawError, StructureError
 
 DEFAULT_CAP = 16
 _CAP_ENV = "DIROUGH_CAP"
@@ -352,22 +352,30 @@ def approx_basic(sys: RelationalSystem, A: int, op: str = "l") -> int:
 
     l: union of the neighborhoods contained in A.
     u: union of the neighborhoods meeting A, taken over the whole universe.
+
+    The neighborhood [a] meets A exactly when a lies in the R-image of A,
+    and a nonempty [a] inside A meets A, so both unions run over the image
+    only: the cost is O(|A| + |R[A]|), not O(n).
     """
     if A & ~sys.full_mask:
         raise LabelError("set A is not a subset of the universe")
-    out = 0
-    if op == "l":
-        for a in range(sys.n):
-            nb = sys.pred[a]
-            if is_subset(nb, A):
-                out |= nb
-    elif op == "u":
-        for a in range(sys.n):
-            nb = sys.pred[a]
-            if nb & A:
-                out |= nb
-    else:
+    if op not in ("l", "u"):
         raise LawError(f"unknown approximation op {op!r}")
+    succ, pred = sys.succ, sys.pred
+    image = 0
+    rest = A
+    while rest:
+        low = rest & -rest
+        image |= succ[low.bit_length() - 1]
+        rest ^= low
+    out = 0
+    rest = image
+    while rest:
+        low = rest & -rest
+        nb = pred[low.bit_length() - 1]
+        if op == "u" or not nb & ~A:
+            out |= nb
+        rest ^= low
     return out
 
 

@@ -216,6 +216,23 @@ class TestCluster:
         assert lowers == {("r0", "r1"), ("r2", "r3")}
         validate("cluster_run.json", data)
 
+    def test_top_fallback_completes(self, capsys, blob_csv, tmp_path):
+        seg = tmp_path / "seg.csv"
+        code, data, _ = cli_json(
+            capsys, "cluster", "run", "--data", blob_csv, "--eps", "2",
+            "--fallback", "top", "--segment", str(seg),
+        )
+        assert code == 0
+        validate("cluster_run.json", data)
+        assert data["validity"]["valid"] is True
+        lines = seg.read_text().strip().split("\n")
+        assert lines[0] == "id,cluster"
+        assert [line.split(",")[0] for line in lines[1:]] == ["r0", "r1", "r2", "r3"]
+        code, out, err = cli(
+            capsys, "cluster", "run", "--data", blob_csv, "--eps", "2", "--fallback", "top",
+        )
+        assert code == 0 and "selected valid: true" in out and not err
+
     def test_run_requires_fallback_here(self, capsys, blob_csv):
         code, _, err = cli(capsys, "cluster", "run", "--data", blob_csv, "--eps", "2")
         assert code == 1 and "up-directed" in err
@@ -314,6 +331,9 @@ class TestUsageErrors:
         assert e.value.code == 2
 
 
+# A Cayley table whose second row lacks a cell.
+NARROW_CAYLEY = b",a,b\na,a,b\nb,b\n"
+
 # Each case: files to write into a fresh directory, the argv ({d} is that
 # directory) and a fragment the single "error:" line must name.
 MALFORMED_INPUTS = {
@@ -355,6 +375,47 @@ MALFORMED_INPUTS = {
         ["cluster", "validate", "{d}/clusters.json", "--data", "{d}/blobs.csv",
          "--eps", "2"],
         "clusters.json",
+    ),
+    "weights-not-numbers": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode()},
+        ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "2", "--fallback", "basic",
+         "--weights", "a,b"],
+        "--weights",
+    ),
+    "weights-nan": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode()},
+        ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "2", "--fallback", "basic",
+         "--metric", "band_variance", "--weights", "nan,1"],
+        "finite",
+    ),
+    "relation-unknown-label": (
+        {"unk.rel": b"elements: a b\na z\n"}, ["relation", "check", "{d}/unk.rel"], "'z'"
+    ),
+    "groupoid-build-unknown-label": (
+        {"unk.rel": b"elements: a b\na z\n"},
+        ["groupoid", "build", "--rel", "{d}/unk.rel"],
+        "'z'",
+    ),
+    "groupoid-laws-wrong-width": (
+        {"narrow.csv": NARROW_CAYLEY}, ["groupoid", "laws", "--table", "{d}/narrow.csv"], "width"
+    ),
+    "acp-audit-wrong-width": (
+        {"narrow.csv": NARROW_CAYLEY}, ["acp", "audit", "--table", "{d}/narrow.csv"], "width"
+    ),
+    "granules-subgroupoid-wrong-width": (
+        {"narrow.csv": NARROW_CAYLEY},
+        ["granules", "subgroupoid", "--table", "{d}/narrow.csv"],
+        "width",
+    ),
+    "regions-unknown-label": ({}, ["regions", "--set", "a", "--set", "z"], "'z'"),
+    "fixture-negative-cap": ({}, ["fixture", "section6", "--cap", "-1"], "non-negative"),
+    "audit-claims-missing-file": (
+        {}, ["audit", "claims", "--rel", "{d}/missing.rel"], "missing.rel"
+    ),
+    "cluster-score-missing-file": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode()},
+        ["cluster", "score", "{d}/missing.json", "--data", "{d}/blobs.csv", "--eps", "2"],
+        "missing.json",
     ),
     "cluster-without-support": (
         {"blobs.csv": TWO_BLOBS_CSV.encode(), "clusters.json": b'{"clusters": [1]}'},

@@ -24,7 +24,7 @@ from dirough.cluster import (
 from dirough.cud import RoughTuple
 from dirough.errors import InputFormatError, LawError, NotUpDirectedError, StructureError
 from dirough.grpd import ChoiceStrategy, build_updir_groupoid
-from dirough.relsys import RelationalSystem, classify, is_up_directed
+from dirough.relsys import RelationalSystem, approx_basic, classify, is_up_directed
 
 
 def ds_from(rows, ids=None, bands=None):
@@ -39,6 +39,13 @@ def two_blobs():
 
 def chain3():
     return ds_from([(0, 0), (1, 0), (1, 1)])
+
+
+def blobs(seed, m, d=3):
+    """m rows around three far-apart centres; integer bands keep distances exact."""
+    return ds_from([
+        tuple(20 * (i % 3) + mix(seed, i, j) % 5 for j in range(d)) for i in range(m)
+    ])
 
 
 class TestParse:
@@ -77,6 +84,10 @@ class TestParse:
     def test_negative_intensity_rejected(self):
         with pytest.raises(InputFormatError):
             parse_dataset("v\n-1\n")
+
+    def test_top_label_reserved(self):
+        with pytest.raises(InputFormatError):
+            parse_dataset(f"id,v\n{TOP_LABEL},1\n")
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InputFormatError):
@@ -258,6 +269,21 @@ class TestPropose:
         assert seen_not_updirected
 
 
+class TestNeighborhoodApproxAtClusterScale:
+    def test_every_candidate_matches_oracle(self):
+        ds = blobs(3, 120)
+        sys = step1_relation(ds, eps=4)
+        assert sys.n == 120 and not is_up_directed(sys)
+        uni, prs = list(sys.labels), label_pairs(sys)
+        cands = _seed_candidates(sys, None, "basic", "neighborhood", None)
+        assert len(cands) > 20
+        for A in cands:
+            labs = frozenset(sys.set_labels(A))
+            lo, up = approx_basic(sys, A, "l"), approx_basic(sys, A, "u")
+            assert frozenset(sys.set_labels(lo)) == oracles.nbd_lower(uni, prs, labs)
+            assert frozenset(sys.set_labels(up)) == oracles.nbd_upper(uni, prs, labs)
+
+
 class TestValidate:
     def test_duplicate_cluster_is_disclusion(self):
         sys = step1_relation(chain3(), eps=5)
@@ -354,6 +380,34 @@ class TestScores:
         vb = score_clusters(b, cb, "nasd").value(0, "upper")
         assert va == pytest.approx(vb)
 
+    def test_value_of_unknown_key(self):
+        ds = two_blobs()
+        sys, cs = self._basic_cs(ds)
+        t = score_clusters(ds, cs, "nasd")
+        assert t.value(1, "boundary") is None
+        for key in ((len(cs.clusters), "lower"), (0, "middle"), (-1, "lower")):
+            with pytest.raises(LawError):
+                t.value(*key)
+
+    def test_top_row_left_out(self):
+        ds = two_blobs()
+        sys = step1_relation(ds, eps=2)
+        cs = propose_clusters(sys, None, "cud", on_not_updirected="top")
+        assert cs.sys.labels[-1] == TOP_LABEL
+        t = score_clusters(ds, cs, "band_variance")
+        for i, c in enumerate(cs.clusters):
+            members = [ds.rows[k] for k in range(len(ds.ids)) if c.approx.lower >> k & 1]
+            assert t.value(i, "lower") == pytest.approx(oracles.band_variance(members))
+
+    def test_label_not_a_row_rejected(self):
+        ds = two_blobs()
+        other = RelationalSystem(ds.ids[:3] + ("stray",), (0b1111,) * 4)
+        mk = lambda m: RoughTuple(m, m, 0, "basic")
+        cs = ClusterSet((RoughCluster(0b0011, mk(0b0011)), RoughCluster(0b1100, mk(0b1100))),
+                        "basic", other)
+        with pytest.raises(LawError, match="stray"):
+            score_clusters(ds, cs, "nasd")
+
     def test_unknown_metric(self):
         ds = ds_from([(1, 1)])
         sys, cs = self._basic_cs(ds)
@@ -393,6 +447,9 @@ class TestSelect:
             select_clusters(scored, priorities=[1.0], k=2)
         with pytest.raises(LawError):
             select_clusters(scored, priorities=[1.0, -1.0], k=2)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(LawError):
+                select_clusters(scored, priorities=[bad, 1.0], k=2)
 
     def test_lowest_score_ranks_first(self):
         tight = [(0.0, 0.0), (0.1, 0.1)]
@@ -426,6 +483,26 @@ class TestSegmentation:
         rows = dict(segmentation_rows(cs))
         assert rows["r1"] == "boundary"  # in both lowers
         assert rows["r0"] == "0" and rows["r2"] == "1"
+
+    def test_matches_brute_force(self):
+        for seed in range(8):
+            ds = blobs(seed, 40 + 5 * seed)
+            sys = step1_relation(ds, eps=4)
+            clusters = []
+            for k in range(1 + seed % 6):
+                m = sum(1 << i for i in range(sys.n) if mix(seed, k, i) % 4 == 0)
+                clusters.append(RoughCluster(m, RoughTuple(m, m, 0, "basic")))
+            cs = ClusterSet(tuple(clusters), "basic", sys)
+            want = []
+            for i, lab in enumerate(sys.labels):
+                hits = [k for k, c in enumerate(clusters) if c.approx.lower >> i & 1]
+                want.append((lab, str(hits[0]) if len(hits) == 1 else "boundary"))
+            assert segmentation_rows(cs) == want
+
+    def test_top_row_omitted(self):
+        sys = step1_relation(two_blobs(), eps=2)
+        cs = propose_clusters(sys, None, "cud", on_not_updirected="top")
+        assert [lab for lab, _ in segmentation_rows(cs)] == list(sys.labels)
 
     def test_csv_shape(self):
         sys = step1_relation(chain3(), eps=5)

@@ -1,9 +1,15 @@
 import pytest
 
 import oracles
-from conftest import label_pairs, rand_system, sample_masks
+from conftest import label_pairs, mix, rand_system, sample_masks
 
-from dirough.errors import CapExceededError, InputFormatError, LabelError, StructureError
+from dirough.errors import (
+    CapExceededError,
+    InputFormatError,
+    LabelError,
+    LawError,
+    StructureError,
+)
 from dirough.fixtures import section6_system
 from dirough.relsys import (
     InformationTable,
@@ -169,18 +175,29 @@ class TestApproxBasic:
         assert approx_basic(F, 0, "u") == 0
 
     def test_matches_oracle(self):
-        for seed in range(25):
-            sys = rand_system(seed, 5)
-            uni = list(sys.labels)
-            prs = label_pairs(sys)
-            for A in sample_masks(seed, sys.n, 16):
-                labs = set(sys.set_labels(A))
-                assert set(sys.set_labels(approx_basic(sys, A, "l"))) == set(
-                    oracles.nbd_lower(uni, prs, labs)
-                )
-                assert set(sys.set_labels(approx_basic(sys, A, "u"))) == set(
-                    oracles.nbd_upper(uni, prs, labs)
-                )
+        # every subset at n = 1..7, from sparse systems (many empty
+        # neighborhoods) to dense ones, most of them not up-directed
+        seen_empty = seen_not_updirected = False
+        for n in range(1, 8):
+            for density in (10, 35, 60, 90):
+                for seed in range(3):
+                    sys = rand_system(mix(seed, n, density), n, density)
+                    uni, prs = list(sys.labels), label_pairs(sys)
+                    seen_empty |= 0 in sys.pred
+                    seen_not_updirected |= not is_up_directed(sys)
+                    for A in range(1 << n):
+                        labs = frozenset(sys.set_labels(A))
+                        lo, up = approx_basic(sys, A, "l"), approx_basic(sys, A, "u")
+                        assert frozenset(sys.set_labels(lo)) == oracles.nbd_lower(uni, prs, labs)
+                        assert frozenset(sys.set_labels(up)) == oracles.nbd_upper(uni, prs, labs)
+        assert seen_empty and seen_not_updirected
+
+    def test_errors(self, F):
+        with pytest.raises(LawError):
+            approx_basic(F, 0, "x")
+        # a set outside the universe is reported before an unknown op
+        with pytest.raises(LabelError):
+            approx_basic(F, 1 << F.n, "x")
 
     def test_containment_and_monotonicity(self):
         for seed in range(25):
