@@ -59,7 +59,6 @@ from .cud import (
     cud_tuple,
     cudas_op,
     eth_closure,
-    is_cud,
 )
 from .errors import (
     CapExceededError,
@@ -113,6 +112,7 @@ from .relsys import (
     dump_relation,
     exhaustive_cap,
     from_id_pairs,
+    is_cud,
     is_ideal_or_filter,
     is_up_directed,
     load_relation,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from ._bits import bits, is_subset, lex_key, mix, popcount, subsets_of
+from ._bits import is_subset, lex_key, mix, popcount, subsets_of
 from .errors import StructureError
 from .grpd import Groupoid, generate, is_closed, subgroupoids
 from .relsys import require_cap
@@ -52,9 +52,7 @@ def validate_element(g: Groupoid, x: AcpElement) -> None:
         raise StructureError("pair components must be closed under the product")
 
 
-def acp_carrier(
-    g: Groupoid, mode: str = "formal", cap: int | None = None
-) -> tuple[AcpElement, ...]:
+def acp_carrier(g: Groupoid, mode: str = "formal") -> tuple[AcpElement, ...]:
     """formal: all inclusion-ordered pairs of subgroupoids.
 
     realized: the pairs (Sg(lower), upper) actually reached by approximating
@@ -62,7 +60,7 @@ def acp_carrier(
     """
     if mode not in CARRIER_MODES:
         raise StructureError(f"unknown carrier mode {mode!r}")
-    fam = subgroupoids(g, cap)
+    fam = subgroupoids(g)
     if mode == "formal":
         pairs = {
             AcpElement(X, Y)
@@ -71,7 +69,7 @@ def acp_carrier(
             if is_subset(X, Y)
         }
     else:
-        require_cap(g.n, cap, "realized carrier enumeration")
+        require_cap(g.n, "realized carrier enumeration")
         pairs = set()
         for A in subsets_of(g.full_mask):
             lower = fam.union_within(A)
@@ -89,15 +87,13 @@ def acp_carrier(
     )
 
 
-def _star(g: Groupoid, X: int, Y: int, cap: int | None) -> int:
+def _star(g: Groupoid, X: int, Y: int) -> int:
     # union of the closed sets inside the intersection; equals X & Y when
     # both operands are closed, since intersections of closed sets are closed
-    return subgroupoids(g, cap).union_within(X & Y)
+    return subgroupoids(g).union_within(X & Y)
 
 
-def acp_op(
-    g: Groupoid, x: AcpElement, y: AcpElement, op: str, cap: int | None = None
-) -> AcpElement:
+def acp_op(g: Groupoid, x: AcpElement, y: AcpElement, op: str) -> AcpElement:
     validate_element(g, x)
     validate_element(g, y)
     if op == "join":
@@ -106,24 +102,24 @@ def acp_op(
         )
     if op == "meet":
         return AcpElement(
-            generate(g, _star(g, x.first, y.first, cap)), x.second & y.second
+            generate(g, _star(g, x.first, y.first)), x.second & y.second
         )
     raise StructureError(f"unknown pair operation {op!r}")
 
 
-def _flat(g: Groupoid, A: int, cap: int | None) -> int:
+def _flat(g: Groupoid, A: int) -> int:
     """Union of the closed sets avoiding A entirely."""
-    return subgroupoids(g, cap).union_within(g.full_mask & ~A)
+    return subgroupoids(g).union_within(g.full_mask & ~A)
 
 
-def acp_neg(g: Groupoid, x: AcpElement, cap: int | None = None) -> AcpElement:
+def acp_neg(g: Groupoid, x: AcpElement) -> AcpElement:
     validate_element(g, x)
     return AcpElement(
-        generate(g, _flat(g, x.second, cap)), generate(g, _flat(g, x.first, cap))
+        generate(g, _flat(g, x.second)), generate(g, _flat(g, x.first))
     )
 
 
-def acp_coprod(g: Groupoid, x: AcpElement, cap: int | None = None) -> AcpElement:
+def acp_coprod(g: Groupoid, x: AcpElement) -> AcpElement:
     validate_element(g, x)
     return AcpElement(generate(g, x.first), generate(g, x.second))
 
@@ -185,7 +181,7 @@ def _pairs_to_check(
         yield carrier[i], carrier[j]
 
 
-def _sg_minimality_failure(g: Groupoid, cap: int | None) -> dict | None:
+def _sg_minimality_failure(g: Groupoid) -> dict | None:
     """Confirm Sg(X) is the least closed superset of X, for every X.
 
     This is the lemma that lets the lattice bounds be checked without
@@ -193,7 +189,7 @@ def _sg_minimality_failure(g: Groupoid, cap: int | None) -> dict | None:
     join is the least upper bound and meet the greatest lower bound by
     componentwise order theory.
     """
-    fam = subgroupoids(g, cap)
+    fam = subgroupoids(g)
     for X in subsets_of(g.full_mask):
         meet_of_supersets = g.full_mask
         for H in fam.members:
@@ -207,7 +203,6 @@ def _sg_minimality_failure(g: Groupoid, cap: int | None) -> dict | None:
 def audit_acp_laws(
     g: Groupoid,
     mode: str = "formal",
-    cap: int | None = None,
     seed: int = 0,
     pair_limit: int = 4096,
 ) -> LawAuditReport:
@@ -220,10 +215,8 @@ def audit_acp_laws(
     In realized mode an extra audit notes whether the operations stay
     inside the realized carrier.
     """
-    carrier = acp_carrier(g, mode, cap)
-    formal = (
-        carrier if mode == "formal" else acp_carrier(g, "formal", cap)
-    )
+    carrier = acp_carrier(g, mode)
+    formal = carrier if mode == "formal" else acp_carrier(g, "formal")
     formal_set = set(formal)
     carrier_set = set(carrier)
     verdicts: list[LawVerdict] = []
@@ -233,7 +226,7 @@ def audit_acp_laws(
 
     # A1: lattice identities + bounds + the minimality lemma
     a1_witness = None
-    lemma = _sg_minimality_failure(g, cap)
+    lemma = _sg_minimality_failure(g)
     if lemma is not None:
         a1_witness = {"check": "generation-minimality", **lemma}
     if a1_witness is None and (
@@ -242,17 +235,17 @@ def audit_acp_laws(
         a1_witness = {"check": "bounds-missing"}
     if a1_witness is None:
         for x, y in _pairs_to_check(carrier, mix(seed, 1), pair_limit):
-            j = acp_op(g, x, y, "join", cap)
-            m = acp_op(g, x, y, "meet", cap)
+            j = acp_op(g, x, y, "join")
+            m = acp_op(g, x, y, "meet")
             checks = (
                 ("join-closure", j in formal_set),
                 ("meet-closure", m in formal_set),
                 ("join-upper", acp_leq(x, j) and acp_leq(y, j)),
                 ("meet-lower", acp_leq(m, x) and acp_leq(m, y)),
-                ("join-comm", j == acp_op(g, y, x, "join", cap)),
-                ("meet-comm", m == acp_op(g, y, x, "meet", cap)),
-                ("absorb-jm", acp_op(g, x, acp_op(g, x, y, "meet", cap), "join", cap) == x),
-                ("absorb-mj", acp_op(g, x, acp_op(g, x, y, "join", cap), "meet", cap) == x),
+                ("join-comm", j == acp_op(g, y, x, "join")),
+                ("meet-comm", m == acp_op(g, y, x, "meet")),
+                ("absorb-jm", acp_op(g, x, acp_op(g, x, y, "meet"), "join") == x),
+                ("absorb-mj", acp_op(g, x, acp_op(g, x, y, "join"), "meet") == x),
                 ("bottom-le", acp_leq(bottom(g), x)),
                 ("top-ge", acp_leq(x, top(g))),
             )
@@ -263,10 +256,10 @@ def audit_acp_laws(
     verdicts.append(LawVerdict("A1", 1, a1_witness is None, a1_witness))
 
     def neg(x: AcpElement) -> AcpElement:
-        return acp_neg(g, x, cap)
+        return acp_neg(g, x)
 
     def coprod(x: AcpElement) -> AcpElement:
-        return acp_coprod(g, x, cap)
+        return acp_coprod(g, x)
 
     def each(law: str, tier: int, holds: Callable[[AcpElement], bool]) -> None:
         """Verdict from the first carrier element x where holds(x) fails."""
@@ -304,10 +297,10 @@ def audit_acp_laws(
     wd_witness = None
     for x, y in _pairs_to_check(carrier, mix(seed, 7), pair_limit):
         try:
-            validate_element(g, acp_op(g, x, y, "join", cap))
-            validate_element(g, acp_op(g, x, y, "meet", cap))
-            validate_element(g, acp_neg(g, x, cap))
-            validate_element(g, acp_coprod(g, x, cap))
+            validate_element(g, acp_op(g, x, y, "join"))
+            validate_element(g, acp_op(g, x, y, "meet"))
+            validate_element(g, acp_neg(g, x))
+            validate_element(g, acp_coprod(g, x))
         except StructureError as exc:
             wd_witness = {"x": labels(x), "y": labels(y), "error": str(exc)}
             break
@@ -317,10 +310,10 @@ def audit_acp_laws(
         rc_witness = None
         for x, y in _pairs_to_check(carrier, mix(seed, 9), pair_limit):
             for op in ("join", "meet"):
-                if acp_op(g, x, y, op, cap) not in carrier_set:
+                if acp_op(g, x, y, op) not in carrier_set:
                     rc_witness = {"op": op, "x": labels(x), "y": labels(y)}
                     break
-            if rc_witness is None and acp_neg(g, x, cap) not in carrier_set:
+            if rc_witness is None and acp_neg(g, x) not in carrier_set:
                 rc_witness = {"op": "neg", "x": labels(x)}
             if rc_witness is not None:
                 break

@@ -20,11 +20,11 @@ import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Iterator
 
 from ._bits import bits, is_subset, mix, subsets_of
-from .acp import audit_acp_laws
+from .acp import LawAuditReport, audit_acp_laws
 from .cud import approx_cud, cud_family, cudas_op, eth_closure
 from .errors import LawError
 from .grpd import (
@@ -52,6 +52,11 @@ class AuditInstance:
     name: str
     sys: RelationalSystem
     g: Groupoid | None = None
+
+    @cached_property
+    def acp_report(self) -> LawAuditReport:
+        """The formal-carrier ACP audit of g, run once per instance."""
+        return audit_acp_laws(self.g, "formal")
 
 
 @dataclass(frozen=True)
@@ -290,14 +295,9 @@ def _relation_roundtrip(i: AuditInstance) -> tuple[bool, dict | None]:
     return True, None
 
 
-@lru_cache(maxsize=None)
-def _acp_report(g: Groupoid):
-    return audit_acp_laws(g, "formal")
-
-
 def _acp_checker(law: str) -> Callable[[AuditInstance], tuple[bool, dict | None]]:
     def run(i: AuditInstance) -> tuple[bool, dict | None]:
-        for v in _acp_report(i.g).verdicts:
+        for v in i.acp_report.verdicts:
             if v.law == law:
                 return v.holds, v.witness
         raise LawError(f"auditor does not know law {law!r}")

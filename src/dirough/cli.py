@@ -33,6 +33,7 @@ from .grpd import (
 from .piappr import approx_pi
 from .regions import REGION_KINDS, region_table
 from .relsys import (
+    _CAP_OVERRIDE,
     RelationalSystem,
     approx_basic,
     classify,
@@ -127,8 +128,8 @@ def _cmd_approx(args) -> int:
         A = _mask(sys, args.set)
         # Not packaged as a RoughTuple: the collection-mode upper may fail
         # to contain the lower, which that container rejects by design.
-        lo = approx_cud(sys, A, "l", args.mode, args.cap)
-        up = approx_cud(sys, A, "u", args.mode, args.cap)
+        lo = approx_cud(sys, A, "l", args.mode)
+        up = approx_cud(sys, A, "u", args.mode)
         data = {
             "kind": "cud",
             "mode": args.mode,
@@ -145,9 +146,9 @@ def _cmd_approx(args) -> int:
     else:  # pi
         g = _load_groupoid(args, sys)
         A = _mask(g, args.set)
-        lo = approx_pi(g, A, "l_pi", args.cap)
-        up = approx_pi(g, A, "u_pi", args.cap)
-        ua = approx_pi(g, A, "u_a", args.cap)
+        lo = approx_pi(g, A, "l_pi")
+        up = approx_pi(g, A, "u_pi")
+        ua = approx_pi(g, A, "u_a")
         data = {
             "kind": "pi",
             "set": list(g.set_labels(A)),
@@ -167,11 +168,11 @@ def _cmd_approx(args) -> int:
 def _cmd_granules(args) -> int:
     if args.family == "cud":
         sys = _load_sys(args)
-        fam = cud_family(sys, args.cap)
+        fam = cud_family(sys)
         holder = sys
     else:
         g = _load_groupoid(args)
-        fam = subgroupoids(g, args.cap)
+        fam = subgroupoids(g)
         holder = g
     members = [list(holder.set_labels(m)) for m in fam.members]
     data = {"family": args.family, "count": len(members), "members": members}
@@ -222,7 +223,7 @@ def _cmd_groupoid_laws(args) -> int:
 
 def _cmd_acp(args) -> int:
     g = _load_groupoid(args)
-    report = audit_acp_laws(g, args.mode, args.cap, seed=args.seed)
+    report = audit_acp_laws(g, args.mode, seed=args.seed)
     data = report.as_dict()
     lines = [f"carrier: {report.mode}"]
     for v in report.verdicts:
@@ -294,11 +295,17 @@ def _load_cluster_set(
     if not isinstance(raw, dict) or not isinstance(raw.get("clusters"), list):
         raise InputFormatError(f"{path}: no cluster list found")
     flavor = raw.get("flavor", flavor_flag)
-    clusters = []
+    supports = []
     for c in raw["clusters"]:
         labels = c.get("support") if isinstance(c, dict) else None
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise InputFormatError(f"{path}: a cluster has no support label list")
+        supports.append(labels)
+    if any(cluster_mod.TOP_LABEL in labels for labels in supports):
+        # written by `cluster run --fallback top`, over the augmented system
+        sys = cluster_mod._augment_with_top(sys)
+    clusters = []
+    for labels in supports:
         support = sys.mask(labels)
         t = cluster_mod.rough_tuple_for(sys, g, support, flavor)
         clusters.append(cluster_mod.RoughCluster(support, t))
@@ -311,17 +318,13 @@ def _cmd_cluster(args) -> int:
     if args.kind == "pi":
         g = build_updir_groupoid(sys, _parse_strategy(args.strategy, True))
     if args.sub == "run":
-        cs = cluster_mod.propose_clusters(
-            sys, g, args.kind, args.seeds, args.fallback, args.cap
-        )
+        cs = cluster_mod.propose_clusters(sys, g, args.kind, args.seeds, args.fallback)
         # cs.sys is the step-1 system, or its augmentation under --fallback top
-        report = cluster_mod.validate_clustering(cs.sys, g, cs, cs.flavor, args.cap)
+        report = cluster_mod.validate_clustering(cs.sys, g, cs, cs.flavor)
         scored = cluster_mod.score_clusters(ds, cs, args.metric)
         weights = _parse_weights(args.weights) if args.weights else None
         chosen = cluster_mod.select_clusters(scored, weights, args.k)
-        final_report = cluster_mod.validate_clustering(
-            chosen.sys, g, chosen, chosen.flavor, args.cap
-        )
+        final_report = cluster_mod.validate_clustering(chosen.sys, g, chosen, chosen.flavor)
         if args.segment:
             with open(args.segment, "w", encoding="utf-8") as fh:
                 fh.write(cluster_mod.segmentation_csv(chosen))
@@ -346,7 +349,7 @@ def _cmd_cluster(args) -> int:
         return 0
     cs = _load_cluster_set(args.clusters, sys, g, args.kind)
     if args.sub == "validate":
-        report = cluster_mod.validate_clustering(sys, g, cs, cs.flavor, args.cap)
+        report = cluster_mod.validate_clustering(cs.sys, g, cs, cs.flavor)
         _emit(
             args,
             report.as_dict(),
@@ -371,7 +374,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
-    report = build_section6_report(args.cap)
+    report = build_section6_report()
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -551,13 +554,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # --cap holds for this command only; without it DIROUGH_CAP applies
+    token = _CAP_OVERRIDE.set(getattr(args, "cap", None))
     try:
         if hasattr(args, "cap"):
-            exhaustive_cap(args.cap)
+            exhaustive_cap()
         return args.fn(args)
     except DiroughError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
+    finally:
+        _CAP_OVERRIDE.reset(token)
 
 
 def main() -> None:

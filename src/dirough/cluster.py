@@ -248,7 +248,6 @@ def rough_tuple_for(
     g: Groupoid | None,
     A: int,
     flavor: str,
-    cap: int | None = None,
 ) -> RoughTuple:
     """Approximate A per flavor.
 
@@ -261,12 +260,12 @@ def rough_tuple_for(
             if A & ~sys.full_mask:
                 raise LawError("set A is not a subset of the universe")
             return RoughTuple(A, A, 0, "cud")
-        return cud_tuple(sys, A, "pointwise", cap)
+        return cud_tuple(sys, A, "pointwise")
     if flavor == "pi":
         if g is None:
             raise LawError("pi clustering needs a groupoid")
-        lo = approx_pi(g, A, "l_pi", cap)
-        up = approx_pi(g, A, "u_pi", cap)
+        lo = approx_pi(g, A, "l_pi")
+        up = approx_pi(g, A, "u_pi")
         return RoughTuple(lo, up, up & ~lo, "pi")
     if flavor == "basic":
         lo = approx_basic(sys, A, "l")
@@ -286,19 +285,16 @@ def _augment_with_top(sys: RelationalSystem) -> RelationalSystem:
 
 
 def _seed_candidates(
-    sys: RelationalSystem, g: Groupoid | None, flavor: str, seeds: str, cap: int | None
+    sys: RelationalSystem, g: Groupoid | None, flavor: str, seeds: str
 ) -> list[int]:
     if seeds == "neighborhood":
         cands = {sys.pred[x] for x in range(sys.n)}
     elif seeds == "granule":
-        if flavor == "pi":
-            fam = subgroupoids(g, cap)
-            cands = set(fam.minimal_members(tuple(m for m in fam.members if m)))
-        elif _reflexive(sys):
+        if flavor != "pi" and _reflexive(sys):
             cands = {1 << x for x in range(sys.n)}  # the minimal CUD sets
         else:
-            fam = cud_family(sys, cap)
-            cands = set(fam.minimal_members(tuple(m for m in fam.members if m)))
+            fam = subgroupoids(g) if flavor == "pi" else cud_family(sys)
+            cands = set(fam.minimal_members(bool))
     else:
         raise LawError(f"unknown seed kind {seeds!r}")
     cands.discard(0)
@@ -311,7 +307,6 @@ def propose_clusters(
     flavor: str,
     seeds: str = "neighborhood",
     on_not_updirected: str = "error",
-    cap: int | None = None,
 ) -> ClusterSet:
     """Generate, deduplicate, and greedily select candidate clusters.
 
@@ -345,11 +340,11 @@ def propose_clusters(
         else:
             work_flavor = "basic"
 
-    candidates = _seed_candidates(sys, g, work_flavor, seeds, cap)
+    candidates = _seed_candidates(sys, g, work_flavor, seeds)
     seen: set[tuple[int, int]] = set()
     clusters: list[RoughCluster] = []
     for A in candidates:
-        t = rough_tuple_for(sys, g, A, work_flavor, cap)
+        t = rough_tuple_for(sys, g, A, work_flavor)
         if not t.lower:
             continue
         key = (t.lower, t.upper)
@@ -384,13 +379,12 @@ def validate_clustering(
     g: Groupoid | None,
     cs: ClusterSet,
     flavor: str,
-    cap: int | None = None,
 ) -> ValidityReport:
     """covers: lowers union to the universe. disclusion: no two clusters
     with nested supports or roughly equal tuples."""
     covered = 0
     for c in cs.clusters:
-        t = rough_tuple_for(sys, g, c.support, flavor, cap)
+        t = rough_tuple_for(sys, g, c.support, flavor)
         if t != c.approx:
             raise StructureError(
                 f"cluster over {sys.set_labels(c.support)} does not reproduce its tuple"
@@ -520,9 +514,12 @@ def select_clusters(
     scored: ScoreTable, priorities: Sequence[float] | None = None, k: int = 2
 ) -> ClusterSet:
     """Keep at most k clusters, best weighted lower-component score first,
-    never dropping one whose lower is needed for the cover."""
+    never dropping one whose lower is needed for the cover. Priorities
+    weight the bands of band_variance scores; nasd scores have no bands."""
     if k < 1:
         raise LawError("k must be at least 1")
+    if priorities is not None and scored.metric != "band_variance":
+        raise LawError("band weights apply only to band_variance scores")
     cs = scored.cluster_set
     ranked = sorted(
         range(len(cs.clusters)),

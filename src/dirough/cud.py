@@ -9,11 +9,10 @@ and a pair of approximations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from ._bits import bits, is_subset, lex_key, popcount, subsets_of
+from ._bits import bits, is_subset
 from .errors import LawError, NotUpDirectedError, StructureError
-from .relsys import GranuleFamily, RelationalSystem, require_cap
+from .relsys import GranuleFamily, RelationalSystem, is_cud
 
 
 @dataclass(frozen=True)
@@ -39,32 +38,12 @@ class RoughTuple:
             raise StructureError("rough tuple boundary is not upper minus lower")
 
 
-def is_cud(sys: RelationalSystem, A: int) -> bool:
-    if A & ~sys.full_mask:
-        raise LawError("set A is not a subset of the universe")
-    elems = list(bits(A))
-    for i, a in enumerate(elems):
-        sa = sys.succ[a]
-        for b in elems[i:]:
-            if not (sa & sys.succ[b] & A):
-                return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _cud_family_cached(sys: RelationalSystem, cap: int | None) -> GranuleFamily:
-    require_cap(sys.n, cap, "CUD family enumeration")
-    members = [A for A in subsets_of(sys.full_mask) if is_cud(sys, A)]
-    members.sort(key=lambda m: (popcount(m), lex_key(m)))
-    return GranuleFamily(tuple(members), provenance="cud")
-
-
-def cud_family(sys: RelationalSystem, cap: int | None = None) -> GranuleFamily:
+def cud_family(sys: RelationalSystem) -> GranuleFamily:
     """Every CUD subset of the universe, smallest first."""
-    return _cud_family_cached(sys, cap)
+    return sys.cud_family
 
 
-def eth_closure(sys: RelationalSystem, A: int, cap: int | None = None) -> int:
+def eth_closure(sys: RelationalSystem, A: int) -> int:
     """Least CUD superset of A.
 
     Minimal CUD supersets need not be unique, so ties are broken
@@ -72,34 +51,26 @@ def eth_closure(sys: RelationalSystem, A: int, cap: int | None = None) -> int:
     """
     if A & ~sys.full_mask:
         raise LawError("set A is not a subset of the universe")
-    for H in cud_family(sys, cap).members:  # sorted by (size, ids)
+    for H in cud_family(sys).members:  # sorted by (size, ids)
         if is_subset(A, H):
             return H
     raise NotUpDirectedError("no CUD superset exists; system is not up-directed")
 
 
-def cudas_op(
-    sys: RelationalSystem, A: int, B: int, op: str, cap: int | None = None
-) -> int:
+def cudas_op(sys: RelationalSystem, A: int, B: int, op: str) -> int:
     """oplus = closure of the union, odot = closure of the intersection."""
     if not is_cud(sys, A):
         raise LawError("left operand is not a CUD set")
     if not is_cud(sys, B):
         raise LawError("right operand is not a CUD set")
     if op == "oplus":
-        return eth_closure(sys, A | B, cap)
+        return eth_closure(sys, A | B)
     if op == "odot":
-        return eth_closure(sys, A & B, cap)
+        return eth_closure(sys, A & B)
     raise LawError(f"unknown CUDAS operation {op!r}")
 
 
-def approx_cud(
-    sys: RelationalSystem,
-    A: int,
-    op: str,
-    mode: str = "pointwise",
-    cap: int | None = None,
-) -> int:
+def approx_cud(sys: RelationalSystem, A: int, op: str, mode: str = "pointwise") -> int:
     """Lower and upper approximations over the CUD family.
 
     The lower approximation unions the CUD sets inside A. The upper comes in
@@ -110,45 +81,37 @@ def approx_cud(
     """
     if A & ~sys.full_mask:
         raise LawError("set A is not a subset of the universe")
-    fam = cud_family(sys, cap)
+    fam = cud_family(sys)
     if sys.full_mask not in fam:
         raise NotUpDirectedError("CUD approximations need an up-directed system")
     if op == "l":
         return fam.union_within(A)
     if op != "u":
         raise LawError(f"unknown approximation op {op!r}")
+    out = 0
     if mode == "pointwise":
-        out = 0
         for x in bits(A):
-            for H in fam.minimal_containing(x):
-                out |= H
+            out |= fam.minimal_union[x]
         return out
     if mode == "collection":
-        out = 0
-        for H in fam.minimal_members(fam.members_meeting(A)):
+        for H in fam.minimal_members(lambda m: m & A):
             out |= H
         return out
     raise LawError(f"unknown upper approximation mode {mode!r}")
 
 
-def cud_tuple(
-    sys: RelationalSystem, A: int, mode: str = "pointwise", cap: int | None = None
-) -> RoughTuple:
-    lo = approx_cud(sys, A, "l", mode, cap)
-    up = approx_cud(sys, A, "u", mode, cap)
+def cud_tuple(sys: RelationalSystem, A: int, mode: str = "pointwise") -> RoughTuple:
+    lo = approx_cud(sys, A, "l", mode)
+    up = approx_cud(sys, A, "u", mode)
     return RoughTuple(lo, up, up & ~lo, "cud")
 
 
 def compare_cud(
-    sys: RelationalSystem,
-    A: int,
-    B: int,
-    mode: str = "pointwise",
-    cap: int | None = None,
+    sys: RelationalSystem, A: int, B: int, mode: str = "pointwise"
 ) -> dict[str, bool]:
     """Rough containment and rough equality of two subsets."""
-    ta = cud_tuple(sys, A, mode, cap)
-    tb = cud_tuple(sys, B, mode, cap)
+    ta = cud_tuple(sys, A, mode)
+    tb = cud_tuple(sys, B, mode)
     return {
         "cud_subset": is_subset(ta.lower, tb.lower) and is_subset(ta.upper, tb.upper),
         "cud_equal": ta.lower == tb.lower and ta.upper == tb.upper,

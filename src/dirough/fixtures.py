@@ -199,7 +199,7 @@ def _labels(sys_or_g, mask: int) -> tuple[str, ...]:
     return sys_or_g.set_labels(mask)
 
 
-def build_section6_report(cap: int | None = None) -> dict:
+def build_section6_report() -> dict:
     """Recompute every fixture artifact and diff it against the printed data.
 
     Every diff must be covered by a known erratum; the report is exact when
@@ -240,7 +240,7 @@ def build_section6_report(cap: int | None = None) -> dict:
             diff(known, f"table3 [{x}]", list(printed), list(got))
 
     # granule family; the printed list omits the empty set
-    fam = cud_family(sys, cap)
+    fam = cud_family(sys)
     computed_granules = [_labels(sys, m) for m in fam.members if m]
     printed_granules = sorted(
         (tuple(sorted(t)) for t in PRINTED_GRANULES), key=lambda t: (len(t), t)
@@ -252,7 +252,7 @@ def build_section6_report(cap: int | None = None) -> dict:
         diff(None, "granules", {"missing": missing}, {"extra": extra})
 
     # subgroupoid list
-    su = subgroupoids(g, cap)
+    su = subgroupoids(g)
     computed_su = sorted(
         (_labels(g, m) for m in su.members), key=lambda t: (len(t), t)
     )
@@ -273,14 +273,14 @@ def build_section6_report(cap: int | None = None) -> dict:
     values = {
         "A.l": approx_basic(sys, A, "l"),
         "A.u": approx_basic(sys, A, "u"),
-        "A.l_cd": approx_cud(sys, A, "l", cap=cap),
-        "A.u_cd": approx_cud(sys, A, "u", cap=cap),
-        "A.l_pi": approx_pi(g, A, "l_pi", cap),
-        "A.u_pi": approx_pi(g, A, "u_pi", cap),
-        "A.u_a": approx_pi(g, A, "u_a", cap),
-        "B.l_pi": approx_pi(g, B, "l_pi", cap),
-        "B.u_pi": approx_pi(g, B, "u_pi", cap),
-        "B.u_a": approx_pi(g, B, "u_a", cap),
+        "A.l_cd": approx_cud(sys, A, "l"),
+        "A.u_cd": approx_cud(sys, A, "u"),
+        "A.l_pi": approx_pi(g, A, "l_pi"),
+        "A.u_pi": approx_pi(g, A, "u_pi"),
+        "A.u_a": approx_pi(g, A, "u_a"),
+        "B.l_pi": approx_pi(g, B, "l_pi"),
+        "B.u_pi": approx_pi(g, B, "u_pi"),
+        "B.u_a": approx_pi(g, B, "u_a"),
     }
     computed_values = {k: list(_labels(sys, v)) for k, v in values.items()}
     for key, printed in PRINTED_VALUES.items():

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Literal
 
 import numpy as np
@@ -88,6 +88,26 @@ class Groupoid:
     @cached_property
     def array(self) -> np.ndarray:
         return np.asarray(self.table, dtype=np.intp)
+
+    @cached_property
+    def subgroupoids(self) -> GranuleFamily:
+        """Every product-closed subset, smallest first; enumerated once per
+        groupoid, under the exhaustive cap."""
+        require_cap(self.n, "subgroupoid enumeration")
+        # Seed with the empty set and grow each found carrier by one
+        # generator; every closed set is reachable this way because closures
+        # of subsets of a closed set stay inside it.
+        found = {0}
+        frontier = [0]
+        while frontier:
+            H = frontier.pop()
+            for x in bits(self.full_mask & ~H):
+                K = generate(self, H | (1 << x))
+                if K not in found:
+                    found.add(K)
+                    frontier.append(K)
+        members = tuple(sorted(found, key=lambda m: (popcount(m), lex_key(m))))
+        return GranuleFamily(members, self.n)
 
 
 @dataclass(frozen=True)
@@ -463,29 +483,9 @@ def is_closed(g: Groupoid, A: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _subgroupoids_cached(g: Groupoid, cap: int | None) -> GranuleFamily:
-    require_cap(g.n, cap, "subgroupoid enumeration")
-    # Seed with the empty set and grow each found carrier by one generator;
-    # every closed set is reachable this way because closures of subsets of
-    # a closed set stay inside it.
-    found = {0}
-    frontier = [0]
-    while frontier:
-        H = frontier.pop()
-        outside = g.full_mask & ~H
-        for x in bits(outside):
-            K = generate(g, H | (1 << x))
-            if K not in found:
-                found.add(K)
-                frontier.append(K)
-    members = tuple(sorted(found, key=lambda m: (popcount(m), lex_key(m))))
-    return GranuleFamily(members, provenance="subgroupoid")
-
-
-def subgroupoids(g: Groupoid, cap: int | None = None) -> GranuleFamily:
+def subgroupoids(g: Groupoid) -> GranuleFamily:
     """All product-closed subsets, the empty set and S included."""
-    return _subgroupoids_cached(g, cap)
+    return g.subgroupoids
 
 
 # ---------------------------------------------------------------------------

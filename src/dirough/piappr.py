@@ -27,12 +27,12 @@ class PgTuple:
         return (self.generated_lower, self.upper)
 
 
-def approx_pi(g: Groupoid, A: int, op: str, cap: int | None = None) -> int:
+def approx_pi(g: Groupoid, A: int, op: str) -> int:
     if A & ~g.full_mask:
         raise LawError("set A is not a subset of the universe")
     if op == "u_pi":
         return generate(g, A)
-    fam = subgroupoids(g, cap)
+    fam = subgroupoids(g)
     if op == "l_pi":
         return fam.union_within(A)
     if op == "u_a":
@@ -40,30 +40,25 @@ def approx_pi(g: Groupoid, A: int, op: str, cap: int | None = None) -> int:
         # proper closed supersets
         if A == g.full_mask:
             return A
-        pool = tuple(
-            H for H in fam.members if is_subset(A, H) and H != A
-        )
         out = 0
-        for H in fam.minimal_members(pool):
+        for H in fam.minimal_members(lambda m: is_subset(A, m) and m != A):
             out |= H
         return out
     raise LawError(f"unknown approximation op {op!r}")
 
 
-def pg_tuple(g: Groupoid, A: int, cap: int | None = None) -> PgTuple:
-    lower = approx_pi(g, A, "l_pi", cap)
+def pg_tuple(g: Groupoid, A: int) -> PgTuple:
+    lower = approx_pi(g, A, "l_pi")
     return PgTuple(lower, generate(g, lower), generate(g, A))
 
 
-def compare_pi(
-    g: Groupoid, A: int, B: int, cap: int | None = None
-) -> dict[str, bool]:
+def compare_pi(g: Groupoid, A: int, B: int) -> dict[str, bool]:
     """Rough equality at both gradations.
 
     pg compares the full triple, acpg only the algebraic pair, so pg
     equality always implies acpg equality and not conversely.
     """
-    ta, tb = pg_tuple(g, A, cap), pg_tuple(g, B, cap)
+    ta, tb = pg_tuple(g, A), pg_tuple(g, B)
     return {
         "pg_equal": ta == tb,
         "acpg_equal": ta.acpg() == tb.acpg(),

@@ -16,42 +16,45 @@ from ._bits import bits
 REGION_KINDS = ("n", "o1", "o2", "i1", "i2", "o")
 
 
-def region(
-    g: Groupoid, sys: RelationalSystem, A: int, B: int, kind: str
-) -> int:
-    """n: elements of B fixed by some a in A. o1/o2: products that are
+def region_table(
+    g: Groupoid, sys: RelationalSystem, A: int, B: int
+) -> dict[str, int]:
+    """Every region kind, from one pass over the products a.b.
+
+    n: elements of B fixed by some a in A. o1/o2: products that are
     genuine upper bounds escaping A (resp. B). i1/i2: upper-bound products
-    landing back inside A (resp. B). o: escaping both."""
+    landing back inside A (resp. B). o: escaping both.
+    """
     if not verify_b_of_s(sys, g):
         raise StructureError("groupoid is inconsistent with the relation")
     if (A | B) & ~sys.full_mask:
         raise LawError("operand sets must be subsets of the universe")
-    if kind not in REGION_KINDS:
-        raise LawError(f"unknown region kind {kind!r}")
-    if kind == "o":
-        return region(g, sys, A, B, "o1") & region(g, sys, A, B, "o2")
-    out = 0
+    n = o1 = o2 = i1 = i2 = 0
     for a in bits(A):
+        row, sa = g.table[a], sys.succ[a]
         for b in bits(B):
-            c = g.table[a][b]
-            if kind == "n":
-                if c == b:
-                    out |= 1 << b
+            c = row[b]
+            bit = 1 << c
+            if c == b:
+                n |= bit
+            if not sa & sys.succ[b] & bit:
                 continue
-            if not (sys.succ[a] & sys.succ[b]) >> c & 1:
-                continue
-            if kind == "o1" and not A >> c & 1:
-                out |= 1 << c
-            elif kind == "o2" and not B >> c & 1:
-                out |= 1 << c
-            elif kind == "i1" and A >> c & 1:
-                out |= 1 << c
-            elif kind == "i2" and B >> c & 1:
-                out |= 1 << c
-    return out
+            if A & bit:
+                i1 |= bit
+            else:
+                o1 |= bit
+            if B & bit:
+                i2 |= bit
+            else:
+                o2 |= bit
+    return {"n": n, "o1": o1, "o2": o2, "i1": i1, "i2": i2, "o": o1 & o2}
 
 
-def region_table(
-    g: Groupoid, sys: RelationalSystem, A: int, B: int
-) -> dict[str, int]:
-    return {kind: region(g, sys, A, B, kind) for kind in REGION_KINDS}
+def region(
+    g: Groupoid, sys: RelationalSystem, A: int, B: int, kind: str
+) -> int:
+    """One kind of region_table."""
+    table = region_table(g, sys, A, B)
+    if kind not in table:
+        raise LawError(f"unknown region kind {kind!r}")
+    return table[kind]

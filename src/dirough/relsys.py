@@ -18,39 +18,41 @@ from __future__ import annotations
 import csv
 import io
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from ._bits import bits, is_subset, lex_key, mask_of, popcount
+from ._bits import bits, is_subset, lex_key, mask_of, popcount, subsets_of
 from .errors import CapExceededError, InputFormatError, LabelError, LawError, StructureError
 
 DEFAULT_CAP = 16
 _CAP_ENV = "DIROUGH_CAP"
+# The CLI's --cap for the command being run; None defers to DIROUGH_CAP.
+_CAP_OVERRIDE: ContextVar[int | None] = ContextVar("dirough_cap_override", default=None)
 
 
-def exhaustive_cap(override: int | None = None) -> int:
+def exhaustive_cap() -> int:
     """Current cap on universe size for 2^n enumerations.
 
-    Resolution order: explicit override, then the DIROUGH_CAP environment
-    variable, then the default of 16. A negative cap is an input error.
+    Resolution order: the CLI's --cap for the command being run, then the
+    DIROUGH_CAP environment variable, then the default of 16. A negative
+    cap is an input error.
     """
-    if override is not None:
-        cap = int(override)
-    elif (env := os.environ.get(_CAP_ENV)) is not None:
+    if (cap := _CAP_OVERRIDE.get()) is None:
+        if (env := os.environ.get(_CAP_ENV)) is None:
+            return DEFAULT_CAP
         try:
             cap = int(env)
         except ValueError:
             raise InputFormatError(f"{_CAP_ENV} must be an integer, got {env!r}")
-    else:
-        return DEFAULT_CAP
     if cap < 0:
         raise InputFormatError(f"the exhaustive cap must be non-negative, got {cap}")
     return cap
 
 
-def require_cap(n: int, cap: int | None = None, what: str = "enumeration") -> None:
-    limit = exhaustive_cap(cap)
+def require_cap(n: int, what: str) -> None:
+    limit = exhaustive_cap()
     if n > limit:
         raise CapExceededError(
             f"universe size {n} exceeds the exhaustive cap {limit} for {what}; "
@@ -114,6 +116,15 @@ class RelationalSystem:
                     reach[i] = acc
                     changed = True
         return tuple(reach)
+
+    @cached_property
+    def cud_family(self) -> GranuleFamily:
+        """Every CUD subset of the universe, smallest first; enumerated once
+        per system, under the exhaustive cap."""
+        require_cap(self.n, "CUD family enumeration")
+        members = [A for A in subsets_of(self.full_mask) if is_cud(self, A)]
+        members.sort(key=lambda m: (popcount(m), lex_key(m)))
+        return GranuleFamily(tuple(members), self.n)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -347,6 +358,20 @@ def is_up_directed(sys: RelationalSystem) -> bool:
     )
 
 
+def is_cud(sys: RelationalSystem, A: int) -> bool:
+    """Does every pair drawn from A have a common R-successor inside A?"""
+    if A & ~sys.full_mask:
+        raise LawError("set A is not a subset of the universe")
+    succ = sys.succ
+    elems = list(bits(A))
+    for i, a in enumerate(elems):
+        sa = succ[a]
+        for b in elems[i:]:
+            if not (sa & succ[b] & A):
+                return False
+    return True
+
+
 def approx_basic(sys: RelationalSystem, A: int, op: str = "l") -> int:
     """Neighborhood-granule lower/upper approximations.
 
@@ -426,14 +451,14 @@ def check_morphism(
 
 @dataclass(frozen=True)
 class GranuleFamily:
-    """A collection of subsets (bitmasks) used as approximation granules."""
+    """A collection of subsets (bitmasks) of an n-element universe, used as
+    approximation granules. Members are sorted smallest first, then by id
+    tuple."""
 
     members: tuple[int, ...]
-    provenance: str = "other"
+    n: int
 
     def __post_init__(self):
-        if self.provenance not in ("cud", "subgroupoid", "other"):
-            raise StructureError(f"unknown provenance {self.provenance!r}")
         if len(set(self.members)) != len(self.members):
             raise StructureError("duplicate family member")
 
@@ -450,41 +475,24 @@ class GranuleFamily:
     def _member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
-    @cached_property
-    def _by_size(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members, key=lambda m: (popcount(m), lex_key(m))))
-
-    def minimal_members(self, pool: Iterable[int] | None = None) -> tuple[int, ...]:
-        """Inclusion-minimal members of the family (or of a sub-pool)."""
-        cands = self._by_size if pool is None else sorted(
-            pool, key=lambda m: (popcount(m), lex_key(m))
-        )
+    def minimal_members(self, keep: Callable[[int], bool]) -> tuple[int, ...]:
+        """Inclusion-minimal members among those that keep accepts."""
         kept: list[int] = []
-        for m in cands:
-            if not any(is_subset(k, m) for k in kept):
+        for m in self.members:  # smallest first: no later member lies below a kept one
+            if keep(m) and not any(is_subset(k, m) for k in kept):
                 kept.append(m)
         return tuple(kept)
 
     @cached_property
-    def _minimal_containing(self) -> tuple[tuple[int, ...], ...]:
-        n = max((m.bit_length() for m in self.members), default=0)
+    def minimal_union(self) -> tuple[int, ...]:
+        """minimal_union[x] unions the inclusion-minimal members containing x."""
         out = []
-        for x in range(n):
-            kept: list[int] = []
-            for m in self._by_size:
-                if m >> x & 1 and not any(is_subset(k, m) for k in kept):
-                    kept.append(m)
-            out.append(tuple(kept))
+        for x in range(self.n):
+            union = 0
+            for H in self.minimal_members(lambda m: m >> x & 1):
+                union |= H
+            out.append(union)
         return tuple(out)
-
-    def minimal_containing(self, x: int) -> tuple[int, ...]:
-        """Inclusion-minimal members that contain element x."""
-        if x >= len(self._minimal_containing):
-            return ()
-        return self._minimal_containing[x]
-
-    def members_meeting(self, A: int) -> tuple[int, ...]:
-        return tuple(m for m in self.members if m & A)
 
     def union_within(self, A: int) -> int:
         out = 0
@@ -513,10 +521,14 @@ def parse_relation(text: str) -> RelationalSystem:
             labels = tuple(line[len("elements:"):].split())
             if not labels:
                 raise InputFormatError("empty universe in relation file")
+            known = set(labels)
             continue
         parts = line.split()
         if len(parts) != 2:
             raise InputFormatError(f"line {lineno}: expected 'x y', got {raw!r}")
+        for x in parts:
+            if x not in known:
+                raise LabelError(f"line {lineno}: unknown label {x!r}")
         pairs.append((parts[0], parts[1]))
     if labels is None:
         raise InputFormatError("relation file has no 'elements:' header")

@@ -14,7 +14,7 @@ import dirough
 from dirough.cli import run
 from dirough.grpd import parse_cayley
 from dirough.fixtures import section6_system
-from dirough.relsys import dump_relation
+from dirough.relsys import dump_relation, exhaustive_cap
 
 try:
     import tomllib
@@ -233,6 +233,21 @@ class TestCluster:
         )
         assert code == 0 and "selected valid: true" in out and not err
 
+    def test_top_fallback_reads_back(self, capsys, blob_csv, tmp_path):
+        code, data, _ = cli_json(
+            capsys, "cluster", "run", "--data", blob_csv, "--eps", "2", "--fallback", "top",
+        )
+        assert code == 0
+        assert any("__top__" in c["support"] for c in data["selected"]["clusters"])
+        clusters = tmp_path / "top.json"
+        clusters.write_text(json.dumps(data))
+        args = ("--data", blob_csv, "--eps", "2")
+        code, report, err = cli_json(capsys, "cluster", "validate", str(clusters), *args)
+        assert code == 0 and report == data["selected_validity"], err
+        code, scored, err = cli_json(capsys, "cluster", "score", str(clusters), *args)
+        assert code == 0, err
+        assert len(scored["rows"]) == 3 * len(data["selected"]["clusters"])
+
     def test_run_requires_fallback_here(self, capsys, blob_csv):
         code, _, err = cli(capsys, "cluster", "run", "--data", blob_csv, "--eps", "2")
         assert code == 1 and "up-directed" in err
@@ -314,6 +329,25 @@ class TestAuditCommand:
         assert code == 0 and all(r["tier"] == 1 for r in data["results"])
 
 
+class TestCapOption:
+    def test_cap_holds_for_one_command(self, capsys, monkeypatch):
+        monkeypatch.delenv("DIROUGH_CAP", raising=False)
+        code, _, err = cli(capsys, "granules", "cud", "--cap", "3")
+        assert code == 1 and "exceeds the exhaustive cap 3" in err
+        code, out, err = cli(capsys, "granules", "cud")
+        assert code == 0 and out.startswith("count:") and not err
+        assert exhaustive_cap() == 16
+
+    def test_environment_still_honoured(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIROUGH_CAP", "3")
+        code, _, err = cli(capsys, "granules", "subgroupoid")
+        assert code == 1 and "exceeds the exhaustive cap 3" in err
+        # --cap takes precedence over the environment for its command
+        code, _, err = cli(capsys, "granules", "subgroupoid", "--cap", "5")
+        assert code == 0 and not err
+        assert exhaustive_cap() == 3
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -387,6 +421,17 @@ MALFORMED_INPUTS = {
         ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "2", "--fallback", "basic",
          "--metric", "band_variance", "--weights", "nan,1"],
         "finite",
+    ),
+    "weights-under-nasd": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode()},
+        ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "2", "--fallback", "basic",
+         "--weights", "1,2"],
+        "band_variance",
+    ),
+    "relation-unknown-label-line": (
+        {"unk.rel": b"elements: a b\nz a\n"},
+        ["approx", "--rel", "{d}/unk.rel", "--set", "a"],
+        "line 2",
     ),
     "relation-unknown-label": (
         {"unk.rel": b"elements: a b\na z\n"}, ["relation", "check", "{d}/unk.rel"], "'z'"

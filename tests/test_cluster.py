@@ -238,9 +238,10 @@ class TestPropose:
         with pytest.raises(LawError):
             propose_clusters(sys, None, "cud", on_not_updirected="maybe")
 
-    def test_reflexive_fast_path(self):
+    def test_reflexive_fast_path(self, monkeypatch):
+        monkeypatch.setenv("DIROUGH_CAP", "2")
         sys = step1_relation(chain3(), eps=5)
-        t = rough_tuple_for(sys, None, 0b011, "cud", cap=2)
+        t = rough_tuple_for(sys, None, 0b011, "cud")
         assert t == RoughTuple(0b011, 0b011, 0, "cud")
         with pytest.raises(LawError):
             rough_tuple_for(sys, None, 1 << sys.n, "cud")
@@ -262,7 +263,7 @@ class TestPropose:
                 assert frozenset(sys.set_labels(t.upper)) == oracles.cud_upper_pointwise(
                     uni, prs, labs
                 )
-            granules = _seed_candidates(sys, None, "cud", "granule", None)
+            granules = _seed_candidates(sys, None, "cud", "granule")
             fam = [H for H in oracles.cud_family(uni, prs) if H]
             minimal = {H for H in fam if not any(K < H for K in fam)}
             assert {frozenset(sys.set_labels(m)) for m in granules} == minimal
@@ -275,7 +276,7 @@ class TestNeighborhoodApproxAtClusterScale:
         sys = step1_relation(ds, eps=4)
         assert sys.n == 120 and not is_up_directed(sys)
         uni, prs = list(sys.labels), label_pairs(sys)
-        cands = _seed_candidates(sys, None, "basic", "neighborhood", None)
+        cands = _seed_candidates(sys, None, "basic", "neighborhood")
         assert len(cands) > 20
         for A in cands:
             labs = frozenset(sys.set_labels(A))

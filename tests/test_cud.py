@@ -69,12 +69,13 @@ class TestFamily:
             got = {frozenset(sys.set_labels(m)) for m in cud_family(sys).members}
             assert got == set(oracles.cud_family(list(sys.labels), label_pairs(sys)))
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         labs = [f"x{i}" for i in range(20)]
         sys = build_relation(labs, [(x, x) for x in labs])
         with pytest.raises(CapExceededError):
             cud_family(sys)
-        cud_family(sys, cap=20)
+        monkeypatch.setenv("DIROUGH_CAP", "20")
+        cud_family(sys)
 
 
 class TestEthClosure:

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import pytest
 
 import oracles
 from conftest import label_pairs, rand_equivalence, rand_system, rand_updirected
 
+from dirough.cud import cud_family
 from dirough.errors import (
     InputFormatError,
     LawError,
@@ -259,6 +263,15 @@ class TestGeneration:
         fam = subgroupoids(G)
         keys = [(bin(m).count("1"), sorted(G.set_labels(m))) for m in fam.members]
         assert keys == sorted(keys)
+
+    def test_families_live_and_die_with_their_objects(self):
+        sys = rand_updirected(3, 6)
+        g = build_updir_groupoid(sys, ChoiceStrategy.min_index())
+        assert cud_family(sys) is cud_family(sys) and subgroupoids(g) is subgroupoids(g)
+        refs = [weakref.ref(x) for x in (sys, g, cud_family(sys), subgroupoids(g))]
+        del sys, g
+        gc.collect()
+        assert [r() for r in refs] == [None] * 4
 
 
 class TestCayleyFormat:

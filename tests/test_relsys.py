@@ -319,19 +319,21 @@ class TestTextFormats:
 class TestCaps:
     def test_cap_violation(self):
         with pytest.raises(CapExceededError):
-            require_cap(40, None, "test enumeration")
+            require_cap(40, "test enumeration")
 
-    def test_cap_override(self):
-        require_cap(40, 64, "test enumeration")
+    def test_cap_override(self, monkeypatch):
+        monkeypatch.setenv("DIROUGH_CAP", "64")
+        require_cap(40, "test enumeration")
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("DIROUGH_CAP", "5")
         with pytest.raises(CapExceededError):
-            require_cap(6, None, "test enumeration")
+            require_cap(6, "test enumeration")
 
     def test_negative_cap_rejected(self, monkeypatch):
-        with pytest.raises(InputFormatError):
-            require_cap(3, -1, "test enumeration")
         monkeypatch.setenv("DIROUGH_CAP", "-2")
         with pytest.raises(InputFormatError):
-            require_cap(3, None, "test enumeration")
+            require_cap(3, "test enumeration")
+        monkeypatch.setenv("DIROUGH_CAP", "many")
+        with pytest.raises(InputFormatError):
+            require_cap(3, "test enumeration")
