@@ -244,8 +244,8 @@ def audit_acp_laws(
                 ("meet-lower", acp_leq(m, x) and acp_leq(m, y)),
                 ("join-comm", j == acp_op(g, y, x, "join")),
                 ("meet-comm", m == acp_op(g, y, x, "meet")),
-                ("absorb-jm", acp_op(g, x, acp_op(g, x, y, "meet"), "join") == x),
-                ("absorb-mj", acp_op(g, x, acp_op(g, x, y, "join"), "meet") == x),
+                ("absorb-jm", acp_op(g, x, m, "join") == x),
+                ("absorb-mj", acp_op(g, x, j, "meet") == x),
                 ("bottom-le", acp_leq(bottom(g), x)),
                 ("top-ge", acp_leq(x, top(g))),
             )

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
-from ._bits import bits, is_subset, mix, subsets_of
+from ._bits import bits, is_subset, mix
 from .acp import LawAuditReport, audit_acp_laws
 from .cud import approx_cud, cud_family, cudas_op, eth_closure
 from .errors import LawError
@@ -31,7 +31,6 @@ from .grpd import (
     ChoiceStrategy,
     Groupoid,
     build_updir_groupoid,
-    generate,
     relation_of,
     verify_b_of_s,
 )
@@ -46,6 +45,14 @@ from .relsys import (
 
 DEFAULT_ASSIGNMENT_LIMIT = 20000
 
+_AUDIT_STRATEGIES = (
+    ("min", ChoiceStrategy.min_index()),
+    ("max", ChoiceStrategy.max_index()),
+    ("seeded-11", ChoiceStrategy.seeded(11)),
+    ("min-pi", ChoiceStrategy.min_index(pi_constrained=True)),
+    ("seeded-11-pi", ChoiceStrategy.seeded(11, pi_constrained=True)),
+)
+
 
 @dataclass(frozen=True)
 class AuditInstance:
@@ -58,6 +65,14 @@ class AuditInstance:
         """The formal-carrier ACP audit of g, run once per instance."""
         return audit_acp_laws(self.g, "formal")
 
+    @cached_property
+    def bs_groupoids(self) -> tuple[tuple[str, Groupoid], ...]:
+        """The B(S) groupoid of sys under each audit strategy, built once."""
+        return tuple(
+            (name, build_updir_groupoid(self.sys, strat))
+            for name, strat in _AUDIT_STRATEGIES
+        )
+
 
 @dataclass(frozen=True)
 class Claim:
@@ -65,7 +80,8 @@ class Claim:
 
     vars names the quantified variables: uppercase entries range over
     subsets of the universe (or over the CUD family when domain is "cud"),
-    lowercase entries over elements. Claims with a checker skip
+    lowercase entries over elements. A predicate takes the instance, then
+    one value per variable in the order of vars. Claims with a checker skip
     quantification entirely and produce their own witness.
     """
 
@@ -73,7 +89,7 @@ class Claim:
     tier: int
     needs: str  # "sys" or "grpd"
     vars: tuple[str, ...] = ()
-    predicate: Callable[[AuditInstance, dict[str, int]], bool] | None = None
+    predicate: Callable[..., bool] | None = None
     checker: Callable[[AuditInstance], tuple[bool, dict | None]] | None = None
     domain: str = "all"  # subset variables range over "all" subsets or "cud" members
     requires_updirected: bool = False
@@ -180,33 +196,35 @@ def _holder(i: AuditInstance, needs: str) -> RelationalSystem | Groupoid:
 
 
 # ---------------------------------------------------------------------------
-# Law templates: each returns (operator names, vars, predicate)
+# Law templates: each returns (operator names, vars, predicate). The CUDAS
+# and neighborhood templates after them name no operator and return the
+# predicate alone.
 
-Predicate = Callable[[AuditInstance, dict[str, int]], bool]
+Predicate = Callable[..., bool]
 LawSpec = tuple[tuple[str, ...], tuple[str, ...], Predicate]
 
 
 def mono(f: str) -> LawSpec:
     """A ⊆ B implies f A ⊆ f B."""
     F = OPERATORS[f].fn
-    return (f,), ("A", "B"), lambda i, a: not is_subset(a["A"], a["B"]) or (
-        is_subset(F(i, a["A"]), F(i, a["B"]))
+    return (f,), ("A", "B"), lambda i, A, B: not is_subset(A, B) or (
+        is_subset(F(i, A), F(i, B))
     )
 
 
 def sadd(f: str) -> LawSpec:
     """f A ∪ f B ⊆ f(A ∪ B)."""
     F = OPERATORS[f].fn
-    return (f,), ("A", "B"), lambda i, a: is_subset(
-        F(i, a["A"]) | F(i, a["B"]), F(i, a["A"] | a["B"])
+    return (f,), ("A", "B"), lambda i, A, B: is_subset(
+        F(i, A) | F(i, B), F(i, A | B)
     )
 
 
 def smul(f: str) -> LawSpec:
     """f(A ∩ B) ⊆ f A ∩ f B."""
     F = OPERATORS[f].fn
-    return (f,), ("A", "B"), lambda i, a: is_subset(
-        F(i, a["A"] & a["B"]), F(i, a["A"]) & F(i, a["B"])
+    return (f,), ("A", "B"), lambda i, A, B: is_subset(
+        F(i, A & B), F(i, A) & F(i, B)
     )
 
 
@@ -214,8 +232,8 @@ def _on_image(f: str, h: str, rel: Callable[[int, int], bool]) -> LawSpec:
     """rel(h A, f(h A)), evaluating h A once."""
     F, H = OPERATORS[f].fn, OPERATORS[h].fn
 
-    def pred(i, a):
-        x = H(i, a["A"])
+    def pred(i, A):
+        x = H(i, A)
         return rel(x, F(i, x))
 
     return (f, h), ("A",), pred
@@ -231,18 +249,30 @@ def within(f: str, h: str | None = None) -> LawSpec:
     return _on_image(f, h or f, is_subset)
 
 
+def lift(lo: str, up: str) -> LawSpec:
+    """lo A ⊆ up(lo A) ⊆ up A."""
+    L, U = OPERATORS[lo].fn, OPERATORS[up].fn
+
+    def pred(i, A):
+        x = L(i, A)
+        ux = U(i, x)
+        return is_subset(x, ux) and is_subset(ux, U(i, A))
+
+    return (lo, up), ("A",), pred
+
+
 def sandwich(lo: str, up: str) -> LawSpec:
     """lo A ⊆ A ⊆ up A."""
     L, U = OPERATORS[lo].fn, OPERATORS[up].fn
-    return (lo, up), ("A",), lambda i, a: is_subset(L(i, a["A"]), a["A"]) and (
-        is_subset(a["A"], U(i, a["A"]))
+    return (lo, up), ("A",), lambda i, A: is_subset(L(i, A), A) and (
+        is_subset(A, U(i, A))
     )
 
 
 def bottom(*fs: str) -> LawSpec:
     """Every f sends the empty set to itself."""
     Fs = [OPERATORS[f].fn for f in fs]
-    return fs, (), lambda i, a: all(F(i, 0) == 0 for F in Fs)
+    return fs, (), lambda i: all(F(i, 0) == 0 for F in Fs)
 
 
 def top(*fs: str) -> LawSpec:
@@ -250,11 +280,49 @@ def top(*fs: str) -> LawSpec:
     Fs = [OPERATORS[f].fn for f in fs]
     needs = OPERATORS[fs[0]].needs
 
-    def pred(i, a):
+    def pred(i):
         full = _holder(i, needs).full_mask
         return all(F(i, full) == full for F in Fs)
 
     return fs, (), pred
+
+
+def idem_comm(kind: str) -> Predicate:
+    """The CUDAS operation kind is commutative and idempotent."""
+
+    def pred(i, A, B):
+        return (
+            cudas_op(i.sys, A, B, kind) == cudas_op(i.sys, B, A, kind)
+            and cudas_op(i.sys, A, A, kind) == A
+        )
+
+    return pred
+
+
+def cautious_mono(kind: str, join: Callable[[int, int], int]) -> Predicate:
+    """A ⊆ B, C ⊆ E and join(B, E) ⊆ A∘C imply A∘C ⊆ B∘E, ∘ being kind."""
+
+    def pred(i, A, B, C, E):
+        ac = cudas_op(i.sys, A, C, kind)
+        if not (is_subset(A, B) and is_subset(C, E) and is_subset(join(B, E), ac)):
+            return True
+        return is_subset(ac, cudas_op(i.sys, B, E, kind))
+
+    return pred
+
+
+def nbd_mono(kind: str) -> Predicate:
+    """A ⊆ B implies the kind-neighborhood of x relative to A lies in B's."""
+    return lambda i, A, B, x: not is_subset(A, B) or is_subset(
+        dc_neighborhood(i.sys, A, x, kind), dc_neighborhood(i.sys, B, x, kind)
+    )
+
+
+def nbd_inside(kind: str, side: str) -> Predicate:
+    """The kind-neighborhood of x lies in x's successors or predecessors."""
+    return lambda i, A, x: is_subset(
+        dc_neighborhood(i.sys, A, x, kind), getattr(i.sys, side)[x]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,28 +337,16 @@ def _cone(i: AuditInstance, A: int) -> int:
     return out
 
 
-_AUDIT_STRATEGIES = (
-    ("min", ChoiceStrategy.min_index()),
-    ("max", ChoiceStrategy.max_index()),
-    ("seeded-11", ChoiceStrategy.seeded(11)),
-    ("min-pi", ChoiceStrategy.min_index(pi_constrained=True)),
-    ("seeded-11-pi", ChoiceStrategy.seeded(11, pi_constrained=True)),
-)
-
-
 def _construction_sound(i: AuditInstance) -> tuple[bool, dict | None]:
-    for name, strat in _AUDIT_STRATEGIES:
-        g = build_updir_groupoid(i.sys, strat)
+    for name, g in i.bs_groupoids:
         if not verify_b_of_s(i.sys, g):
             return False, {"strategy": name}
     return True, None
 
 
 def _relation_roundtrip(i: AuditInstance) -> tuple[bool, dict | None]:
-    for name, strat in _AUDIT_STRATEGIES:
-        g = build_updir_groupoid(i.sys, strat)
-        back = relation_of(g, "R")
-        if back.succ != i.sys.succ:
+    for name, g in i.bs_groupoids:
+        if relation_of(g, "R").succ != i.sys.succ:
             return False, {"strategy": name}
     return True, None
 
@@ -337,24 +393,17 @@ def _claims() -> tuple[Claim, ...]:
 
     # --- basic neighborhood approximations
     @claim("lup.l-id0", 1, S, ["A"])
-    def _(i, a):
-        lo = op["l"](i, a["A"])
-        return op["l"](i, lo) == lo and is_subset(lo, a["A"])
+    def _(i, A):
+        lo = op["l"](i, A)
+        return op["l"](i, lo) == lo and is_subset(lo, A)
 
     law("lup.u-wid0", 1, within("u"))
-
-    @claim("lup.lu-inc", 1, S, ["A"])
-    def _(i, a):
-        lo = op["l"](i, a["A"])
-        return is_subset(lo, op["u"](i, lo)) and is_subset(
-            op["u"](i, lo), op["u"](i, a["A"])
-        )
-
+    law("lup.lu-inc", 1, lift("l", "u"))
     law("lup.l-mo", 1, mono("l"))
     law("lup.u-mo", 1, mono("u"))
 
     @claim("lup.bnd0", 1, S)
-    def _(i, a):
+    def _(i):
         full = i.sys.full_mask
         return (
             op["l"](i, full) == op["u"](i, full)
@@ -363,116 +412,70 @@ def _claims() -> tuple[Claim, ...]:
         )
 
     @claim("lup.u-union", 1, S, ["A", "B"])
-    def _(i, a):
+    def _(i, A, B):
         u = op["u"]
-        return u(i, a["A"] | a["B"]) == u(i, a["A"]) | u(i, a["B"])
+        return u(i, A | B) == u(i, A) | u(i, B)
 
     law("lup.l-union", 1, sadd("l"))
     law("lup.l-cap", 1, smul("l"))
     law("lup.u-cap", 1, smul("u"))
 
     @claim("lup.upper-cone", 1, S, ["A"], updir=True)
-    def _(i, a):
-        return is_subset(_cone(i, a["A"]), op["u"](i, a["A"]))
+    def _(i, A):
+        return is_subset(_cone(i, A), op["u"](i, A))
 
     # --- neighborhood structure
     @claim("nbd.nu1", 1, S, ["x", "y", "z"])
-    def _(i, a):
-        x, y, z = a["x"], a["y"], a["z"]
+    def _(i, x, y, z):
         lhs = i.sys.has(x, z) and i.sys.has(y, z)
         rhs = bool((i.sys.succ[x] & i.sys.succ[y]) >> z & 1)
         return lhs == rhs
 
     @claim("nbd.idcn-ne", 1, S, ["x"], updir=True)
-    def _(i, a):
-        return dc_neighborhood(i.sys, i.sys.full_mask, a["x"], "idc") != 0
+    def _(i, x):
+        return dc_neighborhood(i.sys, i.sys.full_mask, x, "idc") != 0
 
-    @claim("nbd.idcn-mo", 1, S, ["A", "B", "x"])
-    def _(i, a):
-        if not (is_subset(a["A"], a["B"]) and a["A"] != a["B"]):
-            return True
-        return is_subset(
-            dc_neighborhood(i.sys, a["A"], a["x"], "idc"),
-            dc_neighborhood(i.sys, a["B"], a["x"], "idc"),
-        )
-
-    @claim("nbd.idcn-sub", 1, S, ["A", "x"])
-    def _(i, a):
-        return is_subset(
-            dc_neighborhood(i.sys, a["A"], a["x"], "idc"), i.sys.succ[a["x"]]
-        )
-
-    @claim("nbd.eta-mo", 1, S, ["A", "B", "x"])
-    def _(i, a):
-        if not is_subset(a["A"], a["B"]):
-            return True
-        return is_subset(
-            dc_neighborhood(i.sys, a["A"], a["x"], "dc"),
-            dc_neighborhood(i.sys, a["B"], a["x"], "dc"),
-        )
-
-    @claim("nbd.eta-sub", 1, S, ["A", "x"])
-    def _(i, a):
-        return is_subset(
-            dc_neighborhood(i.sys, a["A"], a["x"], "dc"), i.sys.pred[a["x"]]
-        )
+    claim("nbd.idcn-mo", 1, S, ["A", "B", "x"])(nbd_mono("idc"))
+    claim("nbd.idcn-sub", 1, S, ["A", "x"])(nbd_inside("idc", "succ"))
+    claim("nbd.eta-mo", 1, S, ["A", "B", "x"])(nbd_mono("dc"))
+    claim("nbd.eta-sub", 1, S, ["A", "x"])(nbd_inside("dc", "pred"))
 
     # --- the cautious closure
     @claim("eth.inclusion", 1, S, ["A"], updir=True)
-    def _(i, a):
-        return is_subset(a["A"], eth_closure(i.sys, a["A"]))
+    def _(i, A):
+        return is_subset(A, eth_closure(i.sys, A))
 
     law("eth.idempotence", 1, fixes("eth"))
     law("eth.bottom", 1, bottom("eth"))
     law("eth.top", 1, top("eth"))
 
     @claim("eth.cmo", 2, S, ["A", "B"], updir=True)
-    def _(i, a):
-        A, B = a["A"], a["B"]
+    def _(i, A, B):
         if not (is_subset(A, B) and A != B and is_subset(B, eth_closure(i.sys, A))):
             return True
         return is_subset(eth_closure(i.sys, A), eth_closure(i.sys, B))
 
     # --- CUDAS
-    @claim("cudas.ic-oplus", 1, S, ["A", "B"], domain="cud", updir=True)
-    def _(i, a):
-        A, B = a["A"], a["B"]
-        return (
-            cudas_op(i.sys, A, B, "oplus") == cudas_op(i.sys, B, A, "oplus")
-            and cudas_op(i.sys, A, A, "oplus") == A
-        )
+    def cudas(id, tier, vars):
+        return claim(id, tier, S, vars, domain="cud", updir=True)
 
-    @claim("cudas.ic-odot", 1, S, ["A", "B"], domain="cud", updir=True)
-    def _(i, a):
-        A, B = a["A"], a["B"]
-        return (
-            cudas_op(i.sys, A, B, "odot") == cudas_op(i.sys, B, A, "odot")
-            and cudas_op(i.sys, A, A, "odot") == A
-        )
+    cudas("cudas.ic-oplus", 1, ["A", "B"])(idem_comm("oplus"))
+    cudas("cudas.ic-odot", 1, ["A", "B"])(idem_comm("odot"))
 
-    @claim("cudas.inclusion-plus", 1, S, ["A", "B"], domain="cud", updir=True)
-    def _(i, a):
-        return is_subset(a["A"], cudas_op(i.sys, a["A"], a["B"], "oplus"))
+    @cudas("cudas.inclusion-plus", 1, ["A", "B"])
+    def _(i, A, B):
+        return is_subset(A, cudas_op(i.sys, A, B, "oplus"))
 
-    @claim("cudas.cmo-plus", 2, S, ["A", "B", "C", "E"], domain="cud", updir=True)
-    def _(i, a):
-        A, B, C, E = a["A"], a["B"], a["C"], a["E"]
-        plus_ac = cudas_op(i.sys, A, C, "oplus")
-        if not (is_subset(A, B) and is_subset(C, E) and is_subset(B | E, plus_ac)):
-            return True
-        return is_subset(plus_ac, cudas_op(i.sys, B, E, "oplus"))
+    cudas("cudas.cmo-plus", 2, ["A", "B", "C", "E"])(
+        cautious_mono("oplus", operator.or_)
+    )
+    cudas("cudas.cmo-dot", 2, ["A", "B", "C", "E"])(
+        cautious_mono("odot", operator.and_)
+    )
 
-    @claim("cudas.cmo-dot", 2, S, ["A", "B", "C", "E"], domain="cud", updir=True)
-    def _(i, a):
-        A, B, C, E = a["A"], a["B"], a["C"], a["E"]
-        dot_ac = cudas_op(i.sys, A, C, "odot")
-        if not (is_subset(A, B) and is_subset(C, E) and is_subset(B & E, dot_ac)):
-            return True
-        return is_subset(dot_ac, cudas_op(i.sys, B, E, "odot"))
-
-    @claim("cudas.inclusiondot", 2, S, ["A", "B"], domain="cud", updir=True)
-    def _(i, a):
-        return is_subset(cudas_op(i.sys, a["A"], a["B"], "odot"), a["A"])
+    @cudas("cudas.inclusiondot", 2, ["A", "B"])
+    def _(i, A, B):
+        return is_subset(cudas_op(i.sys, A, B, "odot"), A)
 
     # --- cud approximations, pointwise reading
     law("cdbas.cdInclusion", 1, sandwich("l_cd", "u_cd"))
@@ -518,17 +521,11 @@ def _claims() -> tuple[Claim, ...]:
     law("pi9.pibottom", 1, bottom("l_pi", "u_pi"))
     law("pi9.pitop", 1, top("l_pi", "u_pi"))
 
-    @claim("sappr.sandwich", 1, G, ["A"])
-    def _(i, a):
-        lo = op["l_pi"](i, a["A"])
-        return is_subset(lo, generate(i.g, lo)) and is_subset(
-            generate(i.g, lo), generate(i.g, a["A"])
-        )
+    law("sappr.sandwich", 1, lift("l_pi", "u_pi"))
 
     # --- anti-lower upper approximation
     @claim("aup.plus-piInclusion", 1, G, ["A"])
-    def _(i, a):
-        A = a["A"]
+    def _(i, A):
         return (
             is_subset(op["l_pi"](i, A), A)
             and is_subset(A, op["u_pi"](i, A))
@@ -542,7 +539,7 @@ def _claims() -> tuple[Claim, ...]:
     law("aup.uaadd", 2, sadd("u_a"))
 
     @claim("aup.abottom", 1, G)
-    def _(i, a):
+    def _(i):
         return op["l_pi"](i, 0) == 0 and is_subset(0, op["u_a"](i, 0))
 
     law("aup.atop", 1, top("u_a"))
@@ -580,45 +577,33 @@ def _hash_str(s: str) -> int:
     return h
 
 
-def _domains(claim: Claim, inst: AuditInstance) -> list[list[int]]:
-    holder = _holder(inst, claim.needs)
-    if claim.domain == "cud":
-        subset_pool = list(cud_family(inst.sys).members)
-    else:
-        subset_pool = list(subsets_of(holder.full_mask))
-    element_pool = list(range(holder.n))
-    return [
-        subset_pool if v[0].isupper() else element_pool for v in claim.vars
-    ]
-
-
 def _assignments(
     claim: Claim, inst: AuditInstance, limit: int, seed: int
-) -> Iterator[dict[str, int]]:
-    domains = _domains(claim, inst)
+) -> Iterator[tuple[int, ...]]:
+    holder = _holder(inst, claim.needs)
+    if claim.domain == "cud":
+        subsets = cud_family(inst.sys).members
+    else:
+        # every subset, from the full set down, as subsets_of(full_mask) yields them
+        subsets = range(holder.full_mask, -1, -1)
+    domains = [subsets if v[0].isupper() else range(holder.n) for v in claim.vars]
     if math.prod(len(d) for d in domains) <= limit:
-        for values in itertools.product(*domains):
-            yield dict(zip(claim.vars, values))
-        return
+        return itertools.product(*domains)
     base = mix(seed, _hash_str(claim.id), _hash_str(inst.name))
-    for t in range(limit):
-        yield {
-            claim.vars[k]: domains[k][mix(base, t, k) % len(domains[k])]
-            for k in range(len(domains))
-        }
+    return (
+        tuple(d[mix(base, t, k) % len(d)] for k, d in enumerate(domains))
+        for t in range(limit)
+    )
 
 
 def _witness_labels(
-    claim: Claim, inst: AuditInstance, asg: dict[str, int]
+    claim: Claim, inst: AuditInstance, values: tuple[int, ...]
 ) -> dict:
     holder = _holder(inst, claim.needs)
-    out: dict = {}
-    for v in claim.vars:
-        if v[0].isupper():
-            out[v] = list(holder.set_labels(asg[v]))
-        else:
-            out[v] = holder.labels[asg[v]]
-    return out
+    return {
+        v: list(holder.set_labels(x)) if v[0].isupper() else holder.labels[x]
+        for v, x in zip(claim.vars, values)
+    }
 
 
 def check_claim(
@@ -638,11 +623,11 @@ def check_claim(
         return ClaimResult(
             claim.id, claim.tier, inst.name, "pass" if holds else "fail", witness
         )
-    for asg in _assignments(claim, inst, limit, seed):
-        if not claim.predicate(inst, asg):
+    for values in _assignments(claim, inst, limit, seed):
+        if not claim.predicate(inst, *values):
             return ClaimResult(
                 claim.id, claim.tier, inst.name, "fail",
-                _witness_labels(claim, inst, asg),
+                _witness_labels(claim, inst, values),
             )
     return ClaimResult(claim.id, claim.tier, inst.name, "pass")
 
@@ -658,13 +643,11 @@ def replay_witness(
         holds, again = claim.checker(inst)
         return not holds and again == witness
     holder = _holder(inst, claim.needs)
-    asg = {}
-    for v in claim.vars:
-        if v[0].isupper():
-            asg[v] = holder.mask(witness[v])
-        else:
-            asg[v] = holder.id(witness[v])
-    return not claim.predicate(inst, asg)
+    values = [
+        holder.mask(witness[v]) if v[0].isupper() else holder.id(witness[v])
+        for v in claim.vars
+    ]
+    return not claim.predicate(inst, *values)
 
 
 def audit_claims(

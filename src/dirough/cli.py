@@ -39,7 +39,7 @@ from .relsys import (
     classify,
     exhaustive_cap,
     load_relation,
-    read_text,
+    read_parsed,
 )
 
 
@@ -285,28 +285,31 @@ def _parse_weights(spec: str) -> list[float]:
 def _load_cluster_set(
     path: str, sys: RelationalSystem, g, flavor_flag: str
 ) -> cluster_mod.ClusterSet:
-    try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path} is not valid JSON: {exc}")
-    if isinstance(raw, dict) and "clusters" not in raw:
-        # composite output of `cluster run --json`
-        raw = raw.get("selected") or raw.get("proposed") or {}
-    if not isinstance(raw, dict) or not isinstance(raw.get("clusters"), list):
-        raise InputFormatError(f"{path}: no cluster list found")
-    flavor = raw.get("flavor", flavor_flag)
-    supports = []
-    for c in raw["clusters"]:
-        labels = c.get("support") if isinstance(c, dict) else None
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise InputFormatError(f"{path}: a cluster has no support label list")
-        supports.append(labels)
-    if any(cluster_mod.TOP_LABEL in labels for labels in supports):
+    def parse(text: str) -> tuple[str, RelationalSystem, list[int]]:
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"not valid JSON: {exc}")
+        if isinstance(raw, dict) and "clusters" not in raw:
+            # composite output of `cluster run --json`
+            raw = raw.get("selected") or raw.get("proposed") or {}
+        if not isinstance(raw, dict) or not isinstance(raw.get("clusters"), list):
+            raise InputFormatError("no cluster list found")
+        supports = []
+        for c in raw["clusters"]:
+            labels = c.get("support") if isinstance(c, dict) else None
+            if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+                raise InputFormatError("a cluster has no support label list")
+            supports.append(labels)
         # written by `cluster run --fallback top`, over the augmented system
-        sys = cluster_mod._augment_with_top(sys)
+        top = any(cluster_mod.TOP_LABEL in labels for labels in supports)
+        over = cluster_mod._augment_with_top(sys) if top else sys
+        flavor = raw.get("flavor", flavor_flag)
+        return flavor, over, [over.mask(labels) for labels in supports]
+
+    flavor, sys, supports = read_parsed(path, parse)
     clusters = []
-    for labels in supports:
-        support = sys.mask(labels)
+    for support in supports:
         t = cluster_mod.rough_tuple_for(sys, g, support, flavor)
         clusters.append(cluster_mod.RoughCluster(support, t))
     return cluster_mod.ClusterSet(tuple(clusters), flavor, sys, g)

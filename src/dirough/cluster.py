@@ -24,7 +24,7 @@ from .cud import RoughTuple, cud_family, cud_tuple
 from .errors import InputFormatError, LawError, NotUpDirectedError, StructureError
 from .grpd import Groupoid, subgroupoids
 from .piappr import approx_pi
-from .relsys import RelationalSystem, approx_basic, from_id_pairs, is_up_directed, read_text
+from .relsys import RelationalSystem, approx_basic, from_id_pairs, is_up_directed, read_parsed
 
 RHO_NAMES = ("euclidean", "chebyshev")
 SEED_KINDS = ("neighborhood", "granule")
@@ -149,7 +149,7 @@ def parse_dataset(text: str, schema: Mapping[str, str] | None = None) -> Dataset
 
 
 def load_dataset(path: str, schema: Mapping[str, str] | None = None) -> Dataset:
-    return parse_dataset(read_text(path), schema)
+    return read_parsed(path, lambda text: parse_dataset(text, schema))
 
 
 # ---------------------------------------------------------------------------

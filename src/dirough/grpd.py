@@ -31,7 +31,7 @@ from .relsys import (
     RelationalSystem,
     from_id_pairs,
     is_up_directed,
-    read_text,
+    read_parsed,
     require_cap,
 )
 
@@ -521,7 +521,7 @@ def parse_cayley(text: str) -> Groupoid:
 
 
 def load_cayley(path: str) -> Groupoid:
-    return parse_cayley(read_text(path))
+    return read_parsed(path, parse_cayley)
 
 
 def dump_cayley(g: Groupoid) -> str:

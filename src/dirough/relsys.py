@@ -21,10 +21,14 @@ import os
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from ._bits import bits, is_subset, lex_key, mask_of, popcount, subsets_of
-from .errors import CapExceededError, InputFormatError, LabelError, LawError, StructureError
+from .errors import (
+    CapExceededError, DiroughError, InputFormatError, LabelError, LawError, StructureError,
+)
+
+T = TypeVar("T")
 
 DEFAULT_CAP = 16
 _CAP_ENV = "DIROUGH_CAP"
@@ -239,7 +243,7 @@ def parse_table(text: str) -> InformationTable:
 
 
 def load_table(path: str) -> InformationTable:
-    return parse_table(read_text(path))
+    return read_parsed(path, parse_table)
 
 
 def derive_pawl_relation(
@@ -546,8 +550,17 @@ def read_text(path: str) -> str:
         raise InputFormatError(f"{path} is not UTF-8 text (byte {exc.start})")
 
 
+def read_parsed(path: str, parse: Callable[[str], T]) -> T:
+    """parse applied to the text of path; its errors are prefixed with path."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except DiroughError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def load_relation(path: str) -> RelationalSystem:
-    return parse_relation(read_text(path))
+    return read_parsed(path, parse_relation)
 
 
 def dump_relation(sys: RelationalSystem) -> str:

@@ -1,8 +1,11 @@
 import hashlib
+import inspect
+import itertools
 import json
 
 import pytest
 
+import oracles
 from dirough.audit import (
     CLAIMS,
     AuditInstance,
@@ -15,7 +18,8 @@ from dirough.audit import (
 )
 from dirough.errors import LawError
 from dirough.fixtures import section6_groupoid, section6_system
-from dirough.relsys import build_relation, is_up_directed
+from dirough.grpd import ChoiceStrategy, build_updir_groupoid
+from dirough.relsys import build_relation, from_id_pairs, is_up_directed
 
 EXPECTED_DEVIATIONS = {
     "acp.A2",
@@ -61,6 +65,14 @@ class TestRegistry:
     def test_deviating_claims_are_tier2(self):
         tier2 = set(claim_ids("2"))
         assert EXPECTED_DEVIATIONS <= tier2
+
+    def test_predicates_take_operands_positionally(self):
+        for c in CLAIMS:
+            if c.predicate is None:
+                continue
+            params = inspect.signature(c.predicate).parameters.values()
+            assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), c.id
+            assert len(params) == 1 + len(c.vars), c.id
 
 
 class TestDefaultRun:
@@ -149,3 +161,96 @@ class TestGenerators:
     def test_random_updirected_always_is(self):
         for seed in range(25):
             assert is_up_directed(random_updirected_system(seed, 3 + seed % 5))
+
+
+# ---------------------------------------------------------------------------
+# Whole space at n = 3: every up-directed relation on three elements
+
+
+def _brute_force_rows(sys, g):
+    """Each row's definition over labels, with the oracles as operators.
+
+    Returns {claim id: (vars, domains, holds)}; domains list the values in
+    the auditor's order (subsets from the full set down, elements by index).
+    """
+    uni = list(sys.labels)
+    prs = [(uni[a], uni[b]) for a in range(3) for b in range(3) if sys.has(a, b)]
+    subsets = [
+        frozenset(uni[i] for i in range(3) if m >> i & 1) for m in range(7, -1, -1)
+    ]
+    fam = set(oracles.cud_family(uni, prs))
+    cuds = [A for A in subsets if A in fam]
+    succ, pred = oracles.succ_map(uni, prs), oracles.pred_map(uni, prs)
+    tbl = {(uni[a], uni[b]): uni[g.table[a][b]] for a in range(3) for b in range(3)}
+    eth = {A: oracles.eth(uni, prs, A) for A in subsets}
+    lo = {A: oracles.nbd_lower(uni, prs, A) for A in subsets}
+    up = {A: oracles.nbd_upper(uni, prs, A) for A in subsets}
+    lo_pi = {A: oracles.pi_lower(uni, tbl, A) for A in subsets}
+    sg = {A: oracles.generate(uni, tbl, A) for A in subsets}
+
+    def plus(A, B):
+        return eth[A | B]
+
+    def dot(A, B):
+        return eth[A & B]
+
+    def idc(A, x):
+        return frozenset(z for z in succ[x] if any(z in succ[h] for h in A))
+
+    def dc(A, x):
+        return frozenset(z for z in uni if x in succ[z] and any(x in succ[h] for h in A))
+
+    def ic(op):
+        return lambda A, B: op(A, B) == op(B, A) and op(A, A) == A
+
+    def cmo(op, join):
+        return lambda A, B, C, E: not (
+            A <= B and C <= E and join(B, E) <= op(A, C)
+        ) or op(A, C) <= op(B, E)
+
+    def nbd_mo(n):
+        return lambda A, B, x: not A <= B or n(A, x) <= n(B, x)
+
+    def lift(lower, upper):
+        return lambda A: lower[A] <= upper[lower[A]] <= upper[A]
+
+    AB, ABCE = (cuds, cuds), (cuds,) * 4
+    return {
+        "cudas.ic-oplus": (AB, ic(plus)),
+        "cudas.ic-odot": (AB, ic(dot)),
+        "cudas.cmo-plus": (ABCE, cmo(plus, frozenset.union)),
+        "cudas.cmo-dot": (ABCE, cmo(dot, frozenset.intersection)),
+        "nbd.idcn-mo": ((subsets, subsets, uni), nbd_mo(idc)),
+        "nbd.idcn-sub": ((subsets, uni), lambda A, x: idc(A, x) <= succ[x]),
+        "nbd.eta-mo": ((subsets, subsets, uni), nbd_mo(dc)),
+        "nbd.eta-sub": ((subsets, uni), lambda A, x: dc(A, x) <= pred[x]),
+        "lup.lu-inc": ((subsets,), lift(lo, up)),
+        "sappr.sandwich": ((subsets,), lift(lo_pi, sg)),
+    }
+
+
+def test_template_rows_match_brute_force_on_every_updirected_3_relation():
+    by_id = {c.id: c for c in CLAIMS}
+    cells = [(a, b) for a in range(3) for b in range(3)]
+    checked = 0
+    for code in range(1 << 9):
+        pairs = [ab for k, ab in enumerate(cells) if code >> k & 1]
+        sys = from_id_pairs(("a", "b", "c"), pairs)
+        if not is_up_directed(sys):
+            continue
+        checked += 1
+        g = build_updir_groupoid(sys, ChoiceStrategy.min_index())
+        inst = AuditInstance(f"rel-{code}", sys, g)
+        for cid, (domains, holds) in _brute_force_rows(sys, g).items():
+            claim = by_id[cid]
+            bad = next(
+                (vs for vs in itertools.product(*domains) if not holds(*vs)), None
+            )
+            want = None if bad is None else {
+                v: sorted(x) if v[0].isupper() else x for v, x in zip(claim.vars, bad)
+            }
+            got = check_claim(claim, inst)
+            assert (got.status, got.witness) == (
+                ("pass", None) if bad is None else ("fail", want)
+            ), (code, cid)
+    assert checked == 175

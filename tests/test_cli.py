@@ -468,6 +468,25 @@ MALFORMED_INPUTS = {
          "--eps", "2"],
         "support",
     ),
+    # a parse error names the file it came from, not only the line or row
+    "regions-names-bad-table": (
+        {"ab.rel": b"elements: a b\na a\na b\nb b\n", "narrow.csv": NARROW_CAYLEY},
+        ["regions", "--rel", "{d}/ab.rel", "--table", "{d}/narrow.csv", "--set", "a",
+         "--set", "b"],
+        "narrow.csv",
+    ),
+    "relation-unknown-label-file": (
+        {"unk.rel": b"elements: a b\nz a\n"},
+        ["approx", "--rel", "{d}/unk.rel", "--set", "a"],
+        "unk.rel",
+    ),
+    "cluster-support-unknown-row": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode(),
+         "clusters.json": b'{"clusters": [{"support": ["r0", "q9"]}]}'},
+        ["cluster", "validate", "{d}/clusters.json", "--data", "{d}/blobs.csv",
+         "--eps", "2"],
+        "clusters.json",
+    ),
 }
 
 
