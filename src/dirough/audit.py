@@ -538,9 +538,7 @@ def _claims() -> tuple[Claim, ...]:
     law("aup.uamo", 2, mono("u_a"))
     law("aup.uaadd", 2, sadd("u_a"))
 
-    @claim("aup.abottom", 1, G)
-    def _(i):
-        return op["l_pi"](i, 0) == 0 and is_subset(0, op["u_a"](i, 0))
+    law("aup.abottom", 1, bottom("l_pi"))
 
     law("aup.atop", 1, top("u_a"))
 
@@ -665,6 +663,10 @@ def audit_claims(
     """
     if tier not in ("1", "2", "all"):
         raise LawError(f"unknown tier {tier!r}")
+    if random_instances < 0:
+        raise LawError(
+            f"the number of random instances must be non-negative, got {random_instances}"
+        )
     if sys is None:
         from .fixtures import section6_groupoid, section6_system
 

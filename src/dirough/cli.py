@@ -13,9 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from typing import TYPE_CHECKING
 
-from . import audit as audit_mod
-from . import cluster as cluster_mod
 from .acp import audit_acp_laws
 from .cud import approx_cud, cud_family
 from .errors import DiroughError, InputFormatError
@@ -41,6 +40,11 @@ from .relsys import (
     load_relation,
     read_parsed,
 )
+
+# audit and cluster are imported by the handlers that run them, so the
+# other commands start without them (and without numpy)
+if TYPE_CHECKING:
+    from . import cluster as cluster_mod
 
 
 def _parse_strategy(spec: str | None, pi: bool) -> ChoiceStrategy:
@@ -102,6 +106,10 @@ def _emit(args, data: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_relation(args) -> int:
+    if args.path and args.rel:
+        raise InputFormatError(
+            f"relation check got two files, {args.path!r} and --rel {args.rel!r}; give one"
+        )
     sys = load_relation(args.path) if args.path else _load_sys(args)
     profile = classify(sys).as_dict()
     data = {"labels": list(sys.labels), "profile": profile}
@@ -254,6 +262,8 @@ def _cmd_regions(args) -> int:
 
 
 def _build_cluster_inputs(args):
+    from . import cluster as cluster_mod
+
     ds = cluster_mod.load_dataset(args.data)
     rho = {"l2": "euclidean", "linf": "chebyshev"}[args.rho]
     sys = cluster_mod.step1_relation(ds, rho, args.eps)
@@ -285,6 +295,8 @@ def _parse_weights(spec: str) -> list[float]:
 def _load_cluster_set(
     path: str, sys: RelationalSystem, g, flavor_flag: str
 ) -> cluster_mod.ClusterSet:
+    from . import cluster as cluster_mod
+
     def parse(text: str) -> tuple[str, RelationalSystem, list[int]]:
         try:
             raw = json.loads(text)
@@ -316,6 +328,8 @@ def _load_cluster_set(
 
 
 def _cmd_cluster(args) -> int:
+    from . import cluster as cluster_mod
+
     ds, sys = _build_cluster_inputs(args)
     g = None
     if args.kind == "pi":
@@ -402,6 +416,8 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from . import audit as audit_mod
+
     sys = load_relation(args.rel) if args.rel else None
     g = load_cayley(args.table) if args.table else None
     report = audit_mod.audit_claims(

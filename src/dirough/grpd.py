@@ -15,9 +15,7 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Literal
 
 from ._bits import bits, lex_key, mask_of, mix, popcount, subsets_of
 from .errors import (
@@ -34,6 +32,11 @@ from .relsys import (
     read_parsed,
     require_cap,
 )
+
+# numpy is imported where an array is built, so commands that build
+# none start without it
+if TYPE_CHECKING:
+    import numpy as np
 
 PseudoJoinMode = Literal["minimal", "literal"]
 MINIMAL: PseudoJoinMode = "minimal"
@@ -87,6 +90,8 @@ class Groupoid:
 
     @cached_property
     def array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.table, dtype=np.intp)
 
     @cached_property
@@ -396,6 +401,8 @@ def _eval_term(t: Term, table: np.ndarray, grids: dict[str, np.ndarray]) -> np.n
 
 
 def _equation_failures(g: Groupoid, eq: str) -> tuple[tuple[str, ...], np.ndarray]:
+    import numpy as np
+
     lhs, rhs, vs = _parse_equation(eq)
     axes = np.indices((g.n,) * len(vs))
     grids = {v: axes[i] for i, v in enumerate(vs)}

@@ -480,6 +480,14 @@ MALFORMED_INPUTS = {
         ["approx", "--rel", "{d}/unk.rel", "--set", "a"],
         "unk.rel",
     ),
+    "relation-check-two-files": (
+        {"one.rel": b"elements: a\na a\n", "two.rel": b"elements: b\nb b\n"},
+        ["relation", "check", "{d}/one.rel", "--rel", "{d}/two.rel"],
+        "two.rel",
+    ),
+    "audit-claims-negative-random": (
+        {}, ["audit", "claims", "--random", "-3"], "non-negative"
+    ),
     "cluster-support-unknown-row": (
         {"blobs.csv": TWO_BLOBS_CSV.encode(),
          "clusters.json": b'{"clusters": [{"support": ["r0", "q9"]}]}'},
@@ -550,3 +558,54 @@ class TestEntryPoints:
         a = subprocess.run(cmd, capture_output=True).stdout
         b = subprocess.run(cmd, capture_output=True).stdout
         assert a and a == b
+
+
+def imported_modules(argv) -> set[str]:
+    """The modules a fresh `python -m dirough <argv>` imports, read from
+    -X importtime."""
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "dirough", *argv],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in out.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+class TestColdStart:
+    """A cold command imports what it runs: numpy only where it builds an
+    array, the auditor and the cluster pipeline only for their commands."""
+
+    LIGHT = {
+        "relation-check": ["relation", "check", "--json"],
+        "approx-nbd": ["approx", "--set", "e,b,c", "--kind", "nbd", "--json"],
+        "approx-cud": ["approx", "--set", "e,b,c", "--kind", "cud", "--json"],
+        "approx-pi": ["approx", "--set", "e,b,c", "--kind", "pi", "--pi", "--json"],
+        "granules-cud": ["granules", "cud", "--json"],
+        "granules-subgroupoid": ["granules", "subgroupoid", "--json"],
+        "groupoid-build": ["groupoid", "build", "--json"],
+        "regions": ["regions", "--set", "a", "--set", "b", "--json"],
+        "acp-audit": ["acp", "audit", "--json"],
+        "fixture-section6": ["fixture", "section6", "--json"],
+        "help": ["--help"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(LIGHT))
+    def test_light_commands_skip_heavy_modules(self, case):
+        heavy = {
+            m for m in imported_modules(self.LIGHT[case])
+            if m.split(".")[0] == "numpy" or m in ("dirough.audit", "dirough.cluster")
+        }
+        assert not heavy, sorted(heavy)
+
+    def test_groupoid_laws_loads_numpy(self):
+        assert "numpy" in imported_modules(["groupoid", "laws", "--json"])
+
+    def test_cluster_run_loads_cluster(self, blob_csv):
+        mods = imported_modules(
+            ["cluster", "run", "--data", blob_csv, "--eps", "2", "--fallback", "basic", "--json"]
+        )
+        assert {"numpy", "dirough.cluster"} <= mods
