@@ -6,16 +6,21 @@ closed-union inside the intersection with the plain intersection, negation
 closes the complements crosswise, and the coproduct re-closes components
 (the identity on valid elements). The audit checks the lattice laws plus
 the four operator laws, each tagged by tier.
+
+The public operations validate their operands and then run the operations
+proper (_op, _neg, _coprod). The audit validates each carrier element once
+and then runs the operations proper directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
-from ._bits import is_subset, lex_key, mix, popcount, subsets_of
-from .errors import StructureError
+from ._bits import is_subset, mix, subsets_of
+from .errors import LawError, StructureError
 from .grpd import Groupoid, generate, is_closed, subgroupoids
+from .piappr import pg_tuple
 from .relsys import require_cap
 
 CARRIER_MODES = ("formal", "realized")
@@ -57,71 +62,62 @@ def acp_carrier(g: Groupoid, mode: str = "formal") -> tuple[AcpElement, ...]:
 
     realized: the pairs (Sg(lower), upper) actually reached by approximating
     some subset. Realized is always inside formal; the converse fails.
+    Both come ordered by each component's position in the subgroupoid
+    family, which is smallest first, then by id tuple.
     """
     if mode not in CARRIER_MODES:
         raise StructureError(f"unknown carrier mode {mode!r}")
     fam = subgroupoids(g)
     if mode == "formal":
-        pairs = {
-            AcpElement(X, Y)
-            for X in fam.members
-            for Y in fam.members
-            if is_subset(X, Y)
-        }
-    else:
-        require_cap(g.n, "realized carrier enumeration")
-        pairs = set()
-        for A in subsets_of(g.full_mask):
-            lower = fam.union_within(A)
-            pairs.add(AcpElement(generate(g, lower), generate(g, A)))
-    return tuple(
-        sorted(
-            pairs,
-            key=lambda x: (
-                popcount(x.first),
-                lex_key(x.first),
-                popcount(x.second),
-                lex_key(x.second),
-            ),
-        )
-    )
+        return tuple(AcpElement(X, Y) for X in fam for Y in fam if is_subset(X, Y))
+    require_cap(g.n, "realized carrier enumeration")
+    pairs = {pg_tuple(g, A).acpg() for A in subsets_of(g.full_mask)}
+    rank = {m: i for i, m in enumerate(fam.members)}
+    order = sorted(pairs, key=lambda p: (rank[p[0]], rank[p[1]]))
+    return tuple(AcpElement(X, Y) for X, Y in order)
 
 
-def _star(g: Groupoid, X: int, Y: int) -> int:
-    # union of the closed sets inside the intersection; equals X & Y when
-    # both operands are closed, since intersections of closed sets are closed
-    return subgroupoids(g).union_within(X & Y)
-
-
-def acp_op(g: Groupoid, x: AcpElement, y: AcpElement, op: str) -> AcpElement:
-    validate_element(g, x)
-    validate_element(g, y)
+def _op(g: Groupoid, x: AcpElement, y: AcpElement, op: str) -> AcpElement:
     if op == "join":
         return AcpElement(
             generate(g, x.first | y.first), generate(g, x.second | y.second)
         )
     if op == "meet":
-        return AcpElement(
-            generate(g, _star(g, x.first, y.first)), x.second & y.second
-        )
+        # union of the closed sets inside the intersection; equals x.first &
+        # y.first on valid pairs, since intersections of closed sets are closed
+        inside = subgroupoids(g).union_within(x.first & y.first)
+        return AcpElement(generate(g, inside), x.second & y.second)
     raise StructureError(f"unknown pair operation {op!r}")
 
 
-def _flat(g: Groupoid, A: int) -> int:
-    """Union of the closed sets avoiding A entirely."""
-    return subgroupoids(g).union_within(g.full_mask & ~A)
+def acp_op(g: Groupoid, x: AcpElement, y: AcpElement, op: str) -> AcpElement:
+    validate_element(g, x)
+    validate_element(g, y)
+    return _op(g, x, y, op)
+
+
+def _neg(g: Groupoid, x: AcpElement) -> AcpElement:
+    # each component closes the flat of the other: the union of the closed
+    # sets avoiding it entirely
+    fam = subgroupoids(g)
+    return AcpElement(
+        generate(g, fam.union_within(g.full_mask & ~x.second)),
+        generate(g, fam.union_within(g.full_mask & ~x.first)),
+    )
 
 
 def acp_neg(g: Groupoid, x: AcpElement) -> AcpElement:
     validate_element(g, x)
-    return AcpElement(
-        generate(g, _flat(g, x.second)), generate(g, _flat(g, x.first))
-    )
+    return _neg(g, x)
+
+
+def _coprod(g: Groupoid, x: AcpElement) -> AcpElement:
+    return AcpElement(generate(g, x.first), generate(g, x.second))
 
 
 def acp_coprod(g: Groupoid, x: AcpElement) -> AcpElement:
     validate_element(g, x)
-    return AcpElement(generate(g, x.first), generate(g, x.second))
+    return _coprod(g, x)
 
 
 def acp_leq(x: AcpElement, y: AcpElement) -> bool:
@@ -150,18 +146,7 @@ class LawAuditReport:
         return tuple(v for v in self.verdicts if not v.holds)
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "laws": [
-                {
-                    "law": v.law,
-                    "tier": v.tier,
-                    "holds": v.holds,
-                    "witness": v.witness,
-                }
-                for v in self.verdicts
-            ],
-        }
+        return {"mode": self.mode, "laws": [asdict(v) for v in self.verdicts]}
 
 
 def _pairs_to_check(
@@ -215,7 +200,11 @@ def audit_acp_laws(
     In realized mode an extra audit notes whether the operations stay
     inside the realized carrier.
     """
+    if pair_limit < 1:
+        raise LawError(f"the pair limit must be at least 1, got {pair_limit}")
     carrier = acp_carrier(g, mode)
+    for x in carrier:
+        validate_element(g, x)
     formal = carrier if mode == "formal" else acp_carrier(g, "formal")
     formal_set = set(formal)
     carrier_set = set(carrier)
@@ -235,17 +224,17 @@ def audit_acp_laws(
         a1_witness = {"check": "bounds-missing"}
     if a1_witness is None:
         for x, y in _pairs_to_check(carrier, mix(seed, 1), pair_limit):
-            j = acp_op(g, x, y, "join")
-            m = acp_op(g, x, y, "meet")
+            j = _op(g, x, y, "join")
+            m = _op(g, x, y, "meet")
             checks = (
                 ("join-closure", j in formal_set),
                 ("meet-closure", m in formal_set),
                 ("join-upper", acp_leq(x, j) and acp_leq(y, j)),
                 ("meet-lower", acp_leq(m, x) and acp_leq(m, y)),
-                ("join-comm", j == acp_op(g, y, x, "join")),
-                ("meet-comm", m == acp_op(g, y, x, "meet")),
-                ("absorb-jm", acp_op(g, x, m, "join") == x),
-                ("absorb-mj", acp_op(g, x, j, "meet") == x),
+                ("join-comm", j == _op(g, y, x, "join")),
+                ("meet-comm", m == _op(g, y, x, "meet")),
+                ("absorb-jm", _op(g, x, m, "join") == x),
+                ("absorb-mj", _op(g, x, j, "meet") == x),
                 ("bottom-le", acp_leq(bottom(g), x)),
                 ("top-ge", acp_leq(x, top(g))),
             )
@@ -256,10 +245,10 @@ def audit_acp_laws(
     verdicts.append(LawVerdict("A1", 1, a1_witness is None, a1_witness))
 
     def neg(x: AcpElement) -> AcpElement:
-        return acp_neg(g, x)
+        return _neg(g, x)
 
     def coprod(x: AcpElement) -> AcpElement:
-        return acp_coprod(g, x)
+        return _coprod(g, x)
 
     def each(law: str, tier: int, holds: Callable[[AcpElement], bool]) -> None:
         """Verdict from the first carrier element x where holds(x) fails."""
@@ -297,10 +286,10 @@ def audit_acp_laws(
     wd_witness = None
     for x, y in _pairs_to_check(carrier, mix(seed, 7), pair_limit):
         try:
-            validate_element(g, acp_op(g, x, y, "join"))
-            validate_element(g, acp_op(g, x, y, "meet"))
-            validate_element(g, acp_neg(g, x))
-            validate_element(g, acp_coprod(g, x))
+            validate_element(g, _op(g, x, y, "join"))
+            validate_element(g, _op(g, x, y, "meet"))
+            validate_element(g, neg(x))
+            validate_element(g, coprod(x))
         except StructureError as exc:
             wd_witness = {"x": labels(x), "y": labels(y), "error": str(exc)}
             break
@@ -310,10 +299,10 @@ def audit_acp_laws(
         rc_witness = None
         for x, y in _pairs_to_check(carrier, mix(seed, 9), pair_limit):
             for op in ("join", "meet"):
-                if acp_op(g, x, y, op) not in carrier_set:
+                if _op(g, x, y, op) not in carrier_set:
                     rc_witness = {"op": op, "x": labels(x), "y": labels(y)}
                     break
-            if rc_witness is None and acp_neg(g, x) not in carrier_set:
+            if rc_witness is None and neg(x) not in carrier_set:
                 rc_witness = {"op": "neg", "x": labels(x)}
             if rc_witness is not None:
                 break

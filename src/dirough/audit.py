@@ -604,12 +604,18 @@ def _witness_labels(
     }
 
 
+def _check_limit(limit: int) -> None:
+    if limit < 1:
+        raise LawError(f"the assignment limit must be at least 1, got {limit}")
+
+
 def check_claim(
     claim: Claim,
     inst: AuditInstance,
     limit: int = DEFAULT_ASSIGNMENT_LIMIT,
     seed: int = 0,
 ) -> ClaimResult:
+    _check_limit(limit)
     if claim.needs == "grpd" and inst.g is None:
         return ClaimResult(claim.id, claim.tier, inst.name, "skipped",
                            {"reason": "no groupoid available"})
@@ -667,6 +673,7 @@ def audit_claims(
         raise LawError(
             f"the number of random instances must be non-negative, got {random_instances}"
         )
+    _check_limit(limit)
     if sys is None:
         from .fixtures import section6_groupoid, section6_system
 

@@ -73,7 +73,20 @@ def _load_sys(args) -> RelationalSystem:
 
 
 def _load_groupoid(args, sys: RelationalSystem | None = None) -> Groupoid:
+    """The groupoid of --table, else the one built from --rel, else the fixture's.
+
+    --table gives the groupoid outright, so the flags that build one clash
+    with it. A caller that passes sys reads --rel itself, so there --rel
+    does not clash.
+    """
     if getattr(args, "table", None):
+        given = {"--rel": sys is None and args.rel, "--strategy": args.strategy,
+                 "--pi": args.pi}
+        clash = [flag for flag, on in given.items() if on]
+        if clash:
+            raise InputFormatError(
+                f"--table gives the groupoid; it clashes with {', '.join(clash)}"
+            )
         return load_cayley(args.table)
     if getattr(args, "rel", None):
         sys = sys or _load_sys(args)
@@ -81,6 +94,11 @@ def _load_groupoid(args, sys: RelationalSystem | None = None) -> Groupoid:
             sys, _parse_strategy(getattr(args, "strategy", None), args.pi)
         )
     return section6_groupoid()
+
+
+def _no_table(args, what: str) -> None:
+    if args.table:
+        raise InputFormatError(f"--table clashes with {what}, which uses no groupoid")
 
 
 def _mask(holder, csv_labels: str) -> int:
@@ -121,7 +139,9 @@ def _cmd_relation(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    sys = _load_sys(args)
+    if args.kind != "pi":
+        _no_table(args, f"--kind {args.kind}")
+        sys = _load_sys(args)
     if args.kind == "nbd":
         A = _mask(sys, args.set)
         lo, up = approx_basic(sys, A, "l"), approx_basic(sys, A, "u")
@@ -152,7 +172,7 @@ def _cmd_approx(args) -> int:
             f"boundary: {_fmt_set(sys, up & ~lo)}",
         ]
     else:  # pi
-        g = _load_groupoid(args, sys)
+        g = _load_groupoid(args)
         A = _mask(g, args.set)
         lo = approx_pi(g, A, "l_pi")
         up = approx_pi(g, A, "u_pi")
@@ -175,6 +195,7 @@ def _cmd_approx(args) -> int:
 
 def _cmd_granules(args) -> int:
     if args.family == "cud":
+        _no_table(args, "granules cud")
         sys = _load_sys(args)
         fam = cud_family(sys)
         holder = sys

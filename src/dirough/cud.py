@@ -59,9 +59,10 @@ def eth_closure(sys: RelationalSystem, A: int) -> int:
 
 def cudas_op(sys: RelationalSystem, A: int, B: int, op: str) -> int:
     """oplus = closure of the union, odot = closure of the intersection."""
-    if not is_cud(sys, A):
+    # the family holds exactly the subsets is_cud accepts
+    if A not in sys.cud_family:
         raise LawError("left operand is not a CUD set")
-    if not is_cud(sys, B):
+    if B not in sys.cud_family:
         raise LawError("right operand is not a CUD set")
     if op == "oplus":
         return eth_closure(sys, A | B)

@@ -18,7 +18,7 @@ exactly {3,4,5}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cud import approx_cud, cud_family
 from .grpd import Groupoid, subgroupoids, verify_b_of_s
@@ -107,13 +107,7 @@ class Erratum:
     forcing: str
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "location": self.location,
-            "printed": self.printed,
-            "oracle": self.oracle,
-            "forcing": self.forcing,
-        }
+        return asdict(self)
 
 
 ERRATA = (

@@ -19,7 +19,7 @@ import csv
 import io
 import os
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -329,13 +329,7 @@ class SpaceProfile:
     transitive: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "up_directed": self.up_directed,
-            "reflexive": self.reflexive,
-            "antisymmetric": self.antisymmetric,
-            "symmetric": self.symmetric,
-            "transitive": self.transitive,
-        }
+        return asdict(self)
 
 
 def classify(sys: RelationalSystem) -> SpaceProfile:

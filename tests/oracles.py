@@ -156,6 +156,58 @@ def anti_upper(labels, table, A):
     return frozenset(out)
 
 
+# --- the pair algebra (ACP) ---------------------------------------------
+# A pair is (first, second), two frozensets of labels. `closed` is
+# closed_sets(labels, table), passed in so it is built once per groupoid.
+
+
+def _closed_key(labels, H):
+    """Smallest first, then by the sorted positions of the labels."""
+    return (len(H), sorted(labels.index(a) for a in H))
+
+
+def acp_formal_carrier(labels, table):
+    closed = sorted(closed_sets(labels, table), key=lambda H: _closed_key(labels, H))
+    return [(X, Y) for X in closed for Y in closed if X <= Y]
+
+
+def acp_realized_carrier(labels, table):
+    pairs = {
+        (generate(labels, table, pi_lower(labels, table, A)), generate(labels, table, A))
+        for A in powerset(labels)
+    }
+    return sorted(
+        pairs, key=lambda p: (_closed_key(labels, p[0]), _closed_key(labels, p[1]))
+    )
+
+
+def acp_join(labels, table, x, y):
+    return (generate(labels, table, x[0] | y[0]), generate(labels, table, x[1] | y[1]))
+
+
+def acp_meet(labels, table, closed, x, y):
+    inside = set()
+    for H in closed:
+        if H <= x[0] & y[0]:
+            inside |= H
+    return (generate(labels, table, inside), x[1] & y[1])
+
+
+def acp_neg(labels, table, closed, x):
+    def flat(A):
+        out = set()
+        for H in closed:
+            if not H & A:
+                out |= H
+        return out
+
+    return (generate(labels, table, flat(x[1])), generate(labels, table, flat(x[0])))
+
+
+def acp_coprod(labels, table, x):
+    return (generate(labels, table, x[0]), generate(labels, table, x[1]))
+
+
 def minimal_pseudo_joins(universe, pairs, a, b):
     """Minimal elements of U_R(a,b) under the reflexive-transitive preorder."""
     U = upper_bound_set(universe, pairs, a, b)

@@ -1,8 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
-from conftest import rand_updirected, sample_masks
+import oracles
+from conftest import rand_updirected
 
 from dirough.acp import (
+    CARRIER_MODES,
     AcpElement,
     acp_carrier,
     acp_coprod,
@@ -14,7 +19,7 @@ from dirough.acp import (
     top,
     validate_element,
 )
-from dirough.errors import StructureError
+from dirough.errors import LawError, StructureError
 from dirough.fixtures import section6_groupoid
 from dirough.grpd import ChoiceStrategy, Groupoid, build_updir_groupoid
 from dirough.piappr import pg_tuple
@@ -31,6 +36,23 @@ def rand_groupoid(seed, n):
 
 def elem(g, lo, hi):
     return AcpElement(g.mask(lo), g.mask(hi))
+
+
+def seeded_groupoids():
+    """Twelve seeded groupoids on 3 to 5 elements."""
+    return [rand_groupoid(seed, 3 + seed % 3) for seed in range(12)]
+
+
+def as_labels(g, x):
+    return (frozenset(g.set_labels(x.first)), frozenset(g.set_labels(x.second)))
+
+
+def label_table(g):
+    return {
+        (g.labels[a], g.labels[b]): g.labels[c]
+        for a, row in enumerate(g.table)
+        for b, c in enumerate(row)
+    }
 
 
 class TestCarrier:
@@ -184,3 +206,78 @@ class TestAudit:
             for v in rep.verdicts:
                 if v.tier == 1:
                     assert v.holds, (v.law, v.witness)
+
+
+class TestAgainstOracle:
+    """Both carriers, in order, and every formal pair through the public
+    operations, against the frozenset definitions in tests/oracles.py."""
+
+    @pytest.mark.parametrize("idx", range(13))
+    def test_carriers_and_operations(self, G, idx):
+        g = G if idx == 0 else seeded_groupoids()[idx - 1]
+        labels, table = g.labels, label_table(g)
+        closed = oracles.closed_sets(labels, table)
+        car = acp_carrier(g)
+        assert [as_labels(g, x) for x in car] == oracles.acp_formal_carrier(labels, table)
+        assert [as_labels(g, x) for x in acp_carrier(g, "realized")] == (
+            oracles.acp_realized_carrier(labels, table)
+        )
+        for x in car:
+            lx = as_labels(g, x)
+            assert as_labels(g, acp_neg(g, x)) == oracles.acp_neg(labels, table, closed, lx)
+            assert as_labels(g, acp_coprod(g, x)) == oracles.acp_coprod(labels, table, lx)
+            for y in car:
+                ly = as_labels(g, y)
+                assert as_labels(g, acp_op(g, x, y, "join")) == (
+                    oracles.acp_join(labels, table, lx, ly)
+                )
+                assert as_labels(g, acp_op(g, x, y, "meet")) == (
+                    oracles.acp_meet(labels, table, closed, lx, ly)
+                )
+
+
+# sha256 over the JSON of audit_acp_laws(...).as_dict() for the fixture and
+# the twelve seeded groupoids, in both modes, at (seed, pair_limit) of
+# (0, 4096) and (5, 64); taken before the audit ran the operations proper
+AUDIT_REPORTS_SHA256 = "5b29d151b7b4549af62e7dc16e74ac9fadb0f5a6ac66092006873b297d972098"
+
+
+def audit_reports_sha256(groupoids) -> str:
+    h = hashlib.sha256()
+    for g in groupoids:
+        for mode in CARRIER_MODES:
+            for seed, limit in ((0, 4096), (5, 64)):
+                rep = audit_acp_laws(g, mode, seed=seed, pair_limit=limit)
+                h.update(json.dumps(rep.as_dict()).encode())
+    return h.hexdigest()
+
+
+class TestAuditGolden:
+    def test_reports_pinned(self, G):
+        assert audit_reports_sha256([G, *seeded_groupoids()]) == AUDIT_REPORTS_SHA256
+
+    def test_each_pair_validated_once(self, G, monkeypatch):
+        """Once per carrier element, plus the four results per pair that
+        well-defined checks: 46 + 4 * 46**2 on the fixture."""
+        import dirough.acp as acp_mod
+
+        calls = []
+        real = acp_mod.validate_element
+        monkeypatch.setattr(
+            acp_mod, "validate_element", lambda g, x: calls.append(x) or real(g, x)
+        )
+        audit_acp_laws(G)
+        assert len(calls) == 46 + 4 * 46**2
+
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_pair_limit_below_one_rejected(self, G, limit):
+        with pytest.raises(LawError):
+            audit_acp_laws(G, pair_limit=limit)
+
+    def test_invalid_carrier_stops_the_audit(self, G, monkeypatch):
+        import dirough.acp as acp_mod
+
+        bad = elem(G, ["b"], ["b", "f"])
+        monkeypatch.setattr(acp_mod, "acp_carrier", lambda g, mode: (bad,))
+        with pytest.raises(StructureError):
+            audit_acp_laws(G)

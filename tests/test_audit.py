@@ -152,6 +152,18 @@ class TestSelection:
         with pytest.raises(LawError):
             replay_witness("nope", inst, {})
 
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_limit_below_one_rejected(self, limit):
+        """A limit that checks no assignment must not read as a pass: this
+        claim fails on the fixture at the default limit."""
+        claim = next(c for c in CLAIMS if c.id == "cdbas.ucdmo-collection")
+        inst = AuditInstance("F", section6_system(), section6_groupoid())
+        assert check_claim(claim, inst).status == "fail"
+        with pytest.raises(LawError):
+            check_claim(claim, inst, limit=limit)
+        with pytest.raises(LawError):
+            audit_claims(random_instances=0, limit=limit)
+
 
 class TestGenerators:
     def test_random_system_deterministic(self):

@@ -12,8 +12,8 @@ import pytest
 
 import dirough
 from dirough.cli import run
-from dirough.grpd import parse_cayley
-from dirough.fixtures import section6_system
+from dirough.grpd import dump_cayley, parse_cayley
+from dirough.fixtures import section6_groupoid, section6_system
 from dirough.relsys import dump_relation, exhaustive_cap
 
 try:
@@ -58,6 +58,15 @@ def empty_rel(tmp_path):
     p = tmp_path / "empty.rel"
     p.write_text("elements: x y\n")
     return str(p)
+
+
+@pytest.fixture()
+def fixture_files(tmp_path):
+    """The bundled relation and groupoid, written out as --rel and --table files."""
+    rel, table = tmp_path / "fixture.rel", tmp_path / "fixture.csv"
+    rel.write_text(dump_relation(section6_system()))
+    table.write_text(dump_cayley(section6_groupoid()))
+    return str(rel), str(table)
 
 
 @pytest.fixture()
@@ -203,6 +212,14 @@ class TestRegions:
         code, _, err = cli(capsys, "regions", "--set", "a")
         assert code == 1 and "two" in err
 
+    def test_rel_with_table(self, capsys, fixture_files):
+        """regions reads its sets from --rel and its groupoid from --table."""
+        rel, table = fixture_files
+        code, data, _ = cli_json(
+            capsys, "regions", "--rel", rel, "--table", table, "--set", "a", "--set", "b"
+        )
+        assert code == 0 and data["regions"]["o"] == ["f"]
+
 
 class TestCluster:
     def test_run_two_blobs(self, capsys, blob_csv):
@@ -328,6 +345,13 @@ class TestAuditCommand:
         )
         assert code == 0 and all(r["tier"] == 1 for r in data["results"])
 
+    def test_rel_with_table(self, capsys, fixture_files):
+        """The fixture given as --rel and --table audits as the default does."""
+        rel, table = fixture_files
+        argv = ("audit", "claims", "--tier", "1", "--random", "0")
+        code, given, _ = cli_json(capsys, *argv, "--rel", rel, "--table", table)
+        assert code == 0 and given == cli_json(capsys, *argv)[1]
+
 
 class TestCapOption:
     def test_cap_holds_for_one_command(self, capsys, monkeypatch):
@@ -367,6 +391,10 @@ class TestUsageErrors:
 
 # A Cayley table whose second row lacks a cell.
 NARROW_CAYLEY = b",a,b\na,a,b\nb,b\n"
+# A whole one, a relation over its labels, and one over other labels.
+AB_CAYLEY = b",a,b\na,a,b\nb,b,b\n"
+AB_REL = b"elements: a b\na a\na b\nb b\n"
+XY_REL = b"elements: x y\nx y\ny y\n"
 
 # Each case: files to write into a fresh directory, the argv ({d} is that
 # directory) and a fragment the single "error:" line must name.
@@ -487,6 +515,46 @@ MALFORMED_INPUTS = {
     ),
     "audit-claims-negative-random": (
         {}, ["audit", "claims", "--random", "-3"], "non-negative"
+    ),
+    # --table gives the groupoid: a flag that builds another one, or a
+    # command that uses none, clashes with it
+    "approx-pi-table-and-rel": (
+        {"ab.csv": AB_CAYLEY, "xy.rel": XY_REL},
+        ["approx", "--kind", "pi", "--rel", "{d}/xy.rel", "--table", "{d}/ab.csv",
+         "--set", "a"],
+        "--rel",
+    ),
+    "acp-audit-table-and-pi": (
+        {"ab.csv": AB_CAYLEY}, ["acp", "audit", "--table", "{d}/ab.csv", "--pi"], "--pi"
+    ),
+    "regions-table-and-strategy": (
+        {"ab.csv": AB_CAYLEY, "ab.rel": AB_REL},
+        ["regions", "--rel", "{d}/ab.rel", "--table", "{d}/ab.csv", "--strategy", "max",
+         "--set", "a", "--set", "b"],
+        "--strategy",
+    ),
+    "groupoid-laws-table-and-rel": (
+        {"ab.csv": AB_CAYLEY, "ab.rel": AB_REL},
+        ["groupoid", "laws", "--table", "{d}/ab.csv", "--rel", "{d}/ab.rel"],
+        "--rel",
+    ),
+    "granules-subgroupoid-table-and-strategy": (
+        {"ab.csv": AB_CAYLEY},
+        ["granules", "subgroupoid", "--table", "{d}/ab.csv", "--strategy", "max"],
+        "--strategy",
+    ),
+    "approx-nbd-table": (
+        {"ab.csv": AB_CAYLEY},
+        ["approx", "--kind", "nbd", "--table", "{d}/ab.csv", "--set", "a"],
+        "--kind nbd",
+    ),
+    "approx-cud-table": (
+        {"ab.csv": AB_CAYLEY},
+        ["approx", "--kind", "cud", "--table", "{d}/ab.csv", "--set", "a"],
+        "--kind cud",
+    ),
+    "granules-cud-table": (
+        {"ab.csv": AB_CAYLEY}, ["granules", "cud", "--table", "{d}/ab.csv"], "--table"
     ),
     "cluster-support-unknown-row": (
         {"blobs.csv": TWO_BLOBS_CSV.encode(),

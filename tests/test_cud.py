@@ -142,6 +142,22 @@ class TestCudas:
     def test_non_cud_operand(self, F):
         with pytest.raises(LawError):
             cudas_op(F, F.mask(["a", "b"]), 0, "oplus")
+        with pytest.raises(LawError):
+            cudas_op(F, 0, F.mask(["a", "b"]), "odot")
+
+    def test_operand_outside_universe(self, F):
+        with pytest.raises(LawError):
+            cudas_op(F, F.full_mask + 1, 0, "oplus")
+
+    def test_operands_are_the_family(self, F):
+        """An operand is accepted exactly when is_cud accepts it."""
+        for A in range(F.full_mask + 1):
+            try:
+                cudas_op(F, A, A, "oplus")
+                accepted = True
+            except LawError:
+                accepted = False
+            assert accepted == is_cud(F, A)
 
 
 class TestApprox:
