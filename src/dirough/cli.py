@@ -3,15 +3,16 @@
 Subcommands mirror the library: relation inspection, approximations,
 granule listings, groupoid construction and law checks, the pair-algebra
 audit, decision regions, the clustering pipeline, the bundled fixture
-report, and the claim auditor. Exit codes: 0 success, 1 domain error,
-2 usage error. All randomness flows through an explicit --seed, so equal
-invocations produce identical bytes.
+report, and the claim auditor. Exit codes: 0 success, 1 domain error or
+a reader that closed stdout early, 2 usage error. All randomness flows
+through an explicit --seed, so equal invocations produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os as _os
 import sys as _sys
 from typing import TYPE_CHECKING
 
@@ -34,7 +35,7 @@ from .regions import REGION_KINDS, region_table
 from .relsys import (
     _CAP_OVERRIDE,
     RelationalSystem,
-    approx_basic,
+    basic_bounds,
     classify,
     exhaustive_cap,
     load_relation,
@@ -96,9 +97,12 @@ def _load_groupoid(args, sys: RelationalSystem | None = None) -> Groupoid:
     return section6_groupoid()
 
 
-def _no_table(args, what: str) -> None:
-    if args.table:
-        raise InputFormatError(f"--table clashes with {what}, which uses no groupoid")
+def _no_groupoid(args, what: str) -> None:
+    """what uses no groupoid, so the flags that give or build one clash with it."""
+    given = {"--table": args.table, "--strategy": args.strategy, "--pi": args.pi}
+    clash = [flag for flag, on in given.items() if on]
+    if clash:
+        raise InputFormatError(f"{what} uses no groupoid; it clashes with {', '.join(clash)}")
 
 
 def _mask(holder, csv_labels: str) -> int:
@@ -140,11 +144,11 @@ def _cmd_relation(args) -> int:
 
 def _cmd_approx(args) -> int:
     if args.kind != "pi":
-        _no_table(args, f"--kind {args.kind}")
+        _no_groupoid(args, f"--kind {args.kind}")
         sys = _load_sys(args)
     if args.kind == "nbd":
         A = _mask(sys, args.set)
-        lo, up = approx_basic(sys, A, "l"), approx_basic(sys, A, "u")
+        lo, up = basic_bounds(sys, A)
         data = {
             "kind": "nbd",
             "set": list(sys.set_labels(A)),
@@ -195,7 +199,7 @@ def _cmd_approx(args) -> int:
 
 def _cmd_granules(args) -> int:
     if args.family == "cud":
-        _no_table(args, "granules cud")
+        _no_groupoid(args, "granules cud")
         sys = _load_sys(args)
         fam = cud_family(sys)
         holder = sys
@@ -608,7 +612,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        _sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`... | head`): stop quietly, and point
+        # stdout at devnull so that the flush at shutdown cannot fail again
+        _os.dup2(_os.open(_os.devnull, _os.O_WRONLY), _sys.stdout.fileno())
+        raise SystemExit(1)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -24,12 +24,14 @@ from .cud import RoughTuple, cud_family, cud_tuple
 from .errors import InputFormatError, LawError, NotUpDirectedError, StructureError
 from .grpd import Groupoid, subgroupoids
 from .piappr import approx_pi
-from .relsys import RelationalSystem, approx_basic, from_id_pairs, is_up_directed, read_parsed
+from .relsys import RelationalSystem, basic_bounds, from_id_pairs, is_up_directed, read_parsed
 
 RHO_NAMES = ("euclidean", "chebyshev")
 SEED_KINDS = ("neighborhood", "granule")
 FALLBACKS = ("error", "basic", "top")
 TOP_LABEL = "__top__"
+# source rows per step-1 block: a block's (rows, N) masks stay small
+_STEP1_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +181,26 @@ def step1_relation(
         raise LawError("eps must be positive")
 
     X = ds.array
+    n = len(ds.ids)
+    cols = np.ascontiguousarray(X.T)
     succ = []
-    for a in range(len(ds.ids)):
-        diff = X - X[a]  # diff[c] = row c - row a
-        dominated = (diff >= 0).all(axis=1)
+    for a0 in range(0, n, _STEP1_BLOCK):
+        block = X[a0:a0 + _STEP1_BLOCK]
+        # dominance band by band: for finite floats c - a >= 0 iff c >= a
+        related = np.ones((len(block), n), dtype=bool)
+        for j in range(ds.dimension):
+            related &= cols[j] >= block[:, j, None]
+        # the distance only over the dominated pairs, as (K, d) rows
+        src, dst = np.nonzero(related)
+        diff = X[dst] - X[a0 + src]
         if rho == "euclidean":
             dist = np.sqrt((diff**2).sum(axis=1))
         else:
             dist = np.abs(diff).max(axis=1, initial=0.0)
-        row = dominated & (dist <= eps_by_row[a])
-        succ.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
+        far = ~(dist <= eps_by_row[a0 + src])
+        related[src[far], dst[far]] = False
+        packed = np.packbits(related, axis=1, bitorder="little")
+        succ += [int.from_bytes(row.tobytes(), "little") for row in packed]
     return RelationalSystem(ds.ids, tuple(succ))
 
 
@@ -238,11 +250,6 @@ class ValidityReport:
         }
 
 
-def _reflexive(sys: RelationalSystem) -> bool:
-    """Every singleton is CUD, so the CUD family need not be enumerated."""
-    return all(sys.has(x, x) for x in range(sys.n))
-
-
 def rough_tuple_for(
     sys: RelationalSystem,
     g: Groupoid | None,
@@ -256,7 +263,7 @@ def rough_tuple_for(
     itself, at any size and whether or not the system is up-directed.
     """
     if flavor == "cud":
-        if _reflexive(sys):
+        if sys.reflexive:
             if A & ~sys.full_mask:
                 raise LawError("set A is not a subset of the universe")
             return RoughTuple(A, A, 0, "cud")
@@ -268,8 +275,7 @@ def rough_tuple_for(
         up = approx_pi(g, A, "u_pi")
         return RoughTuple(lo, up, up & ~lo, "pi")
     if flavor == "basic":
-        lo = approx_basic(sys, A, "l")
-        up = approx_basic(sys, A, "u")
+        lo, up = basic_bounds(sys, A)
         return RoughTuple(lo, up, up & ~lo, "basic")
     raise LawError(f"unknown clustering flavor {flavor!r}")
 
@@ -290,7 +296,7 @@ def _seed_candidates(
     if seeds == "neighborhood":
         cands = {sys.pred[x] for x in range(sys.n)}
     elif seeds == "granule":
-        if flavor != "pi" and _reflexive(sys):
+        if flavor != "pi" and sys.reflexive:
             cands = {1 << x for x in range(sys.n)}  # the minimal CUD sets
         else:
             fam = subgroupoids(g) if flavor == "pi" else cud_family(sys)
@@ -357,18 +363,25 @@ def propose_clusters(
         key=lambda c: (-popcount(c.approx.lower), lex_key(c.approx.lower), lex_key(c.support))
     )
     chosen: list[RoughCluster] = []
+    # holders[x]: bitset of the chosen clusters whose support contains x
+    holders = [0] * sys.n
     covered = 0
     for c in clusters:
         if covered == sys.full_mask:
             break
         if is_subset(c.approx.lower, covered):
             continue
-        conflict = any(
-            is_subset(c.support, k.support) or is_subset(k.support, c.support)
-            for k in chosen
-        )
-        if conflict:
+        # the chosen supports containing c's are the AND of its holders,
+        # and those inside it are among the chosen that meet it, their OR
+        supersets = (1 << len(chosen)) - 1
+        meeting = 0
+        for x in bits(c.support):
+            supersets &= holders[x]
+            meeting |= holders[x]
+        if supersets or any(is_subset(chosen[k].support, c.support) for k in bits(meeting)):
             continue
+        for x in bits(c.support):
+            holders[x] |= 1 << len(chosen)
         chosen.append(c)
         covered |= c.approx.lower
     return ClusterSet(tuple(chosen), work_flavor, sys, g)
@@ -383,24 +396,34 @@ def validate_clustering(
     """covers: lowers union to the universe. disclusion: no two clusters
     with nested supports or roughly equal tuples."""
     covered = 0
-    for c in cs.clusters:
+    # holders[x]: bitset of the clusters whose support contains x
+    holders = [0] * sys.n
+    rough_class: dict[tuple[int, int], int] = {}
+    for i, c in enumerate(cs.clusters):
         t = rough_tuple_for(sys, g, c.support, flavor)
         if t != c.approx:
             raise StructureError(
                 f"cluster over {sys.set_labels(c.support)} does not reproduce its tuple"
             )
         covered |= t.lower
+        for x in bits(c.support):
+            holders[x] |= 1 << i
+        key = (t.lower, t.upper)
+        rough_class[key] = rough_class.get(key, 0) | 1 << i
     uncovered = sys.full_mask & ~covered
-    bad: list[tuple[int, int]] = []
-    for i in range(len(cs.clusters)):
-        for j in range(i + 1, len(cs.clusters)):
-            a, b = cs.clusters[i], cs.clusters[j]
-            nested = is_subset(a.support, b.support) or is_subset(b.support, a.support)
-            rough_eq = (
-                a.approx.lower == b.approx.lower and a.approx.upper == b.approx.upper
-            )
-            if nested or rough_eq:
-                bad.append((i, j))
+    k = len(cs.clusters)
+    # partners[i]: the clusters whose support contains, or lies inside,
+    # cluster i's, or whose tuple equals its tuple; an empty support lies
+    # inside every support
+    partners = [rough_class[c.approx.lower, c.approx.upper] for c in cs.clusters]
+    for i, c in enumerate(cs.clusters):
+        supersets = (1 << k) - 1
+        for x in bits(c.support):
+            supersets &= holders[x]
+        partners[i] |= supersets
+        for j in bits(supersets):
+            partners[j] |= 1 << i
+    bad = [(i, j) for i in range(k) for j in bits(partners[i] >> (i + 1) << (i + 1))]
     return ValidityReport(
         covers=uncovered == 0,
         uncovered=sys.set_labels(uncovered),
@@ -526,16 +549,20 @@ def select_clusters(
         key=lambda i: (_weighted(scored.value(i, "lower"), priorities), i),
     )
     kept = set(ranked)
-    target = cs.lower_union
+    # depth[x]: how many kept lowers contain x; a cluster can go without
+    # shrinking the cover exactly when every element of its lower is deeper than 1
+    depth = [0] * cs.sys.n
+    for c in cs.clusters:
+        for x in bits(c.approx.lower):
+            depth[x] += 1
     for i in reversed(ranked):  # worst first
         if len(kept) <= k:
             break
-        union = 0
-        for j in kept:
-            if j != i:
-                union |= cs.clusters[j].approx.lower
-        if union == target:
+        lower = cs.clusters[i].approx.lower
+        if all(depth[x] > 1 for x in bits(lower)):
             kept.remove(i)
+            for x in bits(lower):
+                depth[x] -= 1
     clusters = tuple(cs.clusters[i] for i in sorted(kept))
     return ClusterSet(clusters, cs.flavor, cs.sys, cs.g)
 

@@ -25,7 +25,7 @@ from .grpd import Groupoid, subgroupoids, verify_b_of_s
 from .piappr import approx_pi
 from .relsys import (
     RelationalSystem,
-    approx_basic,
+    basic_bounds,
     build_relation,
     classify,
     neighborhood,
@@ -264,9 +264,10 @@ def build_section6_report() -> dict:
     # approximation values for the two featured subsets
     A = sys.mask(SET_A)
     B = sys.mask(SET_B)
+    A_l, A_u = basic_bounds(sys, A)
     values = {
-        "A.l": approx_basic(sys, A, "l"),
-        "A.u": approx_basic(sys, A, "u"),
+        "A.l": A_l,
+        "A.u": A_u,
         "A.l_cd": approx_cud(sys, A, "l"),
         "A.u_cd": approx_cud(sys, A, "u"),
         "A.l_pi": approx_pi(g, A, "l_pi"),

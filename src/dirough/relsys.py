@@ -105,6 +105,11 @@ class RelationalSystem:
         return tuple(cols)
 
     @cached_property
+    def reflexive(self) -> bool:
+        """Does every element relate to itself? Checked once per system."""
+        return all(row >> i & 1 for i, row in enumerate(self.succ))
+
+    @cached_property
     def reach(self) -> tuple[int, ...]:
         """reach[i] is the bitmask of elements reachable from i in zero or
         more R-steps: the reflexive-transitive closure of R."""
@@ -336,7 +341,7 @@ def classify(sys: RelationalSystem) -> SpaceProfile:
     """Exhaustive first-order check of the five structural flags."""
     n, succ = sys.n, sys.succ
     up = is_up_directed(sys)
-    refl = all(succ[a] >> a & 1 for a in range(n))
+    refl = sys.reflexive
     sym = succ == sys.pred
     anti = all(
         not (succ[a] >> b & 1 and succ[b] >> a & 1)
@@ -370,11 +375,11 @@ def is_cud(sys: RelationalSystem, A: int) -> bool:
     return True
 
 
-def approx_basic(sys: RelationalSystem, A: int, op: str = "l") -> int:
-    """Neighborhood-granule lower/upper approximations.
+def basic_bounds(sys: RelationalSystem, A: int) -> tuple[int, int]:
+    """Both neighborhood-granule approximations of A in one walk.
 
-    l: union of the neighborhoods contained in A.
-    u: union of the neighborhoods meeting A, taken over the whole universe.
+    lower: union of the neighborhoods contained in A.
+    upper: union of the neighborhoods meeting A, taken over the whole universe.
 
     The neighborhood [a] meets A exactly when a lies in the R-image of A,
     and a nonempty [a] inside A meets A, so both unions run over the image
@@ -382,8 +387,6 @@ def approx_basic(sys: RelationalSystem, A: int, op: str = "l") -> int:
     """
     if A & ~sys.full_mask:
         raise LabelError("set A is not a subset of the universe")
-    if op not in ("l", "u"):
-        raise LawError(f"unknown approximation op {op!r}")
     succ, pred = sys.succ, sys.pred
     image = 0
     rest = A
@@ -391,15 +394,26 @@ def approx_basic(sys: RelationalSystem, A: int, op: str = "l") -> int:
         low = rest & -rest
         image |= succ[low.bit_length() - 1]
         rest ^= low
-    out = 0
+    lower = upper = 0
+    outside = ~A
     rest = image
     while rest:
         low = rest & -rest
         nb = pred[low.bit_length() - 1]
-        if op == "u" or not nb & ~A:
-            out |= nb
+        upper |= nb
+        if not nb & outside:
+            lower |= nb
         rest ^= low
-    return out
+    return lower, upper
+
+
+def approx_basic(sys: RelationalSystem, A: int, op: str = "l") -> int:
+    """Neighborhood-granule lower ("l") or upper ("u") approximation of A;
+    one side of basic_bounds."""
+    bounds = basic_bounds(sys, A)  # a set outside the universe is reported first
+    if op not in ("l", "u"):
+        raise LawError(f"unknown approximation op {op!r}")
+    return bounds[op == "u"]
 
 
 def is_ideal_or_filter(sys: RelationalSystem, K: int, kind: str = "ideal") -> bool:

@@ -305,3 +305,51 @@ def band_variance(rows):
         mean = sum(col) / len(col)
         out.append(sum((v - mean) ** 2 for v in col) / len(col))
     return tuple(out)
+
+
+def greedy_clusters(universe, candidates):
+    """The greedy pass of cluster proposal. candidates are (support, lower)
+    set pairs in rank order. A candidate is skipped when its lower is
+    already covered or its support is nested with a chosen support; the
+    pass stops once the lowers cover the universe. Returns the chosen pairs
+    and how many candidates reached the nesting test while meeting a chosen
+    support."""
+    chosen, covered, met = [], set(), 0
+    for support, lower in candidates:
+        if covered == set(universe):
+            break
+        if lower <= covered:
+            continue
+        met += any(support & s for s, _ in chosen)
+        if any(support <= s or s <= support for s, _ in chosen):
+            continue
+        chosen.append((support, lower))
+        covered |= lower
+    return chosen, met
+
+
+def disclusion_pairs(clusters):
+    """Index pairs (i, j), i < j, of clusters (support, lower, upper) whose
+    supports are nested or whose lower and upper both coincide; every pair
+    is tested."""
+    bad = []
+    for i, (si, li, ui) in enumerate(clusters):
+        for j in range(i + 1, len(clusters)):
+            sj, lj, uj = clusters[j]
+            if si <= sj or sj <= si or (li == lj and ui == uj):
+                bad.append((i, j))
+    return bad
+
+
+def select_by_union(lowers, ranked, k):
+    """Indices kept when, worst-ranked first and until at most k remain,
+    each cluster is dropped whose removal leaves the union of the kept
+    lowers unchanged; the union is rebuilt for every test."""
+    kept = set(ranked)
+    target = set().union(*lowers)
+    for i in reversed(ranked):
+        if len(kept) <= k:
+            break
+        if set().union(*(lowers[j] for j in kept if j != i)) == target:
+            kept.remove(i)
+    return sorted(kept)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import jsonschema
 import pytest
 
 import dirough
+from conftest import mix
 from dirough.cli import run
 from dirough.grpd import dump_cayley, parse_cayley
 from dirough.fixtures import section6_groupoid, section6_system
@@ -35,6 +37,32 @@ TWO_BLOBS_CSV = (
     "id,b1,b2\n"
     "r0,0,0\nr1,0.5,0.5\nr2,10,10\nr3,10.5,10.5\n"
 )
+
+
+def banded_csv(seed, m, d=4):
+    """m rows around three far-apart centres, two decimals per band."""
+    lines = ["id," + ",".join(f"b{j}" for j in range(d))]
+    for i in range(m):
+        vals = (10 + 20 * (i % 3) + mix(seed, i, j) % 600 / 100 for j in range(d))
+        lines.append(f"r{i}," + ",".join(f"{v:.2f}" for v in vals))
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of the stdout of `cluster run ... --json` and of its --segment
+# file, recorded from an implementation that tested every pair of clusters
+# and rebuilt the cover for each removal; rewrites of the pipeline keep
+# every byte
+PINNED_RUNS = {
+    "basic": (1, 150, ["--eps", "4", "--fallback", "basic"],
+              "001090a772e699ca1013fd892db80304ba889948d30c1f06e95d686d26887c7b",
+              "fe8b2a534cefd295c45f87e1fb0f3aea3958990b56a7998bf5f3353ab88be2b6"),
+    "linf": (2, 150, ["--rho", "linf", "--eps", "2.5", "--fallback", "basic"],
+             "5b2c88c2f46008e44057218deaf60e4ce3daf0a3ca30ae881939647163515c67",
+             "209f2a95a588eaac5db475b6be5fb2fc52c5a70b46d2aa73caa40811a3e0b79c"),
+    "top": (3, 120, ["--eps", "4", "--fallback", "top"],
+            "fa59ba4f012e000f38e9e023b56a3ce42855fb2452ea48d3eae5483966b0e89c",
+            "d5d34d775610aa8f6533742daff2666075f24e45cf31eb24c9bf1072114df9b6"),
+}
 
 
 def validate(schema_name, payload):
@@ -311,6 +339,20 @@ class TestCluster:
         assert any(r["component"] == "lower" for r in scored["rows"])
 
 
+class TestClusterBytes:
+    @pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+    def test_run_output_pinned(self, capsys, tmp_path, case):
+        seed, m, args, run_sha, segment_sha = PINNED_RUNS[case]
+        data, seg = tmp_path / "bands.csv", tmp_path / "seg.csv"
+        data.write_text(banded_csv(seed, m))
+        code, out, err = cli(
+            capsys, "cluster", "run", "--data", str(data), *args, "--json", "--segment", str(seg)
+        )
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == run_sha
+        assert hashlib.sha256(seg.read_bytes()).hexdigest() == segment_sha
+
+
 class TestFixtureCommand:
     def test_exit_zero_and_schema(self, capsys):
         code, data, _ = cli_json(capsys, "fixture", "section6")
@@ -556,6 +598,15 @@ MALFORMED_INPUTS = {
     "granules-cud-table": (
         {"ab.csv": AB_CAYLEY}, ["granules", "cud", "--table", "{d}/ab.csv"], "--table"
     ),
+    # approx --kind nbd|cud and granules cud use no groupoid, so the flags
+    # that build one clash with them
+    "approx-cud-strategy": (
+        {}, ["approx", "--kind", "cud", "--strategy", "bogus", "--set", "a"], "--strategy"
+    ),
+    "approx-nbd-pi": ({}, ["approx", "--kind", "nbd", "--pi", "--set", "a"], "--pi"),
+    "granules-cud-strategy-pi": (
+        {}, ["granules", "cud", "--strategy", "max", "--pi"], "--strategy, --pi"
+    ),
     "cluster-support-unknown-row": (
         {"blobs.csv": TWO_BLOBS_CSV.encode(),
          "clusters.json": b'{"clusters": [{"support": ["r0", "q9"]}]}'},
@@ -617,6 +668,24 @@ class TestEntryPoints:
     def test_installed_script_help(self):
         out = subprocess.run(["dirough", "--help"], capture_output=True, text=True)
         assert out.returncode == 0 and "approx" in out.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["fixture", "section6", "--json"],
+        ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "2", "--fallback", "basic"],
+    ])
+    def test_closed_stdout_no_traceback(self, tmp_path, argv):
+        (tmp_path / "blobs.csv").write_text(TWO_BLOBS_CSV)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "dirough", *(a.format(d=tmp_path) for a in argv)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr and "BrokenPipeError" not in out.stderr
 
     def test_byte_identical_reruns(self):
         cmd = [

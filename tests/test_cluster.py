@@ -48,6 +48,42 @@ def blobs(seed, m, d=3):
     ])
 
 
+def ids(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def oracle_view(cs):
+    return [(ids(c.support), ids(c.approx.lower), ids(c.approx.upper)) for c in cs.clusters]
+
+
+def hand_cluster_sets():
+    """A blob dataset and ClusterSets over its system with nested supports,
+    rough-equal pairs, an empty support and an empty lower; every tuple
+    reproduces."""
+    ds = blobs(5, 45)
+    sys = step1_relation(ds, eps=4)
+    mk = lambda m: RoughCluster(m, rough_tuple_for(sys, None, m, "basic"))
+    pred = sys.pred
+    empty_lower = next(1 << x for x in range(sys.n) if not rough_tuple_for(
+        sys, None, 1 << x, "basic").lower)
+    # distinct, non-nested supports with one tuple
+    by_tuple = {}
+    for m in [1 << x for x in range(sys.n)] + list(pred):
+        by_tuple.setdefault(mk(m).approx, []).append(m)
+    equal = [(a, b) for group in by_tuple.values() for a in group for b in group
+             if a & ~b and b & ~a]
+    sets = [
+        [mk(0), mk(pred[0]), mk(pred[0] | pred[3]), mk(pred[3]), mk(0), mk(empty_lower)],
+        [mk(pred[x]) for x in range(0, sys.n, 4)] + [mk(pred[0] | pred[4])],
+        [mk(empty_lower), mk(sys.full_mask), mk(pred[7])] + [
+            mk(m) for pair in equal[:3] for m in pair
+        ],
+        [mk(sum(1 << x for x in range(r, sys.n, 5))) for r in range(5)] * 2,
+    ]
+    assert equal and any(c.support == 0 for c in sets[0])
+    return ds, [ClusterSet(tuple(cl), "basic", sys) for cl in sets]
+
+
 class TestParse:
     def test_plain(self):
         ds = parse_dataset("b1,b2\n1,2\n3,4\n5,6\n")
@@ -166,6 +202,19 @@ class TestStep1:
                     got = step1_relation(ds, rho, arg)
                     assert set(got.pairs()) == oracles.step1(rows, rho, eps), (seed, rho, eps)
 
+    def test_matches_oracle_across_blocks(self):
+        # 70 to 130 rows span several step-1 blocks of source rows; d = 1
+        # makes dominance a total preorder
+        for seed, (m, d) in enumerate(((70, 1), (97, 3), (130, 2), (111, 1), (128, 4))):
+            rows = [tuple(mix(seed, i, j) % 7 for j in range(d)) for i in range(m)]
+            ds = ds_from(rows)
+            per_row = [(1.0, 3.0, 5.0, 2.5)[mix(seed, i, 9) % 4] for i in range(m)]
+            for rho in ("euclidean", "chebyshev"):
+                for eps in (3.0, per_row):
+                    arg = dict(zip(ds.ids, eps)) if isinstance(eps, list) else eps
+                    got = step1_relation(ds, rho, arg)
+                    assert set(got.pairs()) == oracles.step1(rows, rho, eps), (seed, rho)
+
     def test_unknown_rho(self):
         with pytest.raises(LawError):
             step1_relation(ds_from([(1,)]), rho="manhattan")
@@ -270,6 +319,38 @@ class TestPropose:
         assert seen_not_updirected
 
 
+class TestProposeMatchesGreedyOracle:
+    def _check(self, sys, seeds):
+        """Propose against the greedy oracle; returns how many candidates
+        reached the nesting test while meeting a chosen support."""
+        cs = propose_clusters(sys, None, "cud", seeds, "basic")
+        seen, ranked = set(), []
+        for A in _seed_candidates(cs.sys, None, cs.flavor, seeds):
+            t = rough_tuple_for(cs.sys, None, A, cs.flavor)
+            if t.lower and (t.lower, t.upper) not in seen:
+                seen.add((t.lower, t.upper))
+                ranked.append((ids(A), ids(t.lower)))
+        ranked.sort(key=lambda c: (-len(c[1]), sorted(c[1]), sorted(c[0])))
+        want, met = oracles.greedy_clusters(range(cs.sys.n), ranked)
+        assert [(ids(c.support), ids(c.approx.lower)) for c in cs.clusters] == want
+        return met
+
+    def test_blob_sets(self):
+        met = 0
+        for seed, m in ((0, 40), (1, 90), (2, 150)):
+            sys = step1_relation(blobs(seed, m, d=2), eps=4)
+            met += self._check(sys, "neighborhood")
+        assert met
+
+    def test_random_systems(self):
+        met = 0
+        for seed in range(30):
+            sys = rand_system(seed, 6 + seed % 5)
+            for seeds in ("neighborhood", "granule"):
+                met += self._check(sys, seeds)
+        assert met
+
+
 class TestNeighborhoodApproxAtClusterScale:
     def test_every_candidate_matches_oracle(self):
         ds = blobs(3, 120)
@@ -305,6 +386,29 @@ class TestValidate:
         lie = RoughCluster(c.support, RoughTuple(0, c.approx.upper, c.approx.upper, "cud"))
         with pytest.raises(StructureError):
             validate_clustering(sys, None, ClusterSet((lie,), "cud", sys), "cud")
+
+    def test_disclusion_matches_oracle(self):
+        _, sets = hand_cluster_sets()
+        for seed, m in ((0, 40), (1, 90), (2, 150)):
+            blob_sys = step1_relation(blobs(seed, m, d=2), eps=4)
+            cs = propose_clusters(blob_sys, None, "cud", on_not_updirected="basic")
+            sets.append(cs)
+            # every proposal, nested or not, as one set
+            cands = _seed_candidates(blob_sys, None, "basic", "neighborhood")
+            sets.append(ClusterSet(tuple(
+                RoughCluster(A, rough_tuple_for(blob_sys, None, A, "basic")) for A in cands
+            ), "basic", blob_sys))
+        seen_nested = seen_rough_equal = False
+        for cs in sets:
+            rep = validate_clustering(cs.sys, None, cs, cs.flavor)
+            want = oracles.disclusion_pairs(oracle_view(cs))
+            assert list(rep.disclusion_pairs) == want
+            for i, j in want:
+                a, b = cs.clusters[i], cs.clusters[j]
+                seen_nested |= a.support != b.support and (
+                    a.support & ~b.support == 0 or b.support & ~a.support == 0)
+                seen_rough_equal |= a.support != b.support and a.approx == b.approx
+        assert seen_nested and seen_rough_equal
 
     def test_report_dict(self):
         sys = step1_relation(chain3(), eps=5)
@@ -451,6 +555,24 @@ class TestSelect:
         for bad in (math.nan, math.inf):
             with pytest.raises(LawError):
                 select_clusters(scored, priorities=[bad, 1.0], k=2)
+
+    def test_matches_union_oracle(self):
+        ds, sets = hand_cluster_sets()
+        cases = [(ds, cs) for cs in sets]
+        for seed, m in ((0, 40), (1, 90), (2, 150)):
+            bds = blobs(seed, m, d=2)
+            sys = step1_relation(bds, eps=4)
+            cases.append((bds, propose_clusters(sys, None, "cud", on_not_updirected="basic")))
+        for ds, cs in cases:
+            scored = score_clusters(ds, cs, "nasd")
+            values = [scored.value(i, "lower") for i in range(len(cs.clusters))]
+            ranked = sorted(range(len(values)), key=lambda i: (
+                math.inf if values[i] is None else values[i], i))
+            lowers = [ids(c.approx.lower) for c in cs.clusters]
+            for k in (1, 2, 5, len(cs.clusters)):
+                kept = oracles.select_by_union(lowers, ranked, k)
+                got = select_clusters(scored, k=k).clusters
+                assert got == tuple(cs.clusters[i] for i in kept), k
 
     def test_lowest_score_ranks_first(self):
         tight = [(0.0, 0.0), (0.1, 0.1)]
