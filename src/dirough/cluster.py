@@ -264,10 +264,9 @@ def rough_tuple_for(
     """
     if flavor == "cud":
         if sys.reflexive:
-            if A & ~sys.full_mask:
-                raise LawError("set A is not a subset of the universe")
+            sys.check_set(A)
             return RoughTuple(A, A, 0, "cud")
-        return cud_tuple(sys, A, "pointwise")
+        return cud_tuple(sys, A)
     if flavor == "pi":
         if g is None:
             raise LawError("pi clustering needs a groupoid")
@@ -319,9 +318,17 @@ def propose_clusters(
     A system that is not up-directed stops the pipeline unless the caller
     opts into a fallback: "basic" switches to plain neighborhood
     approximations, "top" adds a synthetic row above everything. Neither
-    happens silently. Greedy selection prefers large lower approximations
-    and stops once the lowers cover the universe; failure to cover is left
-    for validate_clustering to report.
+    happens silently. Greedy selection prefers large lower approximations,
+    skips a candidate whose lower is already covered, and stops once the
+    lowers cover the universe; failure to cover is left for
+    validate_clustering to report.
+
+    No two chosen supports are nested, with no test for it, because every
+    lower used here is monotone in its support. A support inside a chosen
+    one has its lower inside that cluster's lower, so it is already
+    covered. A chosen support inside the candidate's has its lower inside
+    the candidate's, and by the sort no smaller, so the two lowers are
+    equal and the candidate is covered as well.
     """
     if flavor not in ("cud", "pi"):
         raise LawError(f"unknown clustering flavor {flavor!r}")
@@ -363,25 +370,12 @@ def propose_clusters(
         key=lambda c: (-popcount(c.approx.lower), lex_key(c.approx.lower), lex_key(c.support))
     )
     chosen: list[RoughCluster] = []
-    # holders[x]: bitset of the chosen clusters whose support contains x
-    holders = [0] * sys.n
     covered = 0
     for c in clusters:
         if covered == sys.full_mask:
             break
         if is_subset(c.approx.lower, covered):
             continue
-        # the chosen supports containing c's are the AND of its holders,
-        # and those inside it are among the chosen that meet it, their OR
-        supersets = (1 << len(chosen)) - 1
-        meeting = 0
-        for x in bits(c.support):
-            supersets &= holders[x]
-            meeting |= holders[x]
-        if supersets or any(is_subset(chosen[k].support, c.support) for k in bits(meeting)):
-            continue
-        for x in bits(c.support):
-            holders[x] |= 1 << len(chosen)
         chosen.append(c)
         covered |= c.approx.lower
     return ClusterSet(tuple(chosen), work_flavor, sys, g)

@@ -49,8 +49,7 @@ def eth_closure(sys: RelationalSystem, A: int) -> int:
     Minimal CUD supersets need not be unique, so ties are broken
     deterministically: smallest cardinality first, then least id tuple.
     """
-    if A & ~sys.full_mask:
-        raise LawError("set A is not a subset of the universe")
+    sys.check_set(A)
     for H in cud_family(sys).members:  # sorted by (size, ids)
         if is_subset(A, H):
             return H
@@ -78,41 +77,40 @@ def approx_cud(sys: RelationalSystem, A: int, op: str, mode: str = "pointwise") 
     two flavours: pointwise unions, for each element of A, the minimal CUD
     sets containing that element; collection unions the inclusion-minimal
     family members that meet A at all. Both need an up-directed system,
-    which is one whose whole universe is CUD.
+    which is one whose whole universe is CUD. An unknown mode is rejected
+    for either op.
     """
-    if A & ~sys.full_mask:
-        raise LawError("set A is not a subset of the universe")
+    sys.check_set(A)
+    if op not in ("l", "u"):
+        raise LawError(f"unknown approximation op {op!r}")
+    if mode not in ("pointwise", "collection"):
+        raise LawError(f"unknown upper approximation mode {mode!r}")
     fam = cud_family(sys)
     if sys.full_mask not in fam:
         raise NotUpDirectedError("CUD approximations need an up-directed system")
     if op == "l":
         return fam.union_within(A)
-    if op != "u":
-        raise LawError(f"unknown approximation op {op!r}")
     out = 0
     if mode == "pointwise":
         for x in bits(A):
             out |= fam.minimal_union[x]
-        return out
-    if mode == "collection":
+    else:
         for H in fam.minimal_members(lambda m: m & A):
             out |= H
-        return out
-    raise LawError(f"unknown upper approximation mode {mode!r}")
+    return out
 
 
-def cud_tuple(sys: RelationalSystem, A: int, mode: str = "pointwise") -> RoughTuple:
-    lo = approx_cud(sys, A, "l", mode)
-    up = approx_cud(sys, A, "u", mode)
+def cud_tuple(sys: RelationalSystem, A: int) -> RoughTuple:
+    """The pointwise rough tuple; the collection upper may miss the lower."""
+    lo = approx_cud(sys, A, "l")
+    up = approx_cud(sys, A, "u")
     return RoughTuple(lo, up, up & ~lo, "cud")
 
 
-def compare_cud(
-    sys: RelationalSystem, A: int, B: int, mode: str = "pointwise"
-) -> dict[str, bool]:
+def compare_cud(sys: RelationalSystem, A: int, B: int) -> dict[str, bool]:
     """Rough containment and rough equality of two subsets."""
-    ta = cud_tuple(sys, A, mode)
-    tb = cud_tuple(sys, B, mode)
+    ta = cud_tuple(sys, A)
+    tb = cud_tuple(sys, B)
     return {
         "cud_subset": is_subset(ta.lower, tb.lower) and is_subset(ta.upper, tb.upper),
         "cud_equal": ta.lower == tb.lower and ta.upper == tb.upper,

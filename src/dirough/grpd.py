@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Literal
 
-from ._bits import bits, lex_key, mask_of, mix, popcount, subsets_of
+from ._bits import bits, lex_key, mix, popcount, subsets_of
 from .errors import (
     InputFormatError,
     LawError,
@@ -27,6 +27,7 @@ from .errors import (
 from .relsys import (
     GranuleFamily,
     RelationalSystem,
+    Universe,
     from_id_pairs,
     is_up_directed,
     read_parsed,
@@ -44,16 +45,14 @@ LITERAL: PseudoJoinMode = "literal"
 
 
 @dataclass(frozen=True)
-class Groupoid:
+class Groupoid(Universe):
     """Total binary operation given as an n x n Cayley table (row . col)."""
 
-    labels: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise StructureError("duplicate universe label")
+        super().__post_init__()
+        n = self.n
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise StructureError("Cayley table shape does not match universe")
         for row in self.table:
@@ -61,32 +60,8 @@ class Groupoid:
                 if not 0 <= v < n:
                     raise StructureError(f"Cayley cell {v} is not an element id")
 
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    def id(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise LawError(f"unknown label {label!r}")
-
-    def mask(self, names: Iterable[str]) -> int:
-        return mask_of(self.id(x) for x in names)
-
-    def set_labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in bits(mask))
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -175,6 +150,8 @@ def pseudo_joins(
     least maximum-cardinality subset M of U_R(a,b) such that every pair
     inside M has a common successor outside M but inside U_R(a,b).
     """
+    sys.check_element(a)
+    sys.check_element(b)
     U = sys.succ[a] & sys.succ[b]
     if not U:
         raise NotUpDirectedError(
@@ -467,8 +444,7 @@ def relation_of(g: Groupoid, kind: str = "R") -> RelationalSystem:
 
 def generate(g: Groupoid, A: int) -> int:
     """Least product-closed superset of A. Sg of the empty set is empty."""
-    if A & ~g.full_mask:
-        raise LawError("set A is not a subset of the universe")
+    g.check_set(A)
     cur = A
     while True:
         nxt = cur
@@ -482,6 +458,7 @@ def generate(g: Groupoid, A: int) -> int:
 
 
 def is_closed(g: Groupoid, A: int) -> bool:
+    g.check_set(A)
     for i in bits(A):
         row = g.table[i]
         for j in bits(A):

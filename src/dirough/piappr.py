@@ -28,8 +28,7 @@ class PgTuple:
 
 
 def approx_pi(g: Groupoid, A: int, op: str) -> int:
-    if A & ~g.full_mask:
-        raise LawError("set A is not a subset of the universe")
+    g.check_set(A)
     if op == "u_pi":
         return generate(g, A)
     fam = subgroupoids(g)

@@ -65,7 +65,54 @@ def require_cap(n: int, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class RelationalSystem:
+class Universe:
+    """A finite universe S of distinct labels; element ids are positions.
+
+    Subsets of S are bitmasks over the ids. Systems and groupoids share this
+    base, so label lookup and the in-universe checks live here once.
+    """
+
+    labels: tuple[str, ...]
+
+    def __post_init__(self):
+        if len(set(self.labels)) != len(self.labels):
+            raise LabelError("duplicate universe label")
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    @cached_property
+    def full_mask(self) -> int:
+        return (1 << self.n) - 1
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+    def id(self, label: str) -> int:
+        try:
+            return self._index[label]
+        except KeyError:
+            raise LabelError(f"unknown label {label!r}")
+
+    def mask(self, names: Iterable[str]) -> int:
+        return mask_of(self.id(x) for x in names)
+
+    def set_labels(self, mask: int) -> tuple[str, ...]:
+        return tuple(self.labels[i] for i in bits(mask))
+
+    def check_set(self, A: int, name: str = "A") -> None:
+        if A & ~self.full_mask:
+            raise LawError(f"set {name} is not a subset of the universe")
+
+    def check_element(self, x: int) -> None:
+        if not 0 <= x < self.n:
+            raise LabelError(f"element id {x} out of range")
+
+
+@dataclass(frozen=True)
+class RelationalSystem(Universe):
     """Universe with one binary relation; the pair ``(S, R)``.
 
     labels: element labels in canonical order (ids are positions).
@@ -73,27 +120,15 @@ class RelationalSystem:
         means R holds from element i to element j.
     """
 
-    labels: tuple[str, ...]
     succ: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise LabelError("duplicate universe label")
-        if len(self.succ) != n:
+        super().__post_init__()
+        if len(self.succ) != self.n:
             raise StructureError("successor table size does not match universe")
-        full = (1 << n) - 1
         for row in self.succ:
-            if row & ~full:
+            if row & ~self.full_mask:
                 raise StructureError("relation pair component out of range")
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     @cached_property
     def pred(self) -> tuple[int, ...]:
@@ -135,22 +170,6 @@ class RelationalSystem:
         members.sort(key=lambda m: (popcount(m), lex_key(m)))
         return GranuleFamily(tuple(members), self.n)
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    def id(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise LabelError(f"unknown label {label!r}")
-
-    def mask(self, names: Iterable[str]) -> int:
-        return mask_of(self.id(x) for x in names)
-
-    def set_labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in bits(mask))
-
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i in range(self.n) for j in bits(self.succ[i]))
 
@@ -166,8 +185,6 @@ def build_relation(
 ) -> RelationalSystem:
     """Build a system from labels and label pairs; duplicates collapse."""
     labels = tuple(universe)
-    if len(set(labels)) != len(labels):
-        raise LabelError("duplicate universe label")
     index = {lab: i for i, lab in enumerate(labels)}
     succ = [0] * len(labels)
     for x, y in pairs:
@@ -247,10 +264,6 @@ def parse_table(text: str) -> InformationTable:
     return InformationTable(tuple(objects), attributes, tuple(cells))
 
 
-def load_table(path: str) -> InformationTable:
-    return read_parsed(path, parse_table)
-
-
 def derive_pawl_relation(
     table: InformationTable, attrs: Iterable[str] | None = None
 ) -> RelationalSystem:
@@ -280,14 +293,9 @@ def derive_pawl_relation(
 # Neighborhoods, bounds, classification, basic approximations
 
 
-def _check_element(sys: RelationalSystem, x: int) -> None:
-    if not 0 <= x < sys.n:
-        raise LabelError(f"element id {x} out of range")
-
-
 def neighborhood(sys: RelationalSystem, x: int, kind: str = "direct") -> int:
     """[x] for kind "direct" ({y : Ryx}); {y : Rxy} for kind "inverse"."""
-    _check_element(sys, x)
+    sys.check_element(x)
     if kind == "direct":
         return sys.pred[x]
     if kind == "inverse":
@@ -301,9 +309,8 @@ def dc_neighborhood(sys: RelationalSystem, A: int, x: int, kind: str = "idc") ->
     idc: {z : exists h in A with Rhz and Rxz}.
     dc:  {z : exists h in A with Rhx and Rzx}.
     """
-    _check_element(sys, x)
-    if A & ~sys.full_mask:
-        raise LabelError("set A is not a subset of the universe")
+    sys.check_element(x)
+    sys.check_set(A)
     if kind == "idc":
         reach = 0
         for h in bits(A):
@@ -316,8 +323,8 @@ def dc_neighborhood(sys: RelationalSystem, A: int, x: int, kind: str = "idc") ->
 
 def upper_bounds(sys: RelationalSystem, a: int, b: int, side: str = "upper") -> int:
     """Common successors U_R(a,b), or common predecessors for side "lower"."""
-    _check_element(sys, a)
-    _check_element(sys, b)
+    sys.check_element(a)
+    sys.check_element(b)
     if side == "upper":
         return sys.succ[a] & sys.succ[b]
     if side == "lower":
@@ -363,8 +370,7 @@ def is_up_directed(sys: RelationalSystem) -> bool:
 
 def is_cud(sys: RelationalSystem, A: int) -> bool:
     """Does every pair drawn from A have a common R-successor inside A?"""
-    if A & ~sys.full_mask:
-        raise LawError("set A is not a subset of the universe")
+    sys.check_set(A)
     succ = sys.succ
     elems = list(bits(A))
     for i, a in enumerate(elems):
@@ -385,8 +391,7 @@ def basic_bounds(sys: RelationalSystem, A: int) -> tuple[int, int]:
     and a nonempty [a] inside A meets A, so both unions run over the image
     only: the cost is O(|A| + |R[A]|), not O(n).
     """
-    if A & ~sys.full_mask:
-        raise LabelError("set A is not a subset of the universe")
+    sys.check_set(A)
     succ, pred = sys.succ, sys.pred
     image = 0
     rest = A
@@ -418,8 +423,7 @@ def approx_basic(sys: RelationalSystem, A: int, op: str = "l") -> int:
 
 def is_ideal_or_filter(sys: RelationalSystem, K: int, kind: str = "ideal") -> bool:
     """R-ideal: closed under predecessors; R-filter: closed under successors."""
-    if K & ~sys.full_mask:
-        raise LabelError("set K is not a subset of the universe")
+    sys.check_set(K, "K")
     if kind == "ideal":
         return all(is_subset(sys.pred[a], K) for a in bits(K))
     if kind == "filter":
@@ -443,8 +447,7 @@ def check_morphism(
     except (KeyError, IndexError):
         raise StructureError("map is not total on the source universe")
     for v in image:
-        if not 0 <= v < dst.n:
-            raise LabelError(f"map value {v} outside the target universe")
+        dst.check_element(v)
     for a in range(src.n):
         for b in bits(src.succ[a]):
             if not dst.has(image[a], image[b]):

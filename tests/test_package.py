@@ -1,8 +1,10 @@
 """The package's public surface: names resolved on first access are the
 home modules' objects, and the list of names stays fixed."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +76,110 @@ def test_bare_import_loads_no_submodule():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "['dirough']"
+
+
+# --- one error class per fault ----------------------------------------------
+
+
+def _out_of_universe_cases():
+    """case id -> (call, error class): each public function that takes a set or an
+    element id, fed a set just outside the universe or the ids -1 and n, and
+    the label faults of both universe holders."""
+    from dirough import cluster, cud, fixtures, grpd, piappr, regions, relsys
+    from dirough.errors import LabelError, LawError
+
+    s, g = fixtures.section6_system(), fixtures.section6_groupoid()
+    refl = relsys.from_id_pairs(("x", "y"), [(0, 0), (1, 1), (0, 1)])
+    A, R = 1 << s.n, 1 << refl.n  # g has the labels of s
+    sets = {
+        "approx_basic": lambda: relsys.approx_basic(s, A, "l"),
+        "basic_bounds": lambda: relsys.basic_bounds(s, A),
+        "dc_neighborhood": lambda: relsys.dc_neighborhood(s, A, 0),
+        "is_ideal_or_filter": lambda: relsys.is_ideal_or_filter(s, A),
+        "is_cud": lambda: relsys.is_cud(s, A),
+        "eth_closure": lambda: cud.eth_closure(s, A),
+        "approx_cud": lambda: cud.approx_cud(s, A, "u"),
+        "cud_tuple": lambda: cud.cud_tuple(s, A),
+        "compare_cud": lambda: cud.compare_cud(s, 0, A),
+        "cudas_op": lambda: cud.cudas_op(s, A, 0, "oplus"),
+        "generate": lambda: grpd.generate(g, A),
+        "is_closed": lambda: grpd.is_closed(g, A),
+        "approx_pi": lambda: piappr.approx_pi(g, A, "l_pi"),
+        "pg_tuple": lambda: piappr.pg_tuple(g, A),
+        "compare_pi": lambda: piappr.compare_pi(g, 0, A),
+        "region_table": lambda: regions.region_table(g, s, 0, A),
+        "rough_tuple_for-basic": lambda: cluster.rough_tuple_for(s, None, A, "basic"),
+        "rough_tuple_for-cud": lambda: cluster.rough_tuple_for(s, None, A, "cud"),
+        "rough_tuple_for-cud-reflexive": lambda: cluster.rough_tuple_for(refl, None, R, "cud"),
+        "rough_tuple_for-pi": lambda: cluster.rough_tuple_for(s, g, A, "pi"),
+    }
+    ids = {
+        "neighborhood": lambda x: relsys.neighborhood(s, x),
+        "dc_neighborhood": lambda x: relsys.dc_neighborhood(s, 0, x),
+        "upper_bounds-left": lambda x: relsys.upper_bounds(s, x, 0),
+        "upper_bounds-right": lambda x: relsys.upper_bounds(s, 0, x),
+        "pseudo_joins-left": lambda x: grpd.pseudo_joins(s, x, 0),
+        "pseudo_joins-right": lambda x: grpd.pseudo_joins(s, 0, x),
+        "check_morphism": lambda x: relsys.check_morphism([x] * s.n, s, s),
+    }
+    labels = {
+        "system-unknown": lambda: s.id("zz"),
+        "system-mask-unknown": lambda: s.mask(["a", "zz"]),
+        "system-duplicate": lambda: relsys.RelationalSystem(("a", "a"), (0, 0)),
+        "build_relation-duplicate": lambda: relsys.build_relation(["a", "a"], []),
+        "groupoid-unknown": lambda: g.id("zz"),
+        "groupoid-mask-unknown": lambda: g.mask(["a", "zz"]),
+        "groupoid-duplicate": lambda: grpd.Groupoid(("a", "a"), ((0, 0), (0, 0))),
+    }
+    cases = {f"set-{k}": (f, LawError) for k, f in sets.items()}
+    cases |= {
+        f"id{x}-{k}": (lambda f=f, x=x: f(x), LabelError)
+        for k, f in ids.items() for x in (-1, s.n)
+    }
+    cases |= {f"label-{k}": (f, LabelError) for k, f in labels.items()}
+    return cases
+
+
+_CASES = _out_of_universe_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_each_fault_raises_one_class(case):
+    call, error = _CASES[case]
+    with pytest.raises(error):
+        call()
+
+
+# --- imports ----------------------------------------------------------------
+
+# names a module imports only for others to find there: perfbench's tracer
+# wraps cud.is_cud, whose home is relsys
+REEXPORTS = {("cud", "is_cud")}
+
+
+def _module_imports(tree: ast.Module):
+    """Names bound by the module-level imports, those under a top-level if
+    included; __future__ features bind nothing."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If):
+            stack += node.body + node.orelse
+        elif isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def test_every_module_import_is_used():
+    src = Path(dirough.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.stem}.{name}"
+            for name in _module_imports(tree)
+            if name not in used and (path.stem, name) not in REEXPORTS
+        ]
+    assert unused == []

@@ -196,7 +196,7 @@ class TestApproxBasic:
         with pytest.raises(LawError):
             approx_basic(F, 0, "x")
         # a set outside the universe is reported before an unknown op
-        with pytest.raises(LabelError):
+        with pytest.raises(LawError):
             approx_basic(F, 1 << F.n, "x")
 
     def test_containment_and_monotonicity(self):
