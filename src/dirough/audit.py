@@ -138,15 +138,13 @@ def random_system(seed: int, n: int, density_pct: int = 35) -> RelationalSystem:
     return from_id_pairs(labels, pairs)
 
 
-def random_updirected_system(
-    seed: int, n: int, density_pct: int = 35
-) -> RelationalSystem:
+def random_updirected_system(seed: int, n: int) -> RelationalSystem:
     """Random system repaired to up-directedness.
 
     Any pair with no common successor gets one appointed deterministically.
     Edge additions only grow successor sets, so one pass suffices.
     """
-    base = random_system(seed, n, density_pct)
+    base = random_system(seed, n)
     succ = list(base.succ)
     for a in range(n):
         for b in range(a, n):
@@ -154,8 +152,7 @@ def random_updirected_system(
                 t = mix(seed, a, b, 7) % n
                 succ[a] |= 1 << t
                 succ[b] |= 1 << t
-    pairs = [(a, b) for a in range(n) for b in bits(succ[a])]
-    return from_id_pairs(base.labels, pairs)
+    return RelationalSystem(base.labels, tuple(succ))
 
 
 # ---------------------------------------------------------------------------

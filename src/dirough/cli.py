@@ -68,9 +68,7 @@ def _parse_strategy(spec: str | None, pi: bool) -> ChoiceStrategy:
 
 
 def _load_sys(args) -> RelationalSystem:
-    if getattr(args, "rel", None):
-        return load_relation(args.rel)
-    return section6_system()
+    return load_relation(args.rel) if args.rel else section6_system()
 
 
 def _load_groupoid(args, sys: RelationalSystem | None = None) -> Groupoid:
@@ -80,7 +78,7 @@ def _load_groupoid(args, sys: RelationalSystem | None = None) -> Groupoid:
     with it. A caller that passes sys reads --rel itself, so there --rel
     does not clash.
     """
-    if getattr(args, "table", None):
+    if args.table:
         given = {"--rel": sys is None and args.rel, "--strategy": args.strategy,
                  "--pi": args.pi}
         clash = [flag for flag, on in given.items() if on]
@@ -89,18 +87,15 @@ def _load_groupoid(args, sys: RelationalSystem | None = None) -> Groupoid:
                 f"--table gives the groupoid; it clashes with {', '.join(clash)}"
             )
         return load_cayley(args.table)
-    if getattr(args, "rel", None):
+    if args.rel:
         sys = sys or _load_sys(args)
-        return build_updir_groupoid(
-            sys, _parse_strategy(getattr(args, "strategy", None), args.pi)
-        )
+        return build_updir_groupoid(sys, _parse_strategy(args.strategy, args.pi))
     return section6_groupoid()
 
 
 def _no_groupoid(args, what: str) -> None:
     """what uses no groupoid, so the flags that give or build one clash with it."""
-    given = {"--table": args.table, "--strategy": args.strategy, "--pi": args.pi}
-    clash = [flag for flag, on in given.items() if on]
+    clash = [f"--{flag}" for flag in ("table", "strategy", "pi") if getattr(args, flag, None)]
     if clash:
         raise InputFormatError(f"{what} uses no groupoid; it clashes with {', '.join(clash)}")
 
@@ -123,6 +118,15 @@ def _emit(args, data: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _emit_sets(args, holder, head: dict, A: int, named: dict[str, int]) -> None:
+    """Emit the input set A and named result sets: JSON label lists after the
+    head fields, or one `name: {..}` text line per result (anti_upper as anti-upper)."""
+    data = head | {"set": list(holder.set_labels(A))}
+    data |= {name: list(holder.set_labels(m)) for name, m in named.items()}
+    lines = [f"{name.replace('_', '-')}: {_fmt_set(holder, m)}" for name, m in named.items()]
+    _emit(args, data, lines)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -143,57 +147,28 @@ def _cmd_relation(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    if args.kind != "pi":
-        _no_groupoid(args, f"--kind {args.kind}")
-        sys = _load_sys(args)
+    if args.mode and args.kind != "cud":
+        raise InputFormatError(f"--kind {args.kind} has no mode; it clashes with --mode")
+    if args.kind == "pi":
+        holder = _load_groupoid(args)
+        A = _mask(holder, args.set)
+        ops = {"lower": "l_pi", "upper": "u_pi", "anti_upper": "u_a"}
+        _emit_sets(args, holder, {"kind": "pi"}, A,
+                   {name: approx_pi(holder, A, op) for name, op in ops.items()})
+        return 0
+    _no_groupoid(args, f"--kind {args.kind}")
+    holder = _load_sys(args)
+    A = _mask(holder, args.set)
     if args.kind == "nbd":
-        A = _mask(sys, args.set)
-        lo, up = basic_bounds(sys, A)
-        data = {
-            "kind": "nbd",
-            "set": list(sys.set_labels(A)),
-            "lower": list(sys.set_labels(lo)),
-            "upper": list(sys.set_labels(up)),
-        }
-        lines = [f"lower: {_fmt_set(sys, lo)}", f"upper: {_fmt_set(sys, up)}"]
-    elif args.kind == "cud":
-        A = _mask(sys, args.set)
-        # Not packaged as a RoughTuple: the collection-mode upper may fail
-        # to contain the lower, which that container rejects by design.
-        lo = approx_cud(sys, A, "l", args.mode)
-        up = approx_cud(sys, A, "u", args.mode)
-        data = {
-            "kind": "cud",
-            "mode": args.mode,
-            "set": list(sys.set_labels(A)),
-            "lower": list(sys.set_labels(lo)),
-            "upper": list(sys.set_labels(up)),
-            "boundary": list(sys.set_labels(up & ~lo)),
-        }
-        lines = [
-            f"lower: {_fmt_set(sys, lo)}",
-            f"upper: {_fmt_set(sys, up)}",
-            f"boundary: {_fmt_set(sys, up & ~lo)}",
-        ]
-    else:  # pi
-        g = _load_groupoid(args)
-        A = _mask(g, args.set)
-        lo = approx_pi(g, A, "l_pi")
-        up = approx_pi(g, A, "u_pi")
-        ua = approx_pi(g, A, "u_a")
-        data = {
-            "kind": "pi",
-            "set": list(g.set_labels(A)),
-            "lower": list(g.set_labels(lo)),
-            "upper": list(g.set_labels(up)),
-            "anti_upper": list(g.set_labels(ua)),
-        }
-        lines = [
-            f"lower: {_fmt_set(g, lo)}",
-            f"upper: {_fmt_set(g, up)}",
-            f"anti-upper: {_fmt_set(g, ua)}",
-        ]
-    _emit(args, data, lines)
+        lo, up = basic_bounds(holder, A)
+        _emit_sets(args, holder, {"kind": "nbd"}, A, {"lower": lo, "upper": up})
+        return 0
+    # Not packaged as a RoughTuple: the collection-mode upper may fail
+    # to contain the lower, which that container rejects by design.
+    mode = args.mode or "pointwise"
+    lo, up = (approx_cud(holder, A, side, mode) for side in ("l", "u"))
+    _emit_sets(args, holder, {"kind": "cud", "mode": mode}, A,
+               {"lower": lo, "upper": up, "boundary": up & ~lo})
     return 0
 
 
@@ -217,20 +192,9 @@ def _cmd_granules(args) -> int:
 
 
 def _cmd_groupoid_build(args) -> int:
-    sys = _load_sys(args)
-    g = build_updir_groupoid(sys, _parse_strategy(args.strategy, args.pi))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "labels": list(g.labels),
-                    "table": [[g.labels[v] for v in row] for row in g.table],
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(dump_cayley(g), end="")
+    g = build_updir_groupoid(_load_sys(args), _parse_strategy(args.strategy, args.pi))
+    table = [[g.labels[v] for v in row] for row in g.table]
+    _emit(args, {"labels": list(g.labels), "table": table}, [dump_cayley(g).removesuffix("\n")])
     return 0
 
 
@@ -355,6 +319,8 @@ def _load_cluster_set(
 def _cmd_cluster(args) -> int:
     from . import cluster as cluster_mod
 
+    if args.kind != "pi":
+        _no_groupoid(args, f"--kind {args.kind}")
     ds, sys = _build_cluster_inputs(args)
     g = None
     if args.kind == "pi":
@@ -483,67 +449,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
+    # the input flags, declared once: --rel; then --strategy and --pi, which
+    # build a groupoid from the relation; then --table, which gives it outright
+    rel = argparse.ArgumentParser(add_help=False)
+    rel.add_argument("--rel", default=None, help="relation file (default: bundled fixture)")
+    build = argparse.ArgumentParser(add_help=False, parents=[rel])
+    build.add_argument("--strategy", default=None, help="min | max | seed:<n> | table:<file>")
+    build.add_argument("--pi", action="store_true",
+                       help="constrain strategy choices to pseudo joins")
+    groupoid = argparse.ArgumentParser(add_help=False, parents=[build])
+    groupoid.add_argument("--table", default=None,
+                          help="Cayley table CSV; gives the groupoid outright")
+
     p = sub.add_parser("relation", help="inspect a relation file")
     rsub = p.add_subparsers(dest="sub", required=True)
-    rc = rsub.add_parser("check", help="classify relation properties")
+    rc = rsub.add_parser("check", help="classify relation properties", parents=[rel])
     rc.add_argument("path", nargs="?", default=None, help="relation file")
-    rc.add_argument("--rel", default=None, help="relation file (alternative spelling)")
     _add_common(rc, cap=False)
     rc.set_defaults(fn=_cmd_relation)
 
-    p = sub.add_parser("approx", help="approximate a subset")
-    p.add_argument("--rel", default=None, help="relation file (default: bundled fixture)")
-    p.add_argument("--table", default=None, help="Cayley table CSV for kind pi")
+    p = sub.add_parser("approx", help="approximate a subset", parents=[groupoid])
     p.add_argument("--set", required=True, help="comma-separated element labels")
     p.add_argument("--kind", choices=("nbd", "cud", "pi"), default="nbd")
-    p.add_argument("--mode", choices=("pointwise", "collection"), default="pointwise")
-    p.add_argument("--strategy", default=None, help="min | max | seed:<n> | table:<file>")
-    p.add_argument("--pi", action="store_true", help="constrain strategy choices to pseudo joins")
+    p.add_argument("--mode", choices=("pointwise", "collection"), default=None,
+                   help="kind cud only (default pointwise)")
     _add_common(p)
     p.set_defaults(fn=_cmd_approx)
 
-    p = sub.add_parser("granules", help="list a granule family")
+    p = sub.add_parser("granules", help="list a granule family", parents=[groupoid])
     p.add_argument("family", choices=("cud", "subgroupoid"))
-    p.add_argument("--rel", default=None)
-    p.add_argument("--table", default=None)
-    p.add_argument("--strategy", default=None)
-    p.add_argument("--pi", action="store_true")
     _add_common(p)
     p.set_defaults(fn=_cmd_granules)
 
     p = sub.add_parser("groupoid", help="build a groupoid or check laws")
     gsub = p.add_subparsers(dest="sub", required=True)
-    gb = gsub.add_parser("build", help="build from a relation")
-    gb.add_argument("--rel", default=None)
-    gb.add_argument("--strategy", default=None)
-    gb.add_argument("--pi", action="store_true")
+    gb = gsub.add_parser("build", help="build from a relation", parents=[build])
     _add_common(gb, cap=False)
     gb.set_defaults(fn=_cmd_groupoid_build)
-    gl = gsub.add_parser("laws", help="evaluate equational laws")
-    gl.add_argument("--table", default=None)
-    gl.add_argument("--rel", default=None)
-    gl.add_argument("--strategy", default=None)
-    gl.add_argument("--pi", action="store_true")
+    gl = gsub.add_parser("laws", help="evaluate equational laws", parents=[groupoid])
     gl.add_argument("--laws", default=None, help="comma-separated law ids (default all)")
     _add_common(gl, cap=False)
     gl.set_defaults(fn=_cmd_groupoid_laws)
 
     p = sub.add_parser("acp", help="pair-algebra operations")
     asub = p.add_subparsers(dest="sub", required=True)
-    aa = asub.add_parser("audit", help="audit the pair-algebra laws")
-    aa.add_argument("--table", default=None)
-    aa.add_argument("--rel", default=None)
-    aa.add_argument("--strategy", default=None)
-    aa.add_argument("--pi", action="store_true")
+    aa = asub.add_parser("audit", help="audit the pair-algebra laws", parents=[groupoid])
     aa.add_argument("--mode", choices=("formal", "realized"), default="formal")
     _add_common(aa, seed=True)
     aa.set_defaults(fn=_cmd_acp)
 
-    p = sub.add_parser("regions", help="decision regions of a subset pair")
-    p.add_argument("--rel", default=None)
-    p.add_argument("--table", default=None)
-    p.add_argument("--strategy", default=None)
-    p.add_argument("--pi", action="store_true")
+    p = sub.add_parser("regions", help="decision regions of a subset pair", parents=[groupoid])
     p.add_argument("--set", action="append", help="pass twice: first A, then B")
     p.add_argument("--kind", choices=REGION_KINDS, default=None, help="one kind only")
     _add_common(p)
@@ -558,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--rho", choices=("l2", "linf"), default="l2")
         cp.add_argument("--kind", choices=("cud", "pi"), default="cud",
                         help="approximation flavor")
-        cp.add_argument("--strategy", default=None)
+        cp.add_argument("--strategy", default=None,
+                        help="kind pi only: min | max | seed:<n> | table:<file>")
         cp.add_argument("--metric", choices=("nasd", "band_variance"), default="nasd")
         if name == "run":
             cp.add_argument("--seeds", choices=("neighborhood", "granule"),
@@ -584,9 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run the claim registry")
     ausub = p.add_subparsers(dest="sub", required=True)
-    ac = ausub.add_parser("claims")
-    ac.add_argument("--rel", default=None)
-    ac.add_argument("--table", default=None)
+    ac = ausub.add_parser("claims", parents=[rel])
+    ac.add_argument("--table", default=None, help="Cayley table CSV")
     ac.add_argument("--tier", choices=("1", "2", "all"), default="all")
     ac.add_argument("--random", type=int, default=4,
                     help="number of extra random instances")

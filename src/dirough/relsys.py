@@ -197,10 +197,14 @@ def build_relation(
 
 
 def from_id_pairs(labels: Sequence[str], idpairs: Iterable[tuple[int, int]]) -> RelationalSystem:
-    succ = [0] * len(labels)
+    """Build a system from labels and id pairs; an id outside 0..n-1 is a LabelError."""
+    universe = Universe(tuple(labels))
+    succ = [0] * universe.n
     for i, j in idpairs:
+        universe.check_element(i)
+        universe.check_element(j)
         succ[i] |= 1 << j
-    return RelationalSystem(tuple(labels), tuple(succ))
+    return RelationalSystem(universe.labels, tuple(succ))
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,7 @@ class TestApprox:
     def test_cud_fixture_values(self, capsys):
         code, data, _ = cli_json(capsys, "approx", "--set", "e,b,c", "--kind", "cud")
         assert code == 0
+        assert data["mode"] == "pointwise"  # the default, although --mode is unset
         assert data["lower"] == ["b", "c"]
         assert data["upper"] == ["b", "c", "e", "f"]
         validate("approx.json", data)
@@ -606,6 +607,27 @@ MALFORMED_INPUTS = {
     "approx-nbd-pi": ({}, ["approx", "--kind", "nbd", "--pi", "--set", "a"], "--pi"),
     "granules-cud-strategy-pi": (
         {}, ["granules", "cud", "--strategy", "max", "--pi"], "--strategy, --pi"
+    ),
+    # a flag the command would not read: --mode outside --kind cud, and
+    # cluster --strategy outside --kind pi
+    "approx-nbd-mode": (
+        {}, ["approx", "--kind", "nbd", "--mode", "collection", "--set", "a"], "--mode"
+    ),
+    "approx-pi-mode": (
+        {}, ["approx", "--kind", "pi", "--mode", "pointwise", "--set", "a"], "--mode"
+    ),
+    "cluster-run-cud-strategy": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode()},
+        ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "2", "--fallback", "basic",
+         "--kind", "cud", "--strategy", "max"],
+        "--strategy",
+    ),
+    "cluster-validate-cud-strategy": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode(),
+         "clusters.json": b'{"clusters": [{"support": ["r0", "r1"]}]}'},
+        ["cluster", "validate", "{d}/clusters.json", "--data", "{d}/blobs.csv",
+         "--eps", "2", "--kind", "cud", "--strategy", "max"],
+        "--strategy",
     ),
     "cluster-support-unknown-row": (
         {"blobs.csv": TWO_BLOBS_CSV.encode(),

@@ -1,5 +1,9 @@
+import dataclasses
+
 import pytest
 
+from dirough import fixtures
+from dirough.cli import run
 from dirough.fixtures import (
     ERRATA,
     PRINTED_VALUES,
@@ -85,6 +89,20 @@ class TestReport:
 
     def test_deterministic(self, report):
         assert build_section6_report() == report
+
+    @pytest.mark.parametrize("erratum, oracle", [("table1-bc", "{c, e}"), ("su-efb", "closed")])
+    def test_erratum_oracle_must_match_recomputation(
+        self, monkeypatch, capsys, erratum, oracle
+    ):
+        # a recomputation that differs from its erratum's oracle is not exact
+        errata = tuple(
+            dataclasses.replace(e, oracle=oracle) if e.id == erratum else e
+            for e in ERRATA
+        )
+        monkeypatch.setattr(fixtures, "ERRATA", errata)
+        assert build_section6_report()["exact_after_errata"] is False
+        assert run(["fixture", "section6"]) == 1
+        assert capsys.readouterr().out.endswith("exact after errata: false\n")
 
 
 class TestSection3:

@@ -130,6 +130,9 @@ def _out_of_universe_cases():
         "groupoid-unknown": lambda: g.id("zz"),
         "groupoid-mask-unknown": lambda: g.mask(["a", "zz"]),
         "groupoid-duplicate": lambda: grpd.Groupoid(("a", "a"), ((0, 0), (0, 0))),
+        "from_id_pairs-negative-source": lambda: relsys.from_id_pairs(("a", "b"), [(-1, 0)]),
+        "from_id_pairs-negative-target": lambda: relsys.from_id_pairs(("a", "b"), [(0, -1)]),
+        "from_id_pairs-past-end": lambda: relsys.from_id_pairs(("a", "b"), [(5, 0)]),
     }
     cases = {f"set-{k}": (f, LawError) for k, f in sets.items()}
     cases |= {
@@ -183,3 +186,40 @@ def test_every_module_import_is_used():
             if name not in used and (path.stem, name) not in REEXPORTS
         ]
     assert unused == []
+
+
+# module-level definitions kept for users although nothing in the package
+# calls them: the README documents parse_table as the information-table reader
+UNREFERENCED_API = {("relsys", "parse_table")}
+
+
+def _referenced_names(node: ast.AST):
+    """Every name the node reads, as a bare name, an attribute or an import."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_definition_is_exported_or_used():
+    src = Path(dirough.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    counts: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _referenced_names(tree):
+            counts[name] = counts.get(name, 0) + 1
+    dead = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") or name in dirough._EXPORTS.get(stem, ()):
+                continue  # a module hook, or public through the package
+            own = sum(1 for n in _referenced_names(node) if n == name)
+            if counts.get(name, 0) == own and (stem, name) not in UNREFERENCED_API:
+                dead.append(f"{stem}.{name}")
+    assert dead == []
