@@ -15,7 +15,8 @@ and then runs the operations proper directly.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable
+from functools import partial
+from typing import Iterable, Iterator
 
 from ._bits import is_subset, mix, subsets_of
 from .errors import LawError, StructureError
@@ -24,6 +25,11 @@ from .piappr import pg_tuple
 from .relsys import require_cap
 
 CARRIER_MODES = ("formal", "realized")
+
+# the audited laws in report order with their tiers (1 hard, 2 audited only);
+# realized-closure is checked on the realized carrier only
+ACP_LAW_TIERS = {"A1": 1, "A2": 2, "A3": 1, "A4": 1, "A5": 1, "A6": 2,
+                 "well-defined": 1, "realized-closure": 2}
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ def acp_carrier(g: Groupoid, mode: str = "formal") -> tuple[AcpElement, ...]:
     family, which is smallest first, then by id tuple.
     """
     if mode not in CARRIER_MODES:
-        raise StructureError(f"unknown carrier mode {mode!r}")
+        raise LawError(f"unknown carrier mode {mode!r}")
     fam = subgroupoids(g)
     if mode == "formal":
         return tuple(AcpElement(X, Y) for X in fam for Y in fam if is_subset(X, Y))
@@ -87,7 +93,7 @@ def _op(g: Groupoid, x: AcpElement, y: AcpElement, op: str) -> AcpElement:
         # y.first on valid pairs, since intersections of closed sets are closed
         inside = subgroupoids(g).union_within(x.first & y.first)
         return AcpElement(generate(g, inside), x.second & y.second)
-    raise StructureError(f"unknown pair operation {op!r}")
+    raise LawError(f"unknown pair operation {op!r}")
 
 
 def acp_op(g: Groupoid, x: AcpElement, y: AcpElement, op: str) -> AcpElement:
@@ -158,31 +164,12 @@ def _pairs_to_check(
             for y in carrier:
                 yield x, y
         return
-    # deterministic sample, seeded; the structural lemma carries the
-    # order-theoretic part exhaustively, so sampling only widens coverage
+    # deterministic sample, seeded; Sg(X) is the least closed superset of X,
+    # so join and meet are the lattice bounds and sampling only widens coverage
     for k in range(limit):
         i = mix(seed, 2 * k) % m
         j = mix(seed, 2 * k + 1) % m
         yield carrier[i], carrier[j]
-
-
-def _sg_minimality_failure(g: Groupoid) -> dict | None:
-    """Confirm Sg(X) is the least closed superset of X, for every X.
-
-    This is the lemma that lets the lattice bounds be checked without
-    enumerating all carrier triples: once Sg(X) = ∩{H closed : X ⊆ H},
-    join is the least upper bound and meet the greatest lower bound by
-    componentwise order theory.
-    """
-    fam = subgroupoids(g)
-    for X in subsets_of(g.full_mask):
-        meet_of_supersets = g.full_mask
-        for H in fam.members:
-            if is_subset(X, H):
-                meet_of_supersets &= H
-        if generate(g, X) != meet_of_supersets:
-            return {"set": list(g.set_labels(X))}
-    return None
 
 
 def audit_acp_laws(
@@ -205,109 +192,89 @@ def audit_acp_laws(
     carrier = acp_carrier(g, mode)
     for x in carrier:
         validate_element(g, x)
-    formal = carrier if mode == "formal" else acp_carrier(g, "formal")
-    formal_set = set(formal)
-    carrier_set = set(carrier)
-    verdicts: list[LawVerdict] = []
+    formal = set(carrier if mode == "formal" else acp_carrier(g, "formal"))
+    inside = set(carrier)
 
     def labels(x: AcpElement) -> dict:
         return x.as_labels(g)
 
-    # A1: lattice identities + bounds + the minimality lemma
-    a1_witness = None
-    lemma = _sg_minimality_failure(g)
-    if lemma is not None:
-        a1_witness = {"check": "generation-minimality", **lemma}
-    if a1_witness is None and (
-        bottom(g) not in carrier_set or top(g) not in carrier_set
-    ):
-        a1_witness = {"check": "bounds-missing"}
-    if a1_witness is None:
-        for x, y in _pairs_to_check(carrier, mix(seed, 1), pair_limit):
-            j = _op(g, x, y, "join")
-            m = _op(g, x, y, "meet")
-            checks = (
-                ("join-closure", j in formal_set),
-                ("meet-closure", m in formal_set),
-                ("join-upper", acp_leq(x, j) and acp_leq(y, j)),
-                ("meet-lower", acp_leq(m, x) and acp_leq(m, y)),
-                ("join-comm", j == _op(g, y, x, "join")),
-                ("meet-comm", m == _op(g, y, x, "meet")),
-                ("absorb-jm", _op(g, x, m, "join") == x),
-                ("absorb-mj", _op(g, x, j, "meet") == x),
-                ("bottom-le", acp_leq(bottom(g), x)),
-                ("top-ge", acp_leq(x, top(g))),
-            )
-            bad = next((name for name, ok in checks if not ok), None)
-            if bad is not None:
-                a1_witness = {"check": bad, "x": labels(x), "y": labels(y)}
-                break
-    verdicts.append(LawVerdict("A1", 1, a1_witness is None, a1_witness))
+    def pairs(stream: int) -> Iterable[tuple[AcpElement, AcpElement]]:
+        return _pairs_to_check(carrier, mix(seed, stream), pair_limit)
 
-    def neg(x: AcpElement) -> AcpElement:
-        return _neg(g, x)
+    neg, coprod = partial(_neg, g), partial(_coprod, g)
 
-    def coprod(x: AcpElement) -> AcpElement:
-        return _coprod(g, x)
-
-    def each(law: str, tier: int, holds: Callable[[AcpElement], bool]) -> None:
-        """Verdict from the first carrier element x where holds(x) fails."""
-        w = next(({"x": labels(x)} for x in carrier if not holds(x)), None)
-        verdicts.append(LawVerdict(law, tier, w is None, w))
-
-    def each_pair(
-        law: str, tier: int, stream: int,
-        holds: Callable[[AcpElement, AcpElement], bool],
-    ) -> None:
-        """Verdict from the first checked pair (x, y) where holds fails."""
-        pairs = _pairs_to_check(carrier, mix(seed, stream), pair_limit)
-        w = next(
-            ({"x": labels(x), "y": labels(y)} for x, y in pairs if not holds(x, y)),
-            None,
+    def lattice_faults(x: AcpElement, y: AcpElement) -> Iterator[str]:
+        """The A1 checks that (x, y) fails, in order."""
+        j = _op(g, x, y, "join")
+        m = _op(g, x, y, "meet")
+        checks = (
+            ("join-closure", j in formal),
+            ("meet-closure", m in formal),
+            ("join-upper", acp_leq(x, j) and acp_leq(y, j)),
+            ("meet-lower", acp_leq(m, x) and acp_leq(m, y)),
+            ("join-comm", j == _op(g, y, x, "join")),
+            ("meet-comm", m == _op(g, y, x, "meet")),
+            ("absorb-jm", _op(g, x, m, "join") == x),
+            ("absorb-mj", _op(g, x, j, "meet") == x),
+            ("bottom-le", acp_leq(bottom(g), x)),
+            ("top-ge", acp_leq(x, top(g))),
         )
-        verdicts.append(LawVerdict(law, tier, w is None, w))
+        return (name for name, ok in checks if not ok)
 
-    # A2: x ⊴ ¬¬x (audit)
-    each("A2", 2, lambda x: acp_leq(x, neg(neg(x))))
-    # A3: x ⊴ y implies ∐x ⊴ ∐y
-    each_pair(
-        "A3", 1, 3, lambda x, y: not acp_leq(x, y) or acp_leq(coprod(x), coprod(y))
-    )
-    # A4: x ⊴ ∐x
-    each("A4", 1, lambda x: acp_leq(x, coprod(x)))
-    # A5: x ⊴ y implies ¬y ⊴ ¬x
-    each_pair(
-        "A5", 1, 5, lambda x, y: not acp_leq(x, y) or acp_leq(neg(y), neg(x))
-    )
-    # A6: ¬∐¬x ⊴ ∐x (audit)
-    each("A6", 2, lambda x: acp_leq(neg(coprod(neg(x))), coprod(x)))
-
-    # well-definedness of every operation over the carrier
-    wd_witness = None
-    for x, y in _pairs_to_check(carrier, mix(seed, 7), pair_limit):
+    def invalid_results(x: AcpElement, y: AcpElement) -> Iterator[str]:
+        """The error of the first result on (x, y) that is no valid pair."""
         try:
             validate_element(g, _op(g, x, y, "join"))
             validate_element(g, _op(g, x, y, "meet"))
             validate_element(g, neg(x))
             validate_element(g, coprod(x))
         except StructureError as exc:
-            wd_witness = {"x": labels(x), "y": labels(y), "error": str(exc)}
-            break
-    verdicts.append(LawVerdict("well-defined", 1, wd_witness is None, wd_witness))
+            yield str(exc)
 
+    def escapes(x: AcpElement, y: AcpElement) -> Iterator[dict]:
+        """The operations on (x, y) whose result leaves the carrier."""
+        for op in ("join", "meet"):
+            if _op(g, x, y, op) not in inside:
+                yield {"op": op, "x": labels(x), "y": labels(y)}
+        if neg(x) not in inside:
+            yield {"op": "neg", "x": labels(x)}
+
+    # each law is one row: a lazy search whose first hit is the witness
+    rows = [
+        ("A1", (
+            {"check": c, "x": labels(x), "y": labels(y)}
+            for x, y in pairs(1) for c in lattice_faults(x, y)
+        )),
+        # A2: x ⊴ ¬¬x
+        ("A2", ({"x": labels(x)} for x in carrier if not acp_leq(x, neg(neg(x))))),
+        # A3: x ⊴ y implies ∐x ⊴ ∐y
+        ("A3", (
+            {"x": labels(x), "y": labels(y)} for x, y in pairs(3)
+            if acp_leq(x, y) and not acp_leq(coprod(x), coprod(y))
+        )),
+        # A4: x ⊴ ∐x
+        ("A4", ({"x": labels(x)} for x in carrier if not acp_leq(x, coprod(x)))),
+        # A5: x ⊴ y implies ¬y ⊴ ¬x
+        ("A5", (
+            {"x": labels(x), "y": labels(y)} for x, y in pairs(5)
+            if acp_leq(x, y) and not acp_leq(neg(y), neg(x))
+        )),
+        # A6: ¬∐¬x ⊴ ∐x
+        ("A6", (
+            {"x": labels(x)} for x in carrier
+            if not acp_leq(neg(coprod(neg(x))), coprod(x))
+        )),
+        ("well-defined", (
+            {"x": labels(x), "y": labels(y), "error": e}
+            for x, y in pairs(7) for e in invalid_results(x, y)
+        )),
+    ]
     if mode == "realized":
-        rc_witness = None
-        for x, y in _pairs_to_check(carrier, mix(seed, 9), pair_limit):
-            for op in ("join", "meet"):
-                if _op(g, x, y, op) not in carrier_set:
-                    rc_witness = {"op": op, "x": labels(x), "y": labels(y)}
-                    break
-            if rc_witness is None and neg(x) not in carrier_set:
-                rc_witness = {"op": "neg", "x": labels(x)}
-            if rc_witness is not None:
-                break
-        verdicts.append(
-            LawVerdict("realized-closure", 2, rc_witness is None, rc_witness)
-        )
-
+        rows.append(("realized-closure", (
+            w for x, y in pairs(9) for w in escapes(x, y)
+        )))
+    verdicts = []
+    for law, failures in rows:
+        w = next(failures, None)
+        verdicts.append(LawVerdict(law, ACP_LAW_TIERS[law], w is None, w))
     return LawAuditReport(mode, tuple(verdicts))

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Callable, Iterator
 
 from ._bits import bits, is_subset, mix
-from .acp import LawAuditReport, audit_acp_laws
+from .acp import ACP_LAW_TIERS, LawAuditReport, audit_acp_laws
 from .cud import approx_cud, cud_family, cudas_op, eth_closure
 from .errors import LawError
 from .grpd import (
@@ -44,6 +44,7 @@ from .relsys import (
 )
 
 DEFAULT_ASSIGNMENT_LIMIT = 20000
+_NO_GROUPOID = "no groupoid available"
 
 _AUDIT_STRATEGIES = (
     ("min", ChoiceStrategy.min_index()),
@@ -90,7 +91,7 @@ class Claim:
     needs: str  # "sys" or "grpd"
     vars: tuple[str, ...] = ()
     predicate: Callable[..., bool] | None = None
-    checker: Callable[[AuditInstance], tuple[bool, dict | None]] | None = None
+    checker: Checker | None = None
     domain: str = "all"  # subset variables range over "all" subsets or "cud" members
     requires_updirected: bool = False
 
@@ -198,6 +199,7 @@ def _holder(i: AuditInstance, needs: str) -> RelationalSystem | Groupoid:
 # predicate alone.
 
 Predicate = Callable[..., bool]
+Checker = Callable[[AuditInstance], tuple[bool, dict | None]]
 LawSpec = tuple[tuple[str, ...], tuple[str, ...], Predicate]
 
 
@@ -334,26 +336,20 @@ def _cone(i: AuditInstance, A: int) -> int:
     return out
 
 
-def _construction_sound(i: AuditInstance) -> tuple[bool, dict | None]:
-    for name, g in i.bs_groupoids:
-        if not verify_b_of_s(i.sys, g):
-            return False, {"strategy": name}
-    return True, None
+def _each_strategy(holds: Callable[[RelationalSystem, Groupoid], bool]) -> Checker:
+    """holds(sys, g) on each strategy's B(S) groupoid g; names the first that fails."""
 
-
-def _relation_roundtrip(i: AuditInstance) -> tuple[bool, dict | None]:
-    for name, g in i.bs_groupoids:
-        if relation_of(g, "R").succ != i.sys.succ:
-            return False, {"strategy": name}
-    return True, None
-
-
-def _acp_checker(law: str) -> Callable[[AuditInstance], tuple[bool, dict | None]]:
     def run(i: AuditInstance) -> tuple[bool, dict | None]:
-        for v in i.acp_report.verdicts:
-            if v.law == law:
-                return v.holds, v.witness
-        raise LawError(f"auditor does not know law {law!r}")
+        bad = next((name for name, g in i.bs_groupoids if not holds(i.sys, g)), None)
+        return bad is None, None if bad is None else {"strategy": bad}
+
+    return run
+
+
+def _acp_checker(law: str) -> Checker:
+    def run(i: AuditInstance) -> tuple[bool, dict | None]:
+        v = next(v for v in i.acp_report.verdicts if v.law == law)
+        return v.holds, v.witness
 
     return run
 
@@ -540,15 +536,13 @@ def _claims() -> tuple[Claim, ...]:
     law("aup.atop", 1, top("u_a"))
 
     # --- construction and the pair algebra
-    checked("grpd.bs-sound", 1, S, _construction_sound, updir=True)
-    checked("grpd.bs-roundtrip", 1, S, _relation_roundtrip, updir=True)
-    checked("acp.A1", 1, G, _acp_checker("A1"))
-    checked("acp.A2", 2, G, _acp_checker("A2"))
-    checked("acp.A3", 1, G, _acp_checker("A3"))
-    checked("acp.A4", 1, G, _acp_checker("A4"))
-    checked("acp.A5", 1, G, _acp_checker("A5"))
-    checked("acp.A6", 2, G, _acp_checker("A6"))
-    checked("acp.well-defined", 1, G, _acp_checker("well-defined"))
+    sound = _each_strategy(lambda s, g: verify_b_of_s(s, g))
+    roundtrip = _each_strategy(lambda s, g: relation_of(g, "R").succ == s.succ)
+    checked("grpd.bs-sound", 1, S, sound, updir=True)
+    checked("grpd.bs-roundtrip", 1, S, roundtrip, updir=True)
+    for law, tier in ACP_LAW_TIERS.items():
+        if law != "realized-closure":  # the registry audits the formal carrier
+            checked(f"acp.{law}", tier, G, _acp_checker(law))
 
     return tuple(out)
 
@@ -558,6 +552,9 @@ _BY_ID = {c.id: c for c in CLAIMS}
 
 
 def claim_ids(tier: str = "all") -> tuple[str, ...]:
+    """The ids of the claims of tier "1" or "2", or of all of them."""
+    if tier not in ("1", "2", "all"):
+        raise LawError(f"unknown tier {tier!r}")
     return tuple(c.id for c in CLAIMS if tier == "all" or c.tier == int(tier))
 
 
@@ -615,7 +612,7 @@ def check_claim(
     _check_limit(limit)
     if claim.needs == "grpd" and inst.g is None:
         return ClaimResult(claim.id, claim.tier, inst.name, "skipped",
-                           {"reason": "no groupoid available"})
+                           {"reason": _NO_GROUPOID})
     if claim.requires_updirected and not is_up_directed(inst.sys):
         return ClaimResult(claim.id, claim.tier, inst.name, "skipped",
                            {"reason": "system is not up-directed"})
@@ -633,22 +630,31 @@ def check_claim(
     return ClaimResult(claim.id, claim.tier, inst.name, "pass")
 
 
-def replay_witness(
-    claim_id: str, inst: AuditInstance, witness: dict
-) -> bool:
-    """Re-check a reported witness; True means it still violates the claim."""
+def replay_witness(claim_id: str, inst: AuditInstance, witness: dict) -> bool:
+    """Re-check a reported witness; True means it still violates the claim.
+    A malformed witness, say one read from a JSON report, raises LawError."""
     claim = _BY_ID.get(claim_id)
     if claim is None:
         raise LawError(f"unknown claim id {claim_id!r}")
+    if not isinstance(witness, dict):
+        raise LawError(f"a witness is a dict, got {type(witness).__name__}")
+    if claim.needs == "grpd" and inst.g is None:
+        raise LawError(f"cannot replay {claim_id}: {_NO_GROUPOID}")
     if claim.checker is not None:
         holds, again = claim.checker(inst)
         return not holds and again == witness
     holder = _holder(inst, claim.needs)
-    values = [
-        holder.mask(witness[v]) if v[0].isupper() else holder.id(witness[v])
-        for v in claim.vars
-    ]
-    return not claim.predicate(inst, *values)
+
+    def value(v: str) -> int:
+        x = witness.get(v)
+        if v[0].isupper() and isinstance(x, list) and all(isinstance(a, str) for a in x):
+            return holder.mask(x)
+        if v[0].islower() and isinstance(x, str):
+            return holder.id(x)
+        kind = "a list of labels" if v[0].isupper() else "a label"
+        raise LawError(f"witness variable {v!r} must be {kind}, got {x!r}")
+
+    return not claim.predicate(inst, *map(value, claim.vars))
 
 
 def audit_claims(
@@ -664,8 +670,7 @@ def audit_claims(
     With no inputs the bundled five-element fixture and its companion
     groupoid are used.
     """
-    if tier not in ("1", "2", "all"):
-        raise LawError(f"unknown tier {tier!r}")
+    claims = [_BY_ID[c] for c in claim_ids(tier)]
     if random_instances < 0:
         raise LawError(
             f"the number of random instances must be non-negative, got {random_instances}"
@@ -688,9 +693,7 @@ def audit_claims(
         instances.append(AuditInstance(f"random-{k}", rs, rg))
 
     results = []
-    for claim in CLAIMS:
-        if tier != "all" and claim.tier != int(tier):
-            continue
+    for claim in claims:
         for inst in instances:
             results.append(check_claim(claim, inst, limit, seed))
     return DeviationReport(tuple(results))

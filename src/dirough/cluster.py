@@ -27,7 +27,6 @@ from .piappr import approx_pi
 from .relsys import RelationalSystem, basic_bounds, from_id_pairs, is_up_directed, read_parsed
 
 RHO_NAMES = ("euclidean", "chebyshev")
-SEED_KINDS = ("neighborhood", "granule")
 FALLBACKS = ("error", "basic", "top")
 TOP_LABEL = "__top__"
 # source rows per step-1 block: a block's (rows, N) masks stay small

@@ -31,7 +31,7 @@ class RoughTuple:
 
     def __post_init__(self):
         if self.flavor not in ("cud", "pi", "basic"):
-            raise StructureError(f"unknown rough-tuple flavor {self.flavor!r}")
+            raise LawError(f"unknown rough-tuple flavor {self.flavor!r}")
         if not is_subset(self.lower, self.upper):
             raise StructureError("rough tuple lower is not inside its upper")
         if self.boundary != self.upper & ~self.lower:

@@ -163,7 +163,6 @@ SECTION3_TRIPLES = (
     "114", "225", "332", "444", "552", "123", "234", "341", "451",
     "134", "242", "354", "145", "251",
 )
-SECTION3_OMITTED_TRIPLE = "151"
 
 
 def section6_system() -> RelationalSystem:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import oracles
 from conftest import rand_updirected
 
+from dirough._bits import is_subset, mix
 from dirough.acp import (
     CARRIER_MODES,
     AcpElement,
@@ -21,7 +23,7 @@ from dirough.acp import (
 )
 from dirough.errors import LawError, StructureError
 from dirough.fixtures import section6_groupoid
-from dirough.grpd import ChoiceStrategy, Groupoid, build_updir_groupoid
+from dirough.grpd import ChoiceStrategy, Groupoid, build_updir_groupoid, generate, subgroupoids
 from dirough.piappr import pg_tuple
 
 
@@ -86,7 +88,7 @@ class TestCarrier:
         assert {(x.first, x.second) for x in acp_carrier(G, "realized")} == reached
 
     def test_unknown_mode(self, G):
-        with pytest.raises(StructureError):
+        with pytest.raises(LawError):
             acp_carrier(G, "other")
 
 
@@ -135,6 +137,10 @@ class TestOperations:
         assert acp_neg(G, top(G)) == bottom(G)
         assert acp_neg(G, bottom(G)) == top(G)
 
+    def test_unknown_operation(self, G):
+        with pytest.raises(LawError):
+            acp_op(G, bottom(G), top(G), "x")
+
     def test_coprod_identity(self, G):
         x = elem(G, ["c"], ["a", "c"])
         assert acp_coprod(G, x) == x
@@ -167,6 +173,40 @@ class TestOperations:
                     validate_element(g, acp_op(g, x, y, "meet"))
                 validate_element(g, acp_neg(g, x))
                 validate_element(g, acp_coprod(g, x))
+
+
+def lemma_groupoids():
+    """name -> groupoid: the fixture, the seeded B(S) groupoids, every total
+    table on 2 elements and seeded total tables on 3 and 4 elements."""
+    out = {"fixture": section6_groupoid()}
+    out |= {f"seeded-{k}": g for k, g in enumerate(seeded_groupoids())}
+    for k, cells in enumerate(itertools.product(range(2), repeat=4)):
+        out[f"table2-{k}"] = Groupoid(("p", "q"), (cells[:2], cells[2:]))
+    for seed in range(20):
+        n = 3 + seed % 2
+        cells = tuple(tuple(mix(seed, a, b) % n for b in range(n)) for a in range(n))
+        out[f"table{n}-{seed}"] = Groupoid(tuple(f"t{i}" for i in range(n)), cells)
+    return out
+
+
+LEMMA_GROUPOIDS = lemma_groupoids()
+
+
+class TestGenerationLemma:
+    """Sg(X) is the least closed superset of X: the AND of the subgroupoids
+    holding X. The audit samples pairs on this ground, since it makes join
+    and meet the lattice bounds by componentwise order theory."""
+
+    @pytest.mark.parametrize("name", LEMMA_GROUPOIDS)
+    def test_generate_is_the_and_of_closed_supersets(self, name):
+        g = LEMMA_GROUPOIDS[name]
+        members = subgroupoids(g).members
+        for X in range(1 << g.n):
+            closed_above = g.full_mask
+            for H in members:
+                if is_subset(X, H):
+                    closed_above &= H
+            assert generate(g, X) == closed_above, g.set_labels(X)
 
 
 class TestAudit:

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import re
 
 import pytest
 
@@ -151,6 +152,33 @@ class TestSelection:
         inst = AuditInstance("t", section6_system(), None)
         with pytest.raises(LawError):
             replay_witness("nope", inst, {})
+
+    @pytest.mark.parametrize(
+        "claim, witness, message",
+        [
+            ("lup.l-mo", {"A": ["a"]}, "'B' must be a list of labels, got None"),
+            ("nbd.idcn-sub", {"A": ["a"], "x": ["a"]}, "'x' must be a label"),
+            ("lup.l-mo", ["A", "B"], "a witness is a dict, got list"),
+            ("pi9.lpimo", {"A": ["a"], "B": ["a"]}, "no groupoid available"),
+            ("acp.A6", {"x": {"first": [], "second": ["c"]}}, "no groupoid available"),
+        ],
+        ids=["missing-variable", "element-as-list", "not-a-dict", "no-groupoid",
+             "no-groupoid-checker"],
+    )
+    def test_replay_malformed_witness(self, claim, witness, message):
+        """A witness read back from a report is outside input: each fault is
+        one LawError, and a groupoid claim without a groupoid names the
+        reason check_claim gives when it skips."""
+        inst = AuditInstance("t", section6_system(), None)
+        with pytest.raises(LawError, match=re.escape(message)):
+            replay_witness(claim, inst, witness)
+
+    @pytest.mark.parametrize("tier", ["x", "3", "", "ALL"])
+    def test_claim_ids_unknown_tier(self, tier):
+        with pytest.raises(LawError):
+            claim_ids(tier)
+        with pytest.raises(LawError):
+            audit_claims(tier=tier, random_instances=0)
 
     @pytest.mark.parametrize("limit", [0, -5])
     def test_limit_below_one_rejected(self, limit):

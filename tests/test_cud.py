@@ -233,7 +233,7 @@ class TestTuples:
             RoughTuple(0b11, 0b01, 0b10, "cud")
         with pytest.raises(StructureError):
             RoughTuple(0b01, 0b11, 0b11, "cud")
-        with pytest.raises(StructureError):
+        with pytest.raises(LawError):
             RoughTuple(0, 0, 0, "weird")
 
 

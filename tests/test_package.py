@@ -204,6 +204,19 @@ def _referenced_names(node: ast.AST):
             yield sub.name
 
 
+def _module_definitions(tree: ast.Module):
+    """(name, node) for each module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node
+
+
 def test_every_definition_is_exported_or_used():
     src = Path(dirough.__file__).parent
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
@@ -213,10 +226,7 @@ def test_every_definition_is_exported_or_used():
             counts[name] = counts.get(name, 0) + 1
     dead = []
     for stem, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
+        for name, node in _module_definitions(tree):
             if name.startswith("__") or name in dirough._EXPORTS.get(stem, ()):
                 continue  # a module hook, or public through the package
             own = sum(1 for n in _referenced_names(node) if n == name)
