@@ -45,6 +45,7 @@ from .relsys import (
 
 DEFAULT_ASSIGNMENT_LIMIT = 20000
 _NO_GROUPOID = "no groupoid available"
+_NOT_UPDIRECTED = "system is not up-directed"
 
 _AUDIT_STRATEGIES = (
     ("min", ChoiceStrategy.min_index()),
@@ -615,7 +616,7 @@ def check_claim(
                            {"reason": _NO_GROUPOID})
     if claim.requires_updirected and not is_up_directed(inst.sys):
         return ClaimResult(claim.id, claim.tier, inst.name, "skipped",
-                           {"reason": "system is not up-directed"})
+                           {"reason": _NOT_UPDIRECTED})
     if claim.checker is not None:
         holds, witness = claim.checker(inst)
         return ClaimResult(
@@ -640,6 +641,8 @@ def replay_witness(claim_id: str, inst: AuditInstance, witness: dict) -> bool:
         raise LawError(f"a witness is a dict, got {type(witness).__name__}")
     if claim.needs == "grpd" and inst.g is None:
         raise LawError(f"cannot replay {claim_id}: {_NO_GROUPOID}")
+    if claim.requires_updirected and not is_up_directed(inst.sys):
+        raise LawError(f"cannot replay {claim_id}: {_NOT_UPDIRECTED}")
     if claim.checker is not None:
         holds, again = claim.checker(inst)
         return not holds and again == witness

@@ -31,6 +31,8 @@ FALLBACKS = ("error", "basic", "top")
 TOP_LABEL = "__top__"
 # source rows per step-1 block: a block's (rows, N) masks stay small
 _STEP1_BLOCK = 32
+# components per scoring block: a block's member arrays stay small
+_SCORE_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +429,8 @@ def validate_clustering(
 # ---------------------------------------------------------------------------
 # Scoring and selection
 
+_COMPONENTS = ("lower", "upper", "boundary")
+
 
 @dataclass(frozen=True)
 class ScoreRow:
@@ -473,7 +477,9 @@ def score_clusters(ds: Dataset, cs: ClusterSet, metric: str = "nasd") -> ScoreTa
     included, is twice the summed per-band population variance, so both
     metrics come from one variance vector. Empty components score null
     rather than zero; a singleton scores 0. The synthetic top row of the
-    "top" fallback has no bands and is left out of every component.
+    "top" fallback has no bands and is left out of every component. All
+    components are scored in one pass, with the bits that scoring each on
+    its own gives.
     """
     if metric not in ("band_variance", "nasd"):
         raise LawError(f"unknown metric {metric!r}")
@@ -481,31 +487,60 @@ def score_clusters(ds: Dataset, cs: ClusterSet, metric: str = "nasd") -> ScoreTa
     row_of = np.asarray([ds._index.get(lab, -1) for lab in labels], dtype=np.intp)
     missing = mask_of(np.flatnonzero(row_of < 0).tolist())
     top = 1 << labels.index(TOP_LABEL) if TOP_LABEL in labels else 0
-    nbytes = (cs.sys.n + 7) // 8
-    rows: list[ScoreRow] = []
-    for i, c in enumerate(cs.clusters):
-        for name, mask in (
-            ("lower", c.approx.lower),
-            ("upper", c.approx.upper),
-            ("boundary", c.approx.boundary),
-        ):
-            if stray := mask & missing & ~top:
-                lab = labels[(stray & -stray).bit_length() - 1]
-                raise LawError(f"cluster element {lab!r} is not a dataset row")
-            member = np.unpackbits(
-                np.frombuffer((mask & ~top).to_bytes(nbytes, "little"), dtype=np.uint8),
-                bitorder="little",
-            )
-            data = ds.array[row_of[np.flatnonzero(member)]]
-            val = None
-            if len(data):
-                var = data.var(axis=0)
-                if metric == "nasd":
-                    val = float(2 * var.sum() / ds.dimension)
-                else:
-                    val = tuple(float(v) for v in var)
-            rows.append(ScoreRow(i, name, val))
-    return ScoreTable(metric, tuple(rows), cs)
+    masks = [getattr(c.approx, name) & ~top for c in cs.clusters for name in _COMPONENTS]
+    for mask in masks:
+        if stray := mask & missing:
+            lab = labels[(stray & -stray).bit_length() - 1]
+            raise LawError(f"cluster element {lab!r} is not a dataset row")
+    var = _component_variances(ds.array, row_of, masks, cs.sys.n)
+    if metric == "nasd":
+        values = (2 * var.sum(axis=1) / ds.dimension).tolist()
+    else:
+        values = [tuple(v) for v in var.tolist()]
+    rows = tuple(
+        ScoreRow(k // 3, _COMPONENTS[k % 3], val if mask else None)
+        for k, (mask, val) in enumerate(zip(masks, values))
+    )
+    return ScoreTable(metric, rows, cs)
+
+
+def _component_variances(
+    X: np.ndarray, row_of: np.ndarray, masks: Sequence[int], n: int
+) -> np.ndarray:
+    """Per-band population variance of every component; nan for an empty one.
+
+    Each value has the bits of X[rows].var(axis=0) over the component's rows
+    in id order. With two or more bands numpy adds those rows one by one,
+    each band on its own, so two bincount passes per band reproduce it: the
+    sums, then the squared deviations from the mean. A single band is one
+    contiguous column, which numpy sums pairwise, so there each component
+    keeps its own call.
+    """
+    nbytes = (n + 7) // 8
+    var = np.full((len(masks), X.shape[1]), np.nan)
+    # a block of components at a time keeps the member arrays small
+    for k0 in range(0, len(masks), _SCORE_BLOCK):
+        block = masks[k0:k0 + _SCORE_BLOCK]
+        k = len(block)
+        packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in block), np.uint8)
+        member = np.unpackbits(packed.reshape(k, nbytes), axis=1, bitorder="little").view(bool)
+        # the members component by component, each in id order
+        comp, pos = np.divmod(np.flatnonzero(member), 8 * nbytes)
+        rows = row_of[pos]
+        size = np.bincount(comp, minlength=k)
+        out = var[k0:k0 + k]
+        if X.shape[1] == 1:
+            for i, (m, end) in enumerate(zip(size.tolist(), np.cumsum(size).tolist())):
+                if m:
+                    out[i] = X[rows[end - m:end]].var(axis=0)
+            continue
+        with np.errstate(invalid="ignore"):  # 0/0 for an empty component
+            for j, col in enumerate(X.T):
+                vals = col[rows]
+                mean = np.bincount(comp, vals, k) / size
+                dev = vals - mean[comp]
+                out[:, j] = np.bincount(comp, dev * dev, k) / size
+    return var
 
 
 def _weighted(

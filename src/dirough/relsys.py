@@ -162,6 +162,11 @@ class RelationalSystem(Universe):
         return tuple(reach)
 
     @cached_property
+    def _bounds(self) -> dict[int, tuple[int, int]]:
+        """basic_bounds' (lower, upper) by set, kept as long as the system."""
+        return {}
+
+    @cached_property
     def cud_family(self) -> GranuleFamily:
         """Every CUD subset of the universe, smallest first; enumerated once
         per system, under the exhaustive cap."""
@@ -393,9 +398,12 @@ def basic_bounds(sys: RelationalSystem, A: int) -> tuple[int, int]:
 
     The neighborhood [a] meets A exactly when a lies in the R-image of A,
     and a nonempty [a] inside A meets A, so both unions run over the image
-    only: the cost is O(|A| + |R[A]|), not O(n).
+    only: the cost is O(|A| + |R[A]|), not O(n). The pair is kept on the
+    system, so a set asked for again costs one lookup.
     """
     sys.check_set(A)
+    if (known := sys._bounds.get(A)) is not None:
+        return known
     succ, pred = sys.succ, sys.pred
     image = 0
     rest = A
@@ -413,7 +421,8 @@ def basic_bounds(sys: RelationalSystem, A: int) -> tuple[int, int]:
         if not nb & outside:
             lower |= nb
         rest ^= low
-    return lower, upper
+    bounds = sys._bounds[A] = (lower, upper)
+    return bounds
 
 
 def approx_basic(sys: RelationalSystem, A: int, op: str = "l") -> int:

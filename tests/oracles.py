@@ -307,6 +307,21 @@ def band_variance(rows):
     return tuple(out)
 
 
+def numpy_component_score(rows, metric):
+    """One cluster component's score as numpy gives it for that component
+    alone: the per-band population variance of its rows, taken in id order
+    with np.var, or for "nasd" twice its sum over the dimension; None for
+    no rows. score_clusters must reproduce these bits."""
+    if not rows:
+        return None
+    import numpy as np  # no other oracle needs it
+
+    var = np.asarray(rows, dtype=float).var(axis=0)
+    if metric == "nasd":
+        return float(2 * var.sum() / len(var))
+    return tuple(float(v) for v in var)
+
+
 def greedy_clusters(universe, candidates):
     """The greedy pass of cluster proposal. candidates are (support, lower)
     set pairs in rank order. A candidate is skipped when its lower is

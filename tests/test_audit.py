@@ -173,6 +173,21 @@ class TestSelection:
         with pytest.raises(LawError, match=re.escape(message)):
             replay_witness(claim, inst, witness)
 
+    @pytest.mark.parametrize("claim", ["lup.upper-cone", "eth.inclusion"])
+    def test_replay_needs_updirected_system(self, claim):
+        """A guarded claim says nothing about a system that is not
+        up-directed: replay raises the reason check_claim skips with,
+        rather than returning a verdict or leaking another error."""
+        sys = build_relation(["x", "y"], [("x", "x"), ("y", "y")])
+        inst = AuditInstance("t", sys, None)
+        guarded = next(c for c in CLAIMS if c.id == claim)
+        assert guarded.requires_updirected and not is_up_directed(sys)
+        assert check_claim(guarded, inst).witness == {"reason": "system is not up-directed"}
+        with pytest.raises(
+            LawError, match=f"^cannot replay {re.escape(claim)}: system is not up-directed$"
+        ):
+            replay_witness(claim, inst, {"A": ["x", "y"]})
+
     @pytest.mark.parametrize("tier", ["x", "3", "", "ALL"])
     def test_claim_ids_unknown_tier(self, tier):
         with pytest.raises(LawError):

@@ -50,8 +50,9 @@ def banded_csv(seed, m, d=4):
 
 # sha256 of the stdout of `cluster run ... --json` and of its --segment
 # file, recorded from an implementation that tested every pair of clusters
-# and rebuilt the cover for each removal; rewrites of the pipeline keep
-# every byte
+# and rebuilt the cover for each removal, and, for band_variance, from one
+# that scored each component with its own numpy call; rewrites of the
+# pipeline keep every byte
 PINNED_RUNS = {
     "basic": (1, 150, ["--eps", "4", "--fallback", "basic"],
               "001090a772e699ca1013fd892db80304ba889948d30c1f06e95d686d26887c7b",
@@ -62,6 +63,11 @@ PINNED_RUNS = {
     "top": (3, 120, ["--eps", "4", "--fallback", "top"],
             "fa59ba4f012e000f38e9e023b56a3ce42855fb2452ea48d3eae5483966b0e89c",
             "d5d34d775610aa8f6533742daff2666075f24e45cf31eb24c9bf1072114df9b6"),
+    # k = 3 makes selection drop clusters by the weighted band variances
+    "band_variance": (4, 150, ["--eps", "4", "--fallback", "basic", "--metric", "band_variance",
+                               "--weights", "1,2,1,1", "--k", "3"],
+                      "856954b53cd69c2dac06d42d201ddc2c5c8e28a3d04729398a904feb7c697c2a",
+                      "fa1fecf03ff0340b63c2ee89386a965c9cce2f97143364761603f075f6fb0aee"),
 }
 
 

@@ -9,6 +9,7 @@ from dirough.cluster import (
     ClusterSet,
     Dataset,
     RoughCluster,
+    ScoreRow,
     TOP_LABEL,
     _seed_candidates,
     parse_dataset,
@@ -387,6 +388,23 @@ class TestValidate:
         with pytest.raises(StructureError):
             validate_clustering(sys, None, ClusterSet((lie,), "cud", sys), "cud")
 
+    def test_memoised_tuple_still_checked(self):
+        # propose keeps each support's bounds on the system; a cluster that
+        # lies about one is still caught by the recompute
+        sys = step1_relation(blobs(3, 60, d=2), eps=4)
+        cs = propose_clusters(sys, None, "cud", on_not_updirected="basic")
+        assert cs.flavor == "basic"
+        for c in cs.clusters[:3]:
+            assert sys._bounds[c.support] == (c.approx.lower, c.approx.upper)
+            for lie in (RoughTuple(0, c.approx.upper, c.approx.upper, "basic"),
+                        RoughTuple(c.approx.lower, sys.full_mask,
+                                   sys.full_mask & ~c.approx.lower, "basic")):
+                assert lie != c.approx
+                liar = ClusterSet((RoughCluster(c.support, lie),), "basic", sys)
+                with pytest.raises(StructureError, match="does not reproduce"):
+                    validate_clustering(sys, None, liar, "basic")
+        assert validate_clustering(sys, None, cs, "basic").covers
+
     def test_disclusion_matches_oracle(self):
         _, sets = hand_cluster_sets()
         for seed, m in ((0, 40), (1, 90), (2, 150)):
@@ -518,6 +536,82 @@ class TestScores:
         sys, cs = self._basic_cs(ds)
         with pytest.raises(LawError):
             score_clusters(ds, cs, "silhouette")
+
+
+def decimal_blobs(seed, m, d):
+    """m rows around three far-apart centres, two decimals per band, so that
+    sums round and the order of their terms shows in the bits."""
+    return ds_from([
+        tuple(10 + 20 * (i % 3) + mix(seed, i, j) % 600 / 100 for j in range(d)) for i in range(m)
+    ])
+
+
+class TestScoresBitExact:
+    """Every ScoreRow equals the one that scoring its component alone with
+    numpy gives, under both metrics; repr compares the sign of a zero too."""
+
+    @staticmethod
+    def _expected(ds, cs, metric):
+        index = {rid: k for k, rid in enumerate(ds.ids)}
+        return tuple(
+            ScoreRow(i, name, oracles.numpy_component_score([
+                ds.rows[index[lab]]
+                for lab in cs.sys.set_labels(getattr(c.approx, name)) if lab != TOP_LABEL
+            ], metric))
+            for i, c in enumerate(cs.clusters)
+            for name in ("lower", "upper", "boundary")
+        )
+
+    def _check(self, ds, cs):
+        for metric in ("nasd", "band_variance"):
+            got = score_clusters(ds, cs, metric).rows
+            want = self._expected(ds, cs, metric)
+            assert got == want
+            assert repr(got) == repr(want)
+
+    @staticmethod
+    def _with_extras(cs):
+        """cs plus an empty cluster, two singletons and one of every row."""
+        full = cs.sys.full_mask
+        extra = [RoughTuple(0, 0, 0, "basic"), RoughTuple(1, 1, 0, "basic"),
+                 RoughTuple(0, 1 << (cs.sys.n - 1), 1 << (cs.sys.n - 1), "basic"),
+                 RoughTuple(full, full, 0, "basic")]
+        clusters = cs.clusters + tuple(RoughCluster(t.upper, t) for t in extra)
+        return ClusterSet(clusters, cs.flavor, cs.sys, cs.g)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("m", [12, 60, 150])
+    def test_seeded_blobs(self, d, m):
+        for seed, rho in ((m, "euclidean"), (m + d, "chebyshev")):
+            ds = decimal_blobs(seed, m, d)
+            sys = step1_relation(ds, rho, eps=4)
+            cs = propose_clusters(sys, None, "cud", on_not_updirected="basic")
+            assert len(cs.clusters) > 1
+            self._check(ds, self._with_extras(cs))
+
+    def test_hand_cluster_sets(self):
+        ds, sets = hand_cluster_sets()
+        for cs in sets:
+            self._check(ds, cs)
+
+    def test_negative_zero_bands(self):
+        lines = ["id,b0,b1,b2"] + [
+            f"r{i},-0,{'-0' if i % 2 else '0'},{mix(9, i) % 700 / 100}" for i in range(40)
+        ]
+        ds = parse_dataset("\n".join(lines) + "\n")
+        assert math.copysign(1, ds.rows[0][0]) == -1
+        sys = step1_relation(ds, eps=3)
+        cs = propose_clusters(sys, None, "cud", on_not_updirected="basic")
+        self._check(ds, self._with_extras(cs))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_top_fallback(self, d):
+        ds = decimal_blobs(7, 90, d)
+        sys = step1_relation(ds, eps=2)
+        cs = propose_clusters(sys, None, "cud", on_not_updirected="top")
+        assert cs.sys.labels[-1] == TOP_LABEL
+        assert any(c.approx.upper >> (cs.sys.n - 1) & 1 for c in cs.clusters)
+        self._check(ds, self._with_extras(cs))
 
 
 class TestSelect:

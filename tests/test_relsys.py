@@ -14,6 +14,7 @@ from dirough.fixtures import section6_system
 from dirough.relsys import (
     InformationTable,
     approx_basic,
+    basic_bounds,
     build_relation,
     check_morphism,
     classify,
@@ -190,7 +191,32 @@ class TestApproxBasic:
                         lo, up = approx_basic(sys, A, "l"), approx_basic(sys, A, "u")
                         assert frozenset(sys.set_labels(lo)) == oracles.nbd_lower(uni, prs, labs)
                         assert frozenset(sys.set_labels(up)) == oracles.nbd_upper(uni, prs, labs)
+                    # every subset is now kept on the system, and a second
+                    # call returns what the first stored
+                    assert sorted(sys._bounds) == list(range(1 << n))
+                    for A, bounds in sys._bounds.items():
+                        labs = frozenset(sys.set_labels(A))
+                        assert basic_bounds(sys, A) is bounds
+                        assert [frozenset(sys.set_labels(b)) for b in bounds] == [
+                            oracles.nbd_lower(uni, prs, labs), oracles.nbd_upper(uni, prs, labs)
+                        ]
         assert seen_empty and seen_not_updirected
+
+    def test_memo_lives_on_its_system(self):
+        a, b = rand_system(1, 5), rand_system(1, 5)
+        assert a == b and a is not b
+        bounds = basic_bounds(a, 0b101)
+        assert 0b101 in a._bounds and not b._bounds
+        assert basic_bounds(b, 0b101) == bounds
+
+    def test_outside_universe_never_stored(self, F):
+        outside = 1 << F.n | 1
+        for _ in range(2):
+            with pytest.raises(LawError, match="not a subset of the universe"):
+                basic_bounds(F, outside)
+            with pytest.raises(LawError, match="not a subset of the universe"):
+                approx_basic(F, outside, "u")
+        assert outside not in F._bounds
 
     def test_errors(self, F):
         with pytest.raises(LawError):
