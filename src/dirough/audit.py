@@ -44,8 +44,6 @@ from .relsys import (
 )
 
 DEFAULT_ASSIGNMENT_LIMIT = 20000
-_NO_GROUPOID = "no groupoid available"
-_NOT_UPDIRECTED = "system is not up-directed"
 
 _AUDIT_STRATEGIES = (
     ("min", ChoiceStrategy.min_index()),
@@ -604,6 +602,15 @@ def _check_limit(limit: int) -> None:
         raise LawError(f"the assignment limit must be at least 1, got {limit}")
 
 
+def _inapplicable(claim: Claim, inst: AuditInstance) -> str | None:
+    """Why the claim does not apply to the instance, or None when it does."""
+    if claim.needs == "grpd" and inst.g is None:
+        return "no groupoid available"
+    if claim.requires_updirected and not is_up_directed(inst.sys):
+        return "system is not up-directed"
+    return None
+
+
 def check_claim(
     claim: Claim,
     inst: AuditInstance,
@@ -611,12 +618,8 @@ def check_claim(
     seed: int = 0,
 ) -> ClaimResult:
     _check_limit(limit)
-    if claim.needs == "grpd" and inst.g is None:
-        return ClaimResult(claim.id, claim.tier, inst.name, "skipped",
-                           {"reason": _NO_GROUPOID})
-    if claim.requires_updirected and not is_up_directed(inst.sys):
-        return ClaimResult(claim.id, claim.tier, inst.name, "skipped",
-                           {"reason": _NOT_UPDIRECTED})
+    if (reason := _inapplicable(claim, inst)) is not None:
+        return ClaimResult(claim.id, claim.tier, inst.name, "skipped", {"reason": reason})
     if claim.checker is not None:
         holds, witness = claim.checker(inst)
         return ClaimResult(
@@ -639,10 +642,8 @@ def replay_witness(claim_id: str, inst: AuditInstance, witness: dict) -> bool:
         raise LawError(f"unknown claim id {claim_id!r}")
     if not isinstance(witness, dict):
         raise LawError(f"a witness is a dict, got {type(witness).__name__}")
-    if claim.needs == "grpd" and inst.g is None:
-        raise LawError(f"cannot replay {claim_id}: {_NO_GROUPOID}")
-    if claim.requires_updirected and not is_up_directed(inst.sys):
-        raise LawError(f"cannot replay {claim_id}: {_NOT_UPDIRECTED}")
+    if (reason := _inapplicable(claim, inst)) is not None:
+        raise LawError(f"cannot replay {claim_id}: {reason}")
     if claim.checker is not None:
         holds, again = claim.checker(inst)
         return not holds and again == witness

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .acp import audit_acp_laws
 from .cud import approx_cud, cud_family
-from .errors import DiroughError, InputFormatError
+from .errors import DiroughError, InputFormatError, NotUpDirectedError
 from .fixtures import build_section6_report, section6_groupoid, section6_system
 from .grpd import (
     ALL_LAWS,
@@ -38,6 +38,7 @@ from .relsys import (
     basic_bounds,
     classify,
     exhaustive_cap,
+    is_up_directed,
     load_relation,
     read_parsed,
 )
@@ -309,6 +310,10 @@ def _load_cluster_set(
         return flavor, over, [over.mask(labels) for labels in supports]
 
     flavor, sys, supports = read_parsed(path, parse)
+    if flavor == "cud" and not is_up_directed(sys):
+        # `cluster run` refuses this relation too; rough_tuple_for's
+        # reflexive shortcut would answer regardless
+        raise NotUpDirectedError(f"{path}: induced relation is not up-directed")
     clusters = []
     for support in supports:
         t = cluster_mod.rough_tuple_for(sys, g, support, flavor)

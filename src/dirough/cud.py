@@ -44,24 +44,29 @@ def cud_family(sys: RelationalSystem) -> GranuleFamily:
 
 
 def eth_closure(sys: RelationalSystem, A: int) -> int:
-    """Least CUD superset of A.
+    """Least CUD superset of A, in an up-directed system.
 
     Minimal CUD supersets need not be unique, so ties are broken
     deterministically: smallest cardinality first, then least id tuple.
     """
     sys.check_set(A)
-    for H in cud_family(sys).members:  # sorted by (size, ids)
-        if is_subset(A, H):
-            return H
-    raise NotUpDirectedError("no CUD superset exists; system is not up-directed")
+    fam = cud_family(sys)
+    if sys.full_mask not in fam:
+        raise NotUpDirectedError("the eth closure needs an up-directed system")
+    # sorted by (size, ids); the universe is a member, so one always contains A
+    return next(H for H in fam.members if is_subset(A, H))
 
 
 def cudas_op(sys: RelationalSystem, A: int, B: int, op: str) -> int:
-    """oplus = closure of the union, odot = closure of the intersection."""
+    """oplus = closure of the union, odot = closure of the intersection, in
+    an up-directed system."""
     # the family holds exactly the subsets is_cud accepts
-    if A not in sys.cud_family:
+    fam = sys.cud_family
+    if sys.full_mask not in fam:
+        raise NotUpDirectedError("CUDAS operations need an up-directed system")
+    if A not in fam:
         raise LawError("left operand is not a CUD set")
-    if B not in sys.cud_family:
+    if B not in fam:
         raise LawError("right operand is not a CUD set")
     if op == "oplus":
         return eth_closure(sys, A | B)

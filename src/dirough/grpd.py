@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Literal
@@ -202,19 +203,26 @@ def build_order_groupoid(sys: RelationalSystem) -> Groupoid:
     return Groupoid(sys.labels, tbl)
 
 
-def _pick(candidates: int, strategy: ChoiceStrategy, a: int, b: int, key_set: int) -> int:
-    ids = list(bits(candidates))
+def _allowed(sys: RelationalSystem, a: int, b: int, pi: bool) -> int:
+    """The B(S) cell rule, as the mask of products a.b may take: b when Rab
+    holds, else a common upper bound, under pi a minimal pseudo join."""
+    if sys.has(a, b):
+        return 1 << b
+    if pi:
+        return pseudo_joins(sys, a, b, MINIMAL)
+    return sys.succ[a] & sys.succ[b]
+
+
+def _pick(sys: RelationalSystem, strategy: ChoiceStrategy, a: int, b: int) -> int:
+    ids = list(bits(_allowed(sys, a, b, strategy.pi_constrained)))
     if strategy.kind == "min_index":
         return ids[0]
     if strategy.kind == "max_index":
         return ids[-1]
     # seeded_random: key on the upper-bound set when pi-constrained so the
     # choice factors through the set, on the pair otherwise
-    if strategy.pi_constrained:
-        h = mix(strategy.seed, key_set)
-    else:
-        h = mix(strategy.seed, a, b)
-    return ids[h % len(ids)]
+    key = (sys.succ[a] & sys.succ[b],) if strategy.pi_constrained else (a, b)
+    return ids[mix(strategy.seed, *key) % len(ids)]
 
 
 def build_updir_groupoid(sys: RelationalSystem, strategy: ChoiceStrategy) -> Groupoid:
@@ -223,62 +231,40 @@ def build_updir_groupoid(sys: RelationalSystem, strategy: ChoiceStrategy) -> Gro
     Products follow the relation where it speaks (Rab forces ab = b) and the
     strategy picks a common upper bound elsewhere. A pi-constrained strategy
     picks from the minimal pseudo-join set and factors through the
-    upper-bound set, which is what makes the result a pi-groupoid.
+    upper-bound set, which is what makes the result a pi-groupoid. An
+    explicit table is checked cell by cell against the same rule.
     """
     if not is_up_directed(sys):
         raise NotUpDirectedError("system is not up-directed")
-    if strategy.kind == "explicit":
-        g = Groupoid(sys.labels, strategy.table)
-        if not verify_b_of_s(sys, g):
-            raise StructureError("explicit table violates the B(S) condition")
-        if strategy.pi_constrained:
-            _check_pi_constrained(sys, g)
-        return g
-    rows = []
-    for a in range(sys.n):
-        row = []
-        for b in range(sys.n):
-            if sys.has(a, b):
-                row.append(b)
-                continue
-            U = sys.succ[a] & sys.succ[b]
-            pool = pseudo_joins(sys, a, b, MINIMAL) if strategy.pi_constrained else U
-            row.append(_pick(pool, strategy, a, b, U))
-        rows.append(tuple(row))
-    return Groupoid(sys.labels, tuple(rows))
-
-
-def _check_pi_constrained(sys: RelationalSystem, g: Groupoid) -> None:
-    by_set: dict[int, int] = {}
-    for a in range(sys.n):
-        for b in range(sys.n):
-            if sys.has(a, b):
-                continue
-            U = sys.succ[a] & sys.succ[b]
+    elems = range(sys.n)
+    if strategy.kind != "explicit":
+        rows = tuple(tuple(_pick(sys, strategy, a, b) for b in elems) for a in elems)
+        return Groupoid(sys.labels, rows)
+    g = Groupoid(sys.labels, strategy.table)
+    if not verify_b_of_s(sys, g):
+        raise StructureError("explicit table violates the B(S) condition")
+    if strategy.pi_constrained:
+        by_set: dict[int, int] = {}
+        for a, b in itertools.product(elems, elems):
             v = g.table[a][b]
-            if not pseudo_joins(sys, a, b, MINIMAL) >> v & 1:
+            if not _allowed(sys, a, b, True) >> v & 1:
                 raise StructureError(
                     f"product {g.labels[a]}.{g.labels[b]} is not a pseudo join"
                 )
-            if by_set.setdefault(U, v) != v:
-                raise StructureError(
-                    "choice does not factor through the upper-bound set"
-                )
+            if not sys.has(a, b) and by_set.setdefault(sys.succ[a] & sys.succ[b], v) != v:
+                raise StructureError("choice does not factor through the upper-bound set")
+    return g
 
 
 def verify_b_of_s(sys: RelationalSystem, g: Groupoid) -> bool:
     """Does every cell obey the B(S) condition for this system?"""
     if g.labels != sys.labels:
         raise StructureError("groupoid and system universes differ")
-    for a in range(sys.n):
-        for b in range(sys.n):
-            v = g.table[a][b]
-            if sys.has(a, b):
-                if v != b:
-                    return False
-            elif not (sys.succ[a] & sys.succ[b]) >> v & 1:
-                return False
-    return True
+    return all(
+        _allowed(sys, a, b, False) >> g.table[a][b] & 1
+        for a in range(sys.n)
+        for b in range(sys.n)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ import jsonschema
 import pytest
 
 import dirough
-from conftest import mix
+from conftest import mix, rand_updirected
 from dirough.cli import run
-from dirough.grpd import dump_cayley, parse_cayley
+from dirough.grpd import ChoiceStrategy, build_updir_groupoid, dump_cayley, parse_cayley
 from dirough.fixtures import section6_groupoid, section6_system
 from dirough.relsys import dump_relation, exhaustive_cap
 
@@ -299,6 +299,21 @@ class TestCluster:
         code, scored, err = cli_json(capsys, "cluster", "score", str(clusters), *args)
         assert code == 0, err
         assert len(scored["rows"]) == 3 * len(data["selected"]["clusters"])
+
+    @pytest.mark.parametrize("sub", ["validate", "score"])
+    def test_cud_file_needs_updirected_relation(self, capsys, tmp_path, sub):
+        data = tmp_path / "d.csv"
+        data.write_text("id,b\nr1,1\nr2,2\nr3,3\n")
+        code, out, _ = cli(capsys, "cluster", "run", "--data", str(data), "--eps", "5", "--json")
+        assert code == 0
+        clusters = tmp_path / "f.json"
+        clusters.write_text(out)
+        args = ("cluster", sub, str(clusters), "--data", str(data))
+        assert cli(capsys, *args, "--eps", "5")[0] == 0
+        # at eps 0.5 only the reflexive pairs remain
+        code, out, err = cli(capsys, *args, "--eps", "0.5")
+        assert code == 1 and out == ""
+        assert err == f"error: {clusters}: induced relation is not up-directed\n"
 
     def test_run_requires_fallback_here(self, capsys, blob_csv):
         code, _, err = cli(capsys, "cluster", "run", "--data", blob_csv, "--eps", "2")
@@ -660,6 +675,30 @@ class TestMalformedInput:
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
         assert fragment in lines[0]
+
+
+class TestExplicitPiTable:
+    """A B(S) table that breaks a pi condition fails `groupoid build --pi`."""
+
+    @pytest.mark.parametrize("strat,fragment", [
+        (ChoiceStrategy.max_index(), "product v2.v2 is not a pseudo join"),
+        (ChoiceStrategy.seeded(1), "choice does not factor through the upper-bound set"),
+    ])
+    def test_one_error_line(self, tmp_path, strat, fragment):
+        sys_ = rand_updirected(0, 5)
+        rel, table = tmp_path / "r.rel", tmp_path / "t.csv"
+        rel.write_text(dump_relation(sys_))
+        table.write_text(dump_cayley(build_updir_groupoid(sys_, strat)))
+        argv = ["groupoid", "build", "--rel", str(rel), "--strategy", f"table:{table}"]
+        out = subprocess.run(
+            [sys.executable, "-m", "dirough", *argv, "--pi"], capture_output=True, text=True
+        )
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.splitlines() == [f"error: {fragment}"]
+        out = subprocess.run(
+            [sys.executable, "-m", "dirough", *argv], capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
 
 
 class TestEntryPoints:

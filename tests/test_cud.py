@@ -113,6 +113,19 @@ class TestEthClosure:
         with pytest.raises(NotUpDirectedError):
             eth_closure(sys, 0b11)
 
+    def test_needs_updirected_system(self):
+        # {x} is CUD here, yet the system is not up-directed, as approx_cud
+        # already refuses
+        sys = build_relation(["x", "y"], [("x", "x"), ("y", "y")])
+        for op in (
+            lambda: eth_closure(sys, 0b01),
+            lambda: cudas_op(sys, 0b01, 0b01, "oplus"),
+            lambda: cudas_op(sys, 0b11, 0b01, "odot"),
+            lambda: approx_cud(sys, 0b01, "l"),
+        ):
+            with pytest.raises(NotUpDirectedError, match="need"):
+                op()
+
 
 class TestCudas:
     def test_oplus_example(self, F):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 
 import pytest
@@ -138,6 +139,54 @@ class TestBuild:
             ChoiceStrategy("seeded_random")
         with pytest.raises(LawError):
             ChoiceStrategy("other")
+
+
+# sha256 over dump_cayley of every table one strategy builds for
+# rand_updirected(seed, n), seeds 0-39 and n = 2-7 in that order, recorded
+# from an implementation that wrote the B(S) cell rule out in each loop
+BS_TABLE_PINS = {
+    ("min", False): "4f65ce762ea7fece63da6a06ac60381151dd31e562d72f03ddca0da227fcb3d8",
+    ("min", True): "92b904cfd7dc7fcd17e323e9d21098ab3ae6e6665197e1eec4c0ed70e41d8fdd",
+    ("max", False): "a9830e872d33aea1ad41143f487bfb50cb7743ca994285e92e9af3fa0128385f",
+    ("max", True): "3af9dc2eea099d77f8491ba388d5156b44c3bed49c9bb20848541e6fbe8f31db",
+    ("seeded", False): "8e54c0b21493fad0ff46dc336e9b4e9e6a1cdc31822daa7a069544c696c952a4",
+    ("seeded", True): "cca9b8eefe6a9bbf0984eb6c4feeb819ecc3bd050c7e0b21477ca9c8ce5274a8",
+}
+
+
+def pinned_strategy(kind, seed, pi):
+    if kind == "seeded":
+        return ChoiceStrategy.seeded(seed, pi_constrained=pi)
+    return getattr(ChoiceStrategy, f"{kind}_index")(pi_constrained=pi)
+
+
+class TestBSPins:
+    @pytest.mark.parametrize("kind,pi", sorted(BS_TABLE_PINS))
+    def test_tables_pinned(self, kind, pi):
+        h = hashlib.sha256()
+        for seed in range(40):
+            for n in range(2, 8):
+                g = build_updir_groupoid(rand_updirected(seed, n), pinned_strategy(kind, seed, pi))
+                h.update(dump_cayley(g).encode())
+        assert h.hexdigest() == BS_TABLE_PINS[kind, pi]
+
+    @pytest.mark.parametrize("strat,message", [
+        (ChoiceStrategy.max_index(), "product v2.v2 is not a pseudo join"),
+        (ChoiceStrategy.seeded(1), "choice does not factor through the upper-bound set"),
+    ])
+    def test_explicit_pi_errors(self, strat, message):
+        sys = rand_updirected(0, 5)
+        table = build_updir_groupoid(sys, strat).table
+        # a B(S) member, so only the pi conditions can reject it
+        assert build_updir_groupoid(sys, ChoiceStrategy.explicit(table)).table == table
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            build_updir_groupoid(sys, ChoiceStrategy.explicit(table, pi_constrained=True))
+        # breaking a forced cell as well: the B(S) verdict comes first
+        a, b = next((a, b) for a in range(sys.n) for b in range(sys.n) if sys.has(a, b))
+        bad = [list(row) for row in table]
+        bad[a][b] = (b + 1) % sys.n
+        with pytest.raises(StructureError, match=r"^explicit table violates the B\(S\)"):
+            build_updir_groupoid(sys, ChoiceStrategy.explicit(bad, pi_constrained=True))
 
 
 class TestRoundTrip:
