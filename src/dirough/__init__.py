@@ -7,8 +7,8 @@ universe's label order; every public constructor accepts labels and every
 report converts back to labels.
 
 Public names load on first access (PEP 562), so ``python -m dirough <cmd>``
-imports only the modules that ``<cmd>`` runs; numpy loads with the first
-array.
+imports only the modules that ``<cmd>`` runs; numpy loads only with the
+cluster pipeline.
 """
 
 import sys as _sys
@@ -91,7 +91,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "E_CONSEQUENCES",
         "ChoiceStrategy",
         "Groupoid",
-        "PseudoJoinMode",
         "build_order_groupoid",
         "build_updir_groupoid",
         "check_laws",

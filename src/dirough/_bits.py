@@ -7,9 +7,13 @@ single AND, which is what the exhaustive suites lean on.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 MASK64 = (1 << 64) - 1
+
+# A sweep holds 2^16 subsets at a time, whatever the universe size.
+_SWEEP_BITS = 16
+_BYTE_BITS = tuple(tuple(j for j in range(8) if v >> j & 1) for v in range(256))
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -40,14 +44,31 @@ def lex_key(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
-def subsets_of(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+def sweep_subsets(n: int, keep: Callable[[list[int], int], int]) -> tuple[int, ...]:
+    """Every subset of an n-element universe that keep admits, smallest
+    first, then by id tuple, found by one bit-sliced test per block of at
+    most 2^16 subsets. Bit i of a block stands for the subset base + i;
+    M[e] sets bit i when element e is in that subset, and keep(M, full)
+    sets the bits of the admitted subsets. A block holds n slices of at
+    most 8 KiB each."""
+    width = min(n, _SWEEP_BITS)
+    size = 1 << width
+    full = (1 << size) - 1
+    # the slice of element width - 1 is the block's upper half, and each
+    # lower one is the one above XOR itself shifted down by half its period
+    low = [full ^ full >> (size >> 1)] if width else []
+    for e in range(width - 2, -1, -1):
+        low.insert(0, low[0] ^ low[0] >> (1 << e))
+    members: list[int] = []
+    for base in range(0, 1 << n, size):
+        # a high element is in all of a block's subsets or in none
+        M = low + [full if base >> e & 1 else 0 for e in range(width, n)]
+        kept = keep(M, full).to_bytes(max(size >> 3, 1), "little")
+        members += (base + 8 * i + j for i, v in enumerate(kept) if v for j in _BYTE_BITS[v])
+    # Among sets of one size, the id tuples compare as the masks with their
+    # n bits reversed do, in descending order; the key ranks size first.
+    members.sort(key=lambda m: (m.bit_count() << n) - int(f"{m:0{n}b}"[::-1], 2))
+    return tuple(members)
 
 
 def splitmix64(x: int) -> int:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Iterable, Iterator
 
-from ._bits import is_subset, mix, subsets_of
+from ._bits import is_subset, mix
 from .errors import LawError, StructureError
 from .grpd import Groupoid, generate, is_closed, subgroupoids
 from .piappr import pg_tuple
@@ -77,7 +77,7 @@ def acp_carrier(g: Groupoid, mode: str = "formal") -> tuple[AcpElement, ...]:
     if mode == "formal":
         return tuple(AcpElement(X, Y) for X in fam for Y in fam if is_subset(X, Y))
     require_cap(g.n, "realized carrier enumeration")
-    pairs = {pg_tuple(g, A).acpg() for A in subsets_of(g.full_mask)}
+    pairs = {pg_tuple(g, A).acpg() for A in range(g.full_mask + 1)}
     rank = {m: i for i, m in enumerate(fam.members)}
     order = sorted(pairs, key=lambda p: (rank[p[0]], rank[p[1]]))
     return tuple(AcpElement(X, Y) for X, Y in order)

@@ -575,7 +575,7 @@ def _assignments(
     if claim.domain == "cud":
         subsets = cud_family(inst.sys).members
     else:
-        # every subset, from the full set down, as subsets_of(full_mask) yields them
+        # every subset, from the full set down
         subsets = range(holder.full_mask, -1, -1)
     domains = [subsets if v[0].isupper() else range(holder.n) for v in claim.vars]
     if math.prod(len(d) for d in domains) <= limit:

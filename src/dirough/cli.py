@@ -44,7 +44,7 @@ from .relsys import (
 )
 
 # audit and cluster are imported by the handlers that run them, so the
-# other commands start without them (and without numpy)
+# other commands start without them (and cluster's numpy)
 if TYPE_CHECKING:
     from . import cluster as cluster_mod
 

@@ -16,9 +16,10 @@ import io
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Literal
+from operator import getitem
+from typing import Iterable
 
-from ._bits import bits, lex_key, mix, popcount, subsets_of
+from ._bits import bits, mask_of, mix, sweep_subsets
 from .errors import (
     InputFormatError,
     LawError,
@@ -34,15 +35,6 @@ from .relsys import (
     read_parsed,
     require_cap,
 )
-
-# numpy is imported where an array is built, so commands that build
-# none start without it
-if TYPE_CHECKING:
-    import numpy as np
-
-PseudoJoinMode = Literal["minimal", "literal"]
-MINIMAL: PseudoJoinMode = "minimal"
-LITERAL: PseudoJoinMode = "literal"
 
 
 @dataclass(frozen=True)
@@ -65,30 +57,24 @@ class Groupoid(Universe):
         return self.table[a][b]
 
     @cached_property
-    def array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.table, dtype=np.intp)
-
-    @cached_property
     def subgroupoids(self) -> GranuleFamily:
         """Every product-closed subset, smallest first; enumerated once per
-        groupoid, under the exhaustive cap."""
+        groupoid, under the exhaustive cap. One bit-sliced sweep: a subset
+        fails when it holds a and b but not a.b, three operations on 2^n-bit
+        words per cell, O(n^2 * 2^n / 64) words in all, in blocks of 8 KiB
+        slices (``_bits.sweep_subsets``)."""
         require_cap(self.n, "subgroupoid enumeration")
-        # Seed with the empty set and grow each found carrier by one
-        # generator; every closed set is reachable this way because closures
-        # of subsets of a closed set stay inside it.
-        found = {0}
-        frontier = [0]
-        while frontier:
-            H = frontier.pop()
-            for x in bits(self.full_mask & ~H):
-                K = generate(self, H | (1 << x))
-                if K not in found:
-                    found.add(K)
-                    frontier.append(K)
-        members = tuple(sorted(found, key=lambda m: (popcount(m), lex_key(m))))
-        return GranuleFamily(members, self.n)
+        n, table = self.n, self.table
+
+        def closed(M: list[int], full: int) -> int:
+            ok = full
+            for a in range(n):
+                Ma, row = M[a], table[a]
+                for b in range(n):
+                    ok &= ~(Ma & M[b] & ~M[row[b]])
+            return ok
+
+        return GranuleFamily(sweep_subsets(n, closed), n)
 
 
 @dataclass(frozen=True)
@@ -141,16 +127,10 @@ class ChoiceStrategy:
 # Pseudo joins
 
 
-def pseudo_joins(
-    sys: RelationalSystem, a: int, b: int, mode: PseudoJoinMode = MINIMAL
-) -> int:
-    """Candidate join values for the pair (a, b).
-
-    minimal: the elements of U_R(a,b) with nothing strictly below them in
-    the reflexive-transitive preorder of R. literal: the lexicographically
-    least maximum-cardinality subset M of U_R(a,b) such that every pair
-    inside M has a common successor outside M but inside U_R(a,b).
-    """
+def pseudo_joins(sys: RelationalSystem, a: int, b: int) -> int:
+    """Candidate join values for the pair (a, b): the elements of U_R(a,b)
+    with nothing strictly below them in the reflexive-transitive preorder
+    of R."""
     sys.check_element(a)
     sys.check_element(b)
     U = sys.succ[a] & sys.succ[b]
@@ -158,37 +138,12 @@ def pseudo_joins(
         raise NotUpDirectedError(
             f"empty upper-bound set for pair ({sys.labels[a]}, {sys.labels[b]})"
         )
-    if mode == MINIMAL:
-        reach = sys.reach
-        out = 0
-        for x in bits(U):
-            minimal = True
-            for y in bits(U):
-                below = bool(reach[y] >> x & 1)
-                back = bool(reach[x] >> y & 1)
-                if below and not back:
-                    minimal = False
-                    break
-            if minimal:
-                out |= 1 << x
-        return out
-    if mode == LITERAL:
-        # largest satisfying subset, ties broken by least id tuple
-        best, best_size = 0, 0
-        for M in subsets_of(U):
-            rest = U & ~M
-            ok = all(
-                sys.succ[e] & sys.succ[f] & rest
-                for e in bits(M)
-                for f in bits(M)
-            )
-            if ok and (
-                popcount(M) > best_size
-                or (popcount(M) == best_size and lex_key(M) < lex_key(best))
-            ):
-                best, best_size = M, popcount(M)
-        return best
-    raise LawError(f"unknown pseudo-join mode {mode!r}")
+    # x is minimal unless some y in U reaches x while x does not reach y
+    reach = sys.reach
+    return mask_of(
+        x for x in bits(U)
+        if not any(reach[y] >> x & 1 and not reach[x] >> y & 1 for y in bits(U))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +164,7 @@ def _allowed(sys: RelationalSystem, a: int, b: int, pi: bool) -> int:
     if sys.has(a, b):
         return 1 << b
     if pi:
-        return pseudo_joins(sys, a, b, MINIMAL)
+        return pseudo_joins(sys, a, b)
     return sys.succ[a] & sys.succ[b]
 
 
@@ -357,20 +312,35 @@ def _parse_equation(eq: str) -> tuple[Term, Term, tuple[str, ...]]:
     return lhs, rhs, tuple(vs)
 
 
-def _eval_term(t: Term, table: np.ndarray, grids: dict[str, np.ndarray]) -> np.ndarray:
-    if isinstance(t, str):
-        return grids[t]
-    return table[_eval_term(t[0], table, grids), _eval_term(t[1], table, grids)]
-
-
-def _equation_failures(g: Groupoid, eq: str) -> tuple[tuple[str, ...], np.ndarray]:
-    import numpy as np
-
+def _first_failure(g: Groupoid, eq: str) -> dict[str, str] | None:
+    """First assignment, in C order over the variables (the first one
+    varies slowest), on which the two sides of eq differ. The last variable
+    takes every value at once: a term holding it evaluates to the tuple of
+    its values, any other term to one element id."""
     lhs, rhs, vs = _parse_equation(eq)
-    axes = np.indices((g.n,) * len(vs))
-    grids = {v: axes[i] for i, v in enumerate(vs)}
-    bad = _eval_term(lhs, g.array, grids) != _eval_term(rhs, g.array, grids)
-    return vs, np.argwhere(bad)
+    table, ids = g.table, tuple(range(g.n))
+    cols = tuple(zip(*table))
+
+    def value(t: Term, env: dict) -> int | tuple[int, ...]:
+        if isinstance(t, str):
+            return env[t]
+        x, y = value(t[0], env), value(t[1], env)
+        if isinstance(x, int):
+            return table[x][y] if isinstance(y, int) else tuple(map(table[x].__getitem__, y))
+        if isinstance(y, int):
+            return tuple(map(cols[y].__getitem__, x))
+        return tuple(map(getitem, map(table.__getitem__, x), y))
+
+    for head in itertools.product(ids, repeat=len(vs) - 1):
+        env = dict(zip(vs, head))
+        env[vs[-1]] = ids
+        left, right = (
+            v if isinstance(v, tuple) else (v,) * g.n for v in (value(lhs, env), value(rhs, env))
+        )
+        if left != right:
+            j = next(j for j in ids if left[j] != right[j])
+            return {**{v: g.labels[i] for v, i in zip(vs, head + (j,))}, "equation": eq}
+    return None
 
 
 def _cancellation_holds(g: Groupoid, e: int) -> bool:
@@ -397,12 +367,8 @@ def law_violation(g: Groupoid, law: str) -> dict[str, str] | None:
     if law not in _EQUATIONAL_LAWS:
         raise LawError(f"unknown law id {law!r}")
     for eq in _EQUATIONAL_LAWS[law]:
-        vs, failures = _equation_failures(g, eq)
-        if len(failures):
-            first = failures[0]
-            out = {v: g.labels[int(first[i])] for i, v in enumerate(vs)}
-            out["equation"] = eq
-            return out
+        if (witness := _first_failure(g, eq)) is not None:
+            return witness
     return None
 
 

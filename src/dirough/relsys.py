@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from ._bits import bits, is_subset, lex_key, mask_of, popcount, subsets_of
+from ._bits import bits, is_subset, mask_of, sweep_subsets
 from .errors import (
     CapExceededError, DiroughError, InputFormatError, LabelError, LawError, StructureError,
 )
@@ -169,11 +169,24 @@ class RelationalSystem(Universe):
     @cached_property
     def cud_family(self) -> GranuleFamily:
         """Every CUD subset of the universe, smallest first; enumerated once
-        per system, under the exhaustive cap."""
+        per system, under the exhaustive cap. One bit-sliced sweep: a subset
+        fails when it holds a pair a <= b but no common successor of it, at
+        most n + 3 operations on 2^n-bit words per pair, O(n^3 * 2^n / 64)
+        words in all, in blocks of 8 KiB slices (``_bits.sweep_subsets``)."""
         require_cap(self.n, "CUD family enumeration")
-        members = [A for A in subsets_of(self.full_mask) if is_cud(self, A)]
-        members.sort(key=lambda m: (popcount(m), lex_key(m)))
-        return GranuleFamily(tuple(members), self.n)
+        n, succ = self.n, self.succ
+
+        def cud(M: list[int], full: int) -> int:
+            ok = full
+            for a in range(n):
+                for b in range(a, n):
+                    meets = 0
+                    for e in bits(succ[a] & succ[b]):
+                        meets |= M[e]
+                    ok &= ~(M[a] & M[b] & ~meets)
+            return ok
+
+        return GranuleFamily(sweep_subsets(n, cud), n)
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i in range(self.n) for j in bits(self.succ[i]))

@@ -58,6 +58,16 @@ def sample_masks(seed: int, n: int, count: int):
     return [mix(seed, k) % total for k in range(count)]
 
 
+def every_relation(n: int):
+    """Every relation on n elements, in the order of its pair code."""
+    cells = list(itertools.product(range(n), repeat=2))
+    for code in range(1 << n * n):
+        yield from_id_pairs(
+            tuple(f"e{i}" for i in range(n)),
+            [ab for k, ab in enumerate(cells) if code >> k & 1],
+        )
+
+
 def label_pairs(sys: RelationalSystem):
     return [
         (sys.labels[a], sys.labels[b])

@@ -1,8 +1,9 @@
 """Naive reference implementations used to cross-check the library.
 
-Everything here works on frozensets of labels and dict-of-set relations,
-deliberately sharing no code (and no bitmask tricks) with the package.
-Slow is fine; these run on small instances only.
+Most of them work on frozensets of labels and dict-of-set relations; the
+per-subset scans take id masks, and the numpy references arrays. None
+shares code with the package. Slow is fine; they run on small instances,
+or one subset at a time.
 """
 
 from __future__ import annotations
@@ -121,6 +122,28 @@ def closed_sets(labels, table):
     out = []
     for A in powerset(labels):
         if all(table[(a, b)] in A for a in A for b in A):
+            out.append(A)
+    return out
+
+
+def cud_masks(succ):
+    """Every CUD subset as a mask, in increasing order, testing the 2^n
+    subsets one at a time; succ[a] is the mask of a's successors."""
+    out = []
+    for A in range(1 << len(succ)):
+        elems = [a for a in range(len(succ)) if A >> a & 1]
+        if all(succ[a] & succ[b] & A for i, a in enumerate(elems) for b in elems[i:]):
+            out.append(A)
+    return out
+
+
+def closed_masks(table):
+    """Every product-closed subset as a mask, in increasing order, testing
+    the 2^n subsets one at a time; table[a][b] is the id of a.b."""
+    out = []
+    for A in range(1 << len(table)):
+        elems = [a for a in range(len(table)) if A >> a & 1]
+        if all(A >> table[a][b] & 1 for a in elems for b in elems):
             out.append(A)
     return out
 
@@ -320,6 +343,37 @@ def numpy_component_score(rows, metric):
     if metric == "nasd":
         return float(2 * var.sum() / len(var))
     return tuple(float(v) for v in var)
+
+
+def numpy_first_failure(table, lhs, rhs, variables):
+    """The first assignment of ids to variables, in C order (the first
+    variable varies slowest), on which the terms lhs and rhs differ over
+    the Cayley table; None when they agree everywhere. A term is a variable
+    name or a (left, right) product. Both sides are evaluated over the
+    whole assignment grid and np.argwhere picks the failure."""
+    import numpy as np  # only this oracle and numpy_component_score need it
+
+    T = np.asarray(table, dtype=np.intp)
+    grids = dict(zip(variables, np.indices((len(table),) * len(variables))))
+
+    def value(t):
+        return grids[t] if isinstance(t, str) else T[value(t[0]), value(t[1])]
+
+    bad = np.argwhere(value(lhs) != value(rhs))
+    return tuple(int(i) for i in bad[0]) if len(bad) else None
+
+
+def cancellation_failure(table):
+    """The first e for which row e is injective while column e is not
+    constantly e, or the other way round; None when there is none."""
+    n = len(table)
+    for e in range(n):
+        injective = all(
+            table[e][x] != table[e][y] for x in range(n) for y in range(n) if x != y
+        )
+        if injective != all(table[x][e] == e for x in range(n)):
+            return e
+    return None
 
 
 def greedy_clusters(universe, candidates):

@@ -263,7 +263,7 @@ def test_criterion_7_lattice_pseudo_join():
         sys, elems, idx = rand_lattice(seed)
         for i in range(sys.n):
             for j in range(sys.n):
-                pj = pseudo_joins(sys, i, j, "minimal")
+                pj = pseudo_joins(sys, i, j)
                 want = 1 << idx[elems[i] | elems[j]]
                 if pj != want:
                     bad.append((seed, i, j))

@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from conftest import label_pairs, rand_system, rand_updirected, sample_masks
+from conftest import every_relation, label_pairs, rand_system, rand_updirected, sample_masks
 
 from dirough.cud import (
     RoughTuple,
@@ -64,10 +64,12 @@ class TestFamily:
         assert members[0] == 0 and members[-1] == F.full_mask
 
     def test_matches_oracle(self):
-        for seed in range(20):
-            sys = rand_system(seed, 5)
-            got = {frozenset(sys.set_labels(m)) for m in cud_family(sys).members}
-            assert got == set(oracles.cud_family(list(sys.labels), label_pairs(sys)))
+        # every relation with n <= 3 (512 at n = 3), then seeded ones
+        systems = [sys for n in range(4) for sys in every_relation(n)]
+        systems += [rand_system(seed, 5) for seed in range(20)]
+        for sys in systems:
+            got = [frozenset(sys.set_labels(m)) for m in cud_family(sys).members]
+            assert got == oracles.cud_family(list(sys.labels), label_pairs(sys)), sys.succ
 
     def test_cap(self, monkeypatch):
         labs = [f"x{i}" for i in range(20)]

@@ -1,12 +1,16 @@
 import gc
 import hashlib
+import itertools
 import weakref
 
 import pytest
 
 import oracles
-from conftest import label_pairs, rand_equivalence, rand_system, rand_updirected
+from conftest import (
+    every_relation, label_pairs, rand_equivalence, rand_system, rand_updirected,
+)
 
+from dirough._bits import mix
 from dirough.cud import cud_family
 from dirough.errors import (
     InputFormatError,
@@ -33,7 +37,8 @@ from dirough.grpd import (
     subgroupoids,
     verify_b_of_s,
 )
-from dirough.relsys import build_relation, classify
+from dirough.grpd import _EQUATIONAL_LAWS, _parse_equation
+from dirough.relsys import build_relation, classify, from_id_pairs, is_up_directed
 
 
 @pytest.fixture(scope="module")
@@ -51,24 +56,40 @@ def total_system(n):
     return build_relation(labs, [(x, y) for x in labs for y in labs])
 
 
+def every_table(n):
+    """Every Cayley table on n elements."""
+    labels = tuple(f"g{i}" for i in range(n))
+    for cells in itertools.product(range(n), repeat=n * n):
+        yield Groupoid(labels, tuple(cells[a * n:(a + 1) * n] for a in range(n)))
+
+
+def seeded_table(seed, n):
+    labels = tuple(f"g{i}" for i in range(n))
+    return Groupoid(labels, tuple(
+        tuple(mix(seed, a, b) % n for b in range(n)) for a in range(n)
+    ))
+
+
+def chain_groupoid(n):
+    labels = tuple(f"c{i}" for i in range(n))
+    return build_order_groupoid(
+        from_id_pairs(labels, [(i, j) for i in range(n) for j in range(i, n)])
+    )
+
+
+def size_then_ids(m):
+    return (bin(m).count("1"), [i for i in range(m.bit_length()) if m >> i & 1])
+
+
 class TestPseudoJoins:
     def test_fixture_pair(self, F):
         pj = pseudo_joins(F, F.id("a"), F.id("b"))
         assert F.set_labels(pj) == ("c", "f")
 
-    def test_literal_mode(self, F):
-        # c and f have no common successor outside {c, f}, so singletons win
-        pj = pseudo_joins(F, F.id("a"), F.id("b"), "literal")
-        assert F.set_labels(pj) == ("c",)
-
     def test_empty_bounds_raise(self):
         sys = build_relation(["x", "y"], [("x", "x"), ("y", "y")])
         with pytest.raises(NotUpDirectedError):
             pseudo_joins(sys, 0, 1)
-
-    def test_unknown_mode(self, F):
-        with pytest.raises(LawError):
-            pseudo_joins(F, 0, 1, "other")
 
     def test_minimal_matches_oracle(self):
         for seed in range(30):
@@ -86,7 +107,6 @@ class TestPseudoJoins:
                 for b in range(sys.n):
                     U = sys.succ[a] & sys.succ[b]
                     assert pseudo_joins(sys, a, b) & ~U == 0
-                    assert pseudo_joins(sys, a, b, "literal") & ~U == 0
 
 
 class TestBuild:
@@ -255,6 +275,59 @@ class TestEquationalLaws:
         assert law_violation(g, "EC14") == {"e": "p"}
 
 
+class TestLawsAgainstNumpy:
+    """law_violation against the whole-grid numpy evaluator: the same
+    witness, or None, for every law."""
+
+    @staticmethod
+    def reference(g, law):
+        if law == "EC14":
+            e = oracles.cancellation_failure(g.table)
+            return None if e is None else {"e": g.labels[e]}
+        for eq in _EQUATIONAL_LAWS[law]:
+            lhs, rhs, vs = _parse_equation(eq)
+            first = oracles.numpy_first_failure(g.table, lhs, rhs, vs)
+            if first is not None:
+                return {**{v: g.labels[i] for v, i in zip(vs, first)}, "equation": eq}
+        return None
+
+    def assert_agree(self, groupoids):
+        seen = set()
+        for g in groupoids:
+            if g.table in seen:
+                continue
+            seen.add(g.table)
+            for law in ALL_LAWS:
+                assert law_violation(g, law) == self.reference(g, law), (g.table, law)
+
+    def test_every_small_table(self):
+        self.assert_agree(itertools.chain(every_table(1), every_table(2)))
+
+    def test_every_updirected_relation_at_3(self):
+        systems = [sys for sys in every_relation(3) if is_up_directed(sys)]
+        assert len(systems) == 175
+        self.assert_agree(
+            build_updir_groupoid(sys, strat)
+            for code, sys in enumerate(systems)
+            for pi in (False, True)
+            for strat in (
+                ChoiceStrategy.min_index(pi),
+                ChoiceStrategy.max_index(pi),
+                ChoiceStrategy.seeded(code, pi),
+            )
+        )
+
+    def test_seeded_pi_groupoids(self):
+        self.assert_agree(
+            build_updir_groupoid(rand_updirected(n, n), ChoiceStrategy.seeded(n, True))
+            for n in range(4, 17)
+        )
+
+    def test_chain_order_groupoids(self, G):
+        self.assert_agree([chain_groupoid(n) for n in range(1, 17)] + [G])
+        assert sum(law_violation(chain_groupoid(16), law) is None for law in ALL_LAWS) == 18
+
+
 class TestCorrespondences:
     def test_reflexive_iff_idempotent(self):
         for seed in range(40):
@@ -296,17 +369,30 @@ class TestGeneration:
     def test_subgroupoids_match_oracle(self):
         cases = [(seed, 5) for seed in range(12)]
         cases += [(seed, 8) for seed in range(4)] + [(seed, 10) for seed in range(3)]
-        for seed, n in cases:
-            sys = rand_updirected(seed, n)
-            g = build_updir_groupoid(sys, ChoiceStrategy.seeded(seed))
+        groupoids = [
+            build_updir_groupoid(rand_updirected(seed, n), ChoiceStrategy.seeded(seed))
+            for seed, n in cases
+        ]
+        groupoids += [g for n in range(3) for g in every_table(n)]
+        groupoids += [seeded_table(seed, n) for n in range(3, 9) for seed in range(4)]
+        for g in groupoids:
             uni = list(g.labels)
             table = {
                 (uni[a], uni[b]): uni[g.table[a][b]]
                 for a in range(g.n)
                 for b in range(g.n)
             }
-            got = {frozenset(g.set_labels(m)) for m in subgroupoids(g).members}
-            assert got == set(oracles.closed_sets(uni, table))
+            got = [frozenset(g.set_labels(m)) for m in subgroupoids(g).members]
+            assert got == oracles.closed_sets(uni, table), g.table
+
+    @pytest.mark.parametrize("n", range(12, 18))
+    def test_families_match_per_subset_scan(self, n, monkeypatch):
+        # n = 17 sweeps the subsets in two blocks
+        monkeypatch.setenv("DIROUGH_CAP", str(n))
+        sys = rand_updirected(n, n)
+        g = build_updir_groupoid(sys, ChoiceStrategy.seeded(n, pi_constrained=True))
+        assert list(cud_family(sys).members) == sorted(oracles.cud_masks(sys.succ), key=size_then_ids)
+        assert list(subgroupoids(g).members) == sorted(oracles.closed_masks(g.table), key=size_then_ids)
 
     def test_family_sorted_by_size_then_lex(self, G):
         fam = subgroupoids(G)

@@ -16,7 +16,7 @@ PUBLIC = [
     "DeviationReport", "DiroughError", "ERRATA", "E_CONSEQUENCES", "GranuleFamily",
     "Groupoid", "InformationTable", "InputFormatError", "LabelError",
     "LawAuditReport", "LawError", "LawVerdict", "NotUpDirectedError", "PgTuple",
-    "PseudoJoinMode", "REGION_KINDS", "RelationalSystem", "RoughCluster",
+    "REGION_KINDS", "RelationalSystem", "RoughCluster",
     "RoughTuple", "ScoreTable", "SpaceProfile", "StructureError", "ValidityReport",
     "acp", "acp_carrier", "acp_coprod", "acp_leq", "acp_neg", "acp_op",
     "approx_basic", "approx_cud", "approx_pi", "audit", "audit_acp_laws",
@@ -40,7 +40,7 @@ PUBLIC = [
 
 
 def test_public_names_fixed():
-    assert len(PUBLIC) == 113
+    assert len(PUBLIC) == 112
     assert sorted(dirough.__all__) == PUBLIC
     assert set(PUBLIC) <= set(dir(dirough))
 
