@@ -31,10 +31,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 

@@ -33,7 +33,6 @@ from .grpd import (
 from .piappr import approx_pi
 from .regions import REGION_KINDS, region_table
 from .relsys import (
-    _CAP_OVERRIDE,
     RelationalSystem,
     basic_bounds,
     classify,
@@ -438,11 +437,8 @@ def _cmd_audit(args) -> int:
 # Parser
 
 
-def _add_common(p, *, cap=True, seed=False):
+def _add_common(p, *, seed=False):
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    if cap:
-        p.add_argument("--cap", type=int, default=None,
-                       help="exhaustive enumeration cap (default 16 or DIROUGH_CAP)")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
@@ -470,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = p.add_subparsers(dest="sub", required=True)
     rc = rsub.add_parser("check", help="classify relation properties", parents=[rel])
     rc.add_argument("path", nargs="?", default=None, help="relation file")
-    _add_common(rc, cap=False)
+    _add_common(rc)
     rc.set_defaults(fn=_cmd_relation)
 
     p = sub.add_parser("approx", help="approximate a subset", parents=[groupoid])
@@ -489,11 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("groupoid", help="build a groupoid or check laws")
     gsub = p.add_subparsers(dest="sub", required=True)
     gb = gsub.add_parser("build", help="build from a relation", parents=[build])
-    _add_common(gb, cap=False)
+    _add_common(gb)
     gb.set_defaults(fn=_cmd_groupoid_build)
     gl = gsub.add_parser("laws", help="evaluate equational laws", parents=[groupoid])
     gl.add_argument("--laws", default=None, help="comma-separated law ids (default all)")
-    _add_common(gl, cap=False)
+    _add_common(gl)
     gl.set_defaults(fn=_cmd_groupoid_laws)
 
     p = sub.add_parser("acp", help="pair-algebra operations")
@@ -558,17 +554,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # --cap holds for this command only; without it DIROUGH_CAP applies
-    token = _CAP_OVERRIDE.set(getattr(args, "cap", None))
     try:
-        if hasattr(args, "cap"):
-            exhaustive_cap()
+        # a malformed DIROUGH_CAP is an error even where nothing is enumerated
+        exhaustive_cap()
         return args.fn(args)
     except DiroughError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
-    finally:
-        _CAP_OVERRIDE.reset(token)
 
 
 def main() -> None:

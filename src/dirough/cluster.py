@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._bits import bits, is_subset, lex_key, mask_of, popcount
+from ._bits import bits, is_subset, lex_key, mask_of
 from .cud import RoughTuple, cud_family, cud_tuple
 from .errors import InputFormatError, LawError, NotUpDirectedError, StructureError
 from .grpd import Groupoid, subgroupoids
@@ -304,7 +304,7 @@ def _seed_candidates(
     else:
         raise LawError(f"unknown seed kind {seeds!r}")
     cands.discard(0)
-    return sorted(cands, key=lambda m: (popcount(m), lex_key(m)))
+    return sorted(cands, key=lambda m: (m.bit_count(), lex_key(m)))
 
 
 def propose_clusters(
@@ -368,7 +368,7 @@ def propose_clusters(
         clusters.append(RoughCluster(A, t))
 
     clusters.sort(
-        key=lambda c: (-popcount(c.approx.lower), lex_key(c.approx.lower), lex_key(c.support))
+        key=lambda c: (-c.approx.lower.bit_count(), lex_key(c.approx.lower), lex_key(c.support))
     )
     chosen: list[RoughCluster] = []
     covered = 0

@@ -263,53 +263,23 @@ ALL_LAWS = tuple(_EQUATIONAL_LAWS) + ("EC14",)
 Term = str | tuple  # a variable name or a (left, right) product
 
 
-def _parse_term(s: str) -> Term:
-    pos = 0
-
-    def primary() -> Term:
-        nonlocal pos
-        ch = s[pos]
-        if ch == "(":
-            pos += 1
-            t = expr()
-            if pos >= len(s) or s[pos] != ")":
-                raise LawError(f"unbalanced parentheses in law term {s!r}")
-            pos += 1
-            return t
-        if ch.isalpha():
-            pos += 1
-            return ch
-        raise LawError(f"bad character {ch!r} in law term {s!r}")
-
-    def expr() -> Term:
-        nonlocal pos
-        t = primary()
-        while pos < len(s) and s[pos] != ")":
-            t = (t, primary())
-        return t
-
-    out = expr()
-    if pos != len(s):
-        raise LawError(f"trailing input in law term {s!r}")
-    return out
-
-
-def _term_vars(t: Term, acc: list[str]) -> None:
-    if isinstance(t, str):
-        if t not in acc:
-            acc.append(t)
-    else:
-        _term_vars(t[0], acc)
-        _term_vars(t[1], acc)
-
-
 def _parse_equation(eq: str) -> tuple[Term, Term, tuple[str, ...]]:
-    lhs_s, rhs_s = (side.replace(" ", "") for side in eq.split("="))
-    lhs, rhs = _parse_term(lhs_s), _parse_term(rhs_s)
-    vs: list[str] = []
-    _term_vars(lhs, vs)
-    _term_vars(rhs, vs)
-    return lhs, rhs, tuple(vs)
+    """The two sides of a law as terms, and its variables in order of first
+    appearance. Each side is a left fold over its characters: a letter joins
+    the open factor's product, "(" opens a factor and ")" closes it into the
+    product before it."""
+    sides = []
+    for side in eq.replace(" ", "").split("="):
+        factors: list[Term | None] = [None]
+        for ch in side:
+            if ch == "(":
+                factors.append(None)
+            else:
+                t = factors.pop() if ch == ")" else ch
+                factors[-1] = t if factors[-1] is None else (factors[-1], t)
+        sides.append(factors[0])
+    lhs, rhs = sides
+    return lhs, rhs, tuple(dict.fromkeys(filter(str.isalpha, eq)))
 
 
 def _first_failure(g: Groupoid, eq: str) -> dict[str, str] | None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -32,24 +31,20 @@ T = TypeVar("T")
 
 DEFAULT_CAP = 16
 _CAP_ENV = "DIROUGH_CAP"
-# The CLI's --cap for the command being run; None defers to DIROUGH_CAP.
-_CAP_OVERRIDE: ContextVar[int | None] = ContextVar("dirough_cap_override", default=None)
 
 
 def exhaustive_cap() -> int:
     """Current cap on universe size for 2^n enumerations.
 
-    Resolution order: the CLI's --cap for the command being run, then the
-    DIROUGH_CAP environment variable, then the default of 16. A negative
-    cap is an input error.
+    The DIROUGH_CAP environment variable, or the default of 16 when it is
+    unset. A cap that is not a non-negative integer is an input error.
     """
-    if (cap := _CAP_OVERRIDE.get()) is None:
-        if (env := os.environ.get(_CAP_ENV)) is None:
-            return DEFAULT_CAP
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InputFormatError(f"{_CAP_ENV} must be an integer, got {env!r}")
+    if (env := os.environ.get(_CAP_ENV)) is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise InputFormatError(f"{_CAP_ENV} must be an integer, got {env!r}")
     if cap < 0:
         raise InputFormatError(f"the exhaustive cap must be non-negative, got {cap}")
     return cap
@@ -60,7 +55,7 @@ def require_cap(n: int, what: str) -> None:
     if n > limit:
         raise CapExceededError(
             f"universe size {n} exceeds the exhaustive cap {limit} for {what}; "
-            f"raise it via the cap option or {_CAP_ENV}"
+            f"raise it via {_CAP_ENV}"
         )
 
 

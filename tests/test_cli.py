@@ -82,6 +82,20 @@ def cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def one_error_line(argv, d, env=None):
+    """Run dirough in a fresh process, argv's {d} standing for directory d,
+    and check that it exits 1 with one "error:" line and no traceback."""
+    out = subprocess.run(
+        [sys.executable, "-m", "dirough", *(a.format(d=d) for a in argv)],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 1, out.stderr
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+    return out
+
+
 def cli_json(capsys, *argv):
     code, out, err = cli(capsys, *argv, "--json")
     return code, json.loads(out), err
@@ -417,23 +431,62 @@ class TestAuditCommand:
         assert code == 0 and given == cli_json(capsys, *argv)[1]
 
 
-class TestCapOption:
-    def test_cap_holds_for_one_command(self, capsys, monkeypatch):
-        monkeypatch.delenv("DIROUGH_CAP", raising=False)
-        code, _, err = cli(capsys, "granules", "cud", "--cap", "3")
-        assert code == 1 and "exceeds the exhaustive cap 3" in err
+    def test_claims_text_matches_json(self, capsys):
+        """The text report has one line per JSON result, in order, with the
+        failing ones followed by their witness, then the totals."""
+        argv = ("audit", "claims", "--random", "1")
+        code, out, _ = cli(capsys, *argv)
+        assert code == 0
+        _, data, _ = cli_json(capsys, *argv)
+        *lines, last = out.splitlines()
+        assert len(lines) == len(data["results"])
+        for line, r in zip(lines, data["results"]):
+            head = f"{r['claim']} (tier {r['tier']}) on {r['instance']}: {r['status']}"
+            assert line.startswith(head), line
+            rest = line[len(head):]
+            if r["status"] == "fail":
+                assert rest.startswith(" witness {") and rest.endswith("}"), line
+            else:
+                assert rest == "", line
+        assert last == "tier-1 failures: 0; deviations: 15"
+
+
+class TestCapEnvironment:
+    """DIROUGH_CAP is the one source of the exhaustive cap, and every command
+    checks it before it runs, whether it enumerates anything or not."""
+
+    @pytest.mark.parametrize("value,fragment", [
+        ("-1", "must be non-negative, got -1"),
+        ("many", "DIROUGH_CAP must be an integer, got 'many'"),
+    ], ids=["negative", "not-integer"])
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--kind", "nbd", "--set", "a"],
+        ["granules", "cud"],
+        ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "2", "--fallback", "basic"],
+        ["fixture", "section6"],
+        ["relation", "check"],
+    ], ids=["approx-nbd", "granules-cud", "cluster-run", "fixture-section6", "relation-check"])
+    def test_malformed_cap_is_one_error_line(self, tmp_path, argv, value, fragment):
+        (tmp_path / "blobs.csv").write_text(TWO_BLOBS_CSV)
+        out = one_error_line(argv, tmp_path, env={**os.environ, "DIROUGH_CAP": value})
+        assert out.stdout == "" and fragment in out.stderr
+
+    def test_cap_bounds_the_family(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIROUGH_CAP", "3")
+        assert exhaustive_cap() == 3
+        code, out, err = cli(capsys, "granules", "cud")
+        assert code == 1 and out == ""
+        assert "exceeds the exhaustive cap 3" in err
+        assert err.rstrip().endswith("raise it via DIROUGH_CAP")
+        monkeypatch.delenv("DIROUGH_CAP")
+        assert exhaustive_cap() == 16
         code, out, err = cli(capsys, "granules", "cud")
         assert code == 0 and out.startswith("count:") and not err
-        assert exhaustive_cap() == 16
 
-    def test_environment_still_honoured(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIROUGH_CAP", "3")
-        code, _, err = cli(capsys, "granules", "subgroupoid")
-        assert code == 1 and "exceeds the exhaustive cap 3" in err
-        # --cap takes precedence over the environment for its command
-        code, _, err = cli(capsys, "granules", "subgroupoid", "--cap", "5")
-        assert code == 0 and not err
-        assert exhaustive_cap() == 3
+    def test_no_cap_option(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run(["granules", "cud", "--cap", "3"])
+        assert e.value.code == 2
 
 
 class TestUsageErrors:
@@ -475,16 +528,6 @@ MALFORMED_INPUTS = {
         {"head.csv": b"id,b1,b2\n"},
         ["cluster", "run", "--data", "{d}/head.csv", "--eps", "1"],
         "no rows",
-    ),
-    "negative-cap": ({}, ["granules", "cud", "--cap", "-1"], "non-negative"),
-    "negative-cap-unread": (
-        {}, ["approx", "--kind", "nbd", "--set", "a", "--cap", "-1"], "non-negative"
-    ),
-    "negative-cap-cluster": (
-        {"blobs.csv": TWO_BLOBS_CSV.encode()},
-        ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "2", "--fallback", "basic",
-         "--cap", "-1"],
-        "non-negative",
     ),
     "eps-nan": (
         {"blobs.csv": TWO_BLOBS_CSV.encode()},
@@ -545,7 +588,6 @@ MALFORMED_INPUTS = {
         "width",
     ),
     "regions-unknown-label": ({}, ["regions", "--set", "a", "--set", "z"], "'z'"),
-    "fixture-negative-cap": ({}, ["fixture", "section6", "--cap", "-1"], "non-negative"),
     "audit-claims-missing-file": (
         {}, ["audit", "claims", "--rel", "{d}/missing.rel"], "missing.rel"
     ),
@@ -553,6 +595,14 @@ MALFORMED_INPUTS = {
         {"blobs.csv": TWO_BLOBS_CSV.encode()},
         ["cluster", "score", "{d}/missing.json", "--data", "{d}/blobs.csv", "--eps", "2"],
         "missing.json",
+    ),
+    # a pi clusters file needs the groupoid that only --kind pi builds
+    "cluster-pi-file-without-kind-pi": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode(),
+         "clusters.json": b'{"flavor": "pi", "clusters": [{"support": ["r0"]}]}'},
+        ["cluster", "validate", "{d}/clusters.json", "--data", "{d}/blobs.csv",
+         "--eps", "2"],
+        "pi clustering needs a groupoid",
     ),
     "cluster-without-support": (
         {"blobs.csv": TWO_BLOBS_CSV.encode(), "clusters.json": b'{"clusters": [1]}'},
@@ -666,15 +716,7 @@ class TestMalformedInput:
         files, argv, fragment = MALFORMED_INPUTS[case]
         for name, data in files.items():
             (tmp_path / name).write_bytes(data)
-        out = subprocess.run(
-            [sys.executable, "-m", "dirough", *(a.format(d=tmp_path) for a in argv)],
-            capture_output=True, text=True,
-        )
-        assert out.returncode == 1, out.stderr
-        assert "Traceback" not in out.stderr
-        lines = out.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
-        assert fragment in lines[0]
+        assert fragment in one_error_line(argv, tmp_path).stderr
 
 
 class TestExplicitPiTable:

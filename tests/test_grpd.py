@@ -1,6 +1,8 @@
+import ast
 import gc
 import hashlib
 import itertools
+import re
 import weakref
 
 import pytest
@@ -273,6 +275,32 @@ class TestEquationalLaws:
         g = Groupoid(("p", "q"), ((0, 0), (0, 1)))
         assert not check_laws(g, ("EC14",))["EC14"]
         assert law_violation(g, "EC14") == {"e": "p"}
+
+
+def _python_term(side):
+    """A law side read by Python's own parser, with juxtaposition written
+    as the left-associative *; a product becomes a (left, right) pair."""
+    def term(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        assert isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        return term(node.left), term(node.right)
+
+    return term(ast.parse(re.sub(r"(?<=[\w)])(?=[\w(])", "*", side), mode="eval").body)
+
+
+def _leaves(t):
+    return (t,) if isinstance(t, str) else _leaves(t[0]) + _leaves(t[1])
+
+
+@pytest.mark.parametrize("eq", [eq for eqs in _EQUATIONAL_LAWS.values() for eq in eqs])
+def test_law_parser_agrees_with_python(eq):
+    """The parsed sides nest as Python nests the same products, and the
+    variables come in order of first appearance."""
+    lhs, rhs, vs = _parse_equation(eq)
+    want = tuple(_python_term(side.replace(" ", "")) for side in eq.split("="))
+    assert (lhs, rhs) == want
+    assert vs == tuple(dict.fromkeys(_leaves(want[0]) + _leaves(want[1])))
 
 
 class TestLawsAgainstNumpy:

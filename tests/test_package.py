@@ -233,3 +233,40 @@ def test_every_definition_is_exported_or_used():
             if counts.get(name, 0) == own and (stem, name) not in UNREFERENCED_API:
                 dead.append(f"{stem}.{name}")
     assert dead == []
+
+
+# --- one source for the exhaustive cap --------------------------------------
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(stem: str, node: ast.AST):
+    for sub in ast.walk(node):
+        name = sub.attr if isinstance(sub, ast.Attribute) else getattr(sub, "id", None)
+        if name in ENVIRONMENT_NAMES:
+            yield stem, sub.lineno, sub.col_offset
+
+
+def test_environment_read_only_for_the_cap():
+    """DIROUGH_CAP is the one setting read from the environment, and
+    relsys.exhaustive_cap is the one place that reads it."""
+    src = Path(dirough.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    reads = {r for stem, tree in trees.items() for r in _environment_reads(stem, tree)}
+    cap = next(f for f in trees["relsys"].body if getattr(f, "name", None) == "exhaustive_cap")
+    assert reads and reads == set(_environment_reads("relsys", cap))
+
+
+def test_no_private_name_crosses_modules():
+    src = Path(dirough.__file__).parent
+    crossing = [
+        f"{path.stem}: {node.module or '.'}.{alias.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "dirough")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert crossing == []
