@@ -40,7 +40,6 @@ from .relsys import (
     approx_basic,
     dc_neighborhood,
     from_id_pairs,
-    is_up_directed,
 )
 
 DEFAULT_ASSIGNMENT_LIMIT = 20000
@@ -606,7 +605,7 @@ def _inapplicable(claim: Claim, inst: AuditInstance) -> str | None:
     """Why the claim does not apply to the instance, or None when it does."""
     if claim.needs == "grpd" and inst.g is None:
         return "no groupoid available"
-    if claim.requires_updirected and not is_up_directed(inst.sys):
+    if claim.requires_updirected and not inst.sys.up_directed:
         return "system is not up-directed"
     return None
 
@@ -686,7 +685,7 @@ def audit_claims(
         sys = section6_system()
         if g is None:
             g = section6_groupoid()
-    if g is None and is_up_directed(sys):
+    if g is None and sys.up_directed:
         g = build_updir_groupoid(sys, ChoiceStrategy.min_index())
 
     instances = [AuditInstance("given", sys, g)]

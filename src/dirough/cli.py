@@ -37,7 +37,6 @@ from .relsys import (
     basic_bounds,
     classify,
     exhaustive_cap,
-    is_up_directed,
     load_relation,
     read_parsed,
 )
@@ -48,7 +47,8 @@ if TYPE_CHECKING:
     from . import cluster as cluster_mod
 
 
-def _parse_strategy(spec: str | None, pi: bool) -> ChoiceStrategy:
+def _parse_strategy(spec: str | None, pi: bool, sys: RelationalSystem) -> ChoiceStrategy:
+    """--strategy for a groupoid over sys; a table carries sys's labels in order."""
     if spec is None or spec == "min":
         return ChoiceStrategy.min_index(pi_constrained=pi)
     if spec == "max":
@@ -59,9 +59,10 @@ def _parse_strategy(spec: str | None, pi: bool) -> ChoiceStrategy:
         except ValueError:
             raise InputFormatError(f"bad strategy seed in {spec!r}")
     if spec.startswith("table:"):
-        return ChoiceStrategy.explicit(
-            load_cayley(spec[6:]).table, pi_constrained=pi
-        )
+        g = load_cayley(spec[6:])
+        if g.labels != sys.labels:
+            raise InputFormatError(f"{spec[6:]}: table labels must be the relation's, in its order")
+        return ChoiceStrategy.explicit(g.table, pi_constrained=pi)
     raise InputFormatError(
         f"unknown strategy {spec!r}; expected min, max, seed:<n>, or table:<file>"
     )
@@ -89,7 +90,7 @@ def _load_groupoid(args, sys: RelationalSystem | None = None) -> Groupoid:
         return load_cayley(args.table)
     if args.rel:
         sys = sys or _load_sys(args)
-        return build_updir_groupoid(sys, _parse_strategy(args.strategy, args.pi))
+        return build_updir_groupoid(sys, _parse_strategy(args.strategy, args.pi, sys))
     return section6_groupoid()
 
 
@@ -192,7 +193,8 @@ def _cmd_granules(args) -> int:
 
 
 def _cmd_groupoid_build(args) -> int:
-    g = build_updir_groupoid(_load_sys(args), _parse_strategy(args.strategy, args.pi))
+    sys = _load_sys(args)
+    g = build_updir_groupoid(sys, _parse_strategy(args.strategy, args.pi, sys))
     table = [[g.labels[v] for v in row] for row in g.table]
     _emit(args, {"labels": list(g.labels), "table": table}, [dump_cayley(g).removesuffix("\n")])
     return 0
@@ -250,15 +252,6 @@ def _cmd_regions(args) -> int:
     return 0
 
 
-def _build_cluster_inputs(args):
-    from . import cluster as cluster_mod
-
-    ds = cluster_mod.load_dataset(args.data)
-    rho = {"l2": "euclidean", "linf": "chebyshev"}[args.rho]
-    sys = cluster_mod.step1_relation(ds, rho, args.eps)
-    return ds, sys
-
-
 def _cluster_set_dict(cs: cluster_mod.ClusterSet) -> dict:
     return {
         "flavor": cs.flavor,
@@ -281,9 +274,18 @@ def _parse_weights(spec: str) -> list[float]:
         raise InputFormatError(f"--weights must be comma-separated numbers, got {spec!r}")
 
 
-def _load_cluster_set(
-    path: str, sys: RelationalSystem, g, flavor_flag: str
-) -> cluster_mod.ClusterSet:
+def _pi_groupoid(args, flavor: str, over: RelationalSystem) -> Groupoid | None:
+    """Under pi, the groupoid of --strategy over the clustered system, None while
+    that is not up-directed (the caller answers); no other flavor reads one."""
+    if flavor != "pi":
+        _no_groupoid(args, f"{flavor} clustering")
+        return None
+    strategy = _parse_strategy(args.strategy, True, over)
+    return build_updir_groupoid(over, strategy) if over.up_directed else None
+
+
+def _load_cluster_set(args, sys: RelationalSystem) -> cluster_mod.ClusterSet:
+    """The clusters file re-approximated over sys with the file's flavor (cud if unnamed)."""
     from . import cluster as cluster_mod
 
     def parse(text: str) -> tuple[str, RelationalSystem, list[int]]:
@@ -296,6 +298,9 @@ def _load_cluster_set(
             raw = raw.get("selected") or raw.get("proposed") or {}
         if not isinstance(raw, dict) or not isinstance(raw.get("clusters"), list):
             raise InputFormatError("no cluster list found")
+        flavor = raw.get("flavor", "cud")
+        if flavor not in ("cud", "pi", "basic"):
+            raise InputFormatError(f"unknown clustering flavor {flavor!r}")
         supports = []
         for c in raw["clusters"]:
             labels = c.get("support") if isinstance(c, dict) else None
@@ -305,14 +310,13 @@ def _load_cluster_set(
         # written by `cluster run --fallback top`, over the augmented system
         top = any(cluster_mod.TOP_LABEL in labels for labels in supports)
         over = cluster_mod._augment_with_top(sys) if top else sys
-        flavor = raw.get("flavor", flavor_flag)
         return flavor, over, [over.mask(labels) for labels in supports]
 
-    flavor, sys, supports = read_parsed(path, parse)
-    if flavor == "cud" and not is_up_directed(sys):
-        # `cluster run` refuses this relation too; rough_tuple_for's
-        # reflexive shortcut would answer regardless
-        raise NotUpDirectedError(f"{path}: induced relation is not up-directed")
+    flavor, sys, supports = read_parsed(args.clusters, parse)
+    g = _pi_groupoid(args, flavor, sys)
+    if flavor != "basic" and not sys.up_directed:
+        # as `cluster run` does; cud's reflexive shortcut would answer regardless
+        raise NotUpDirectedError(f"{args.clusters}: induced relation is not up-directed")
     clusters = []
     for support in supports:
         t = cluster_mod.rough_tuple_for(sys, g, support, flavor)
@@ -323,20 +327,20 @@ def _load_cluster_set(
 def _cmd_cluster(args) -> int:
     from . import cluster as cluster_mod
 
-    if args.kind != "pi":
-        _no_groupoid(args, f"--kind {args.kind}")
-    ds, sys = _build_cluster_inputs(args)
-    g = None
-    if args.kind == "pi":
-        g = build_updir_groupoid(sys, _parse_strategy(args.strategy, True))
+    ds = cluster_mod.load_dataset(args.data)
+    rho = {"l2": "euclidean", "linf": "chebyshev"}[args.rho]
+    sys = cluster_mod.step1_relation(ds, rho, args.eps)
     if args.sub == "run":
+        if args.fallback == "top" and not sys.up_directed:
+            # the system clustered, which a pi groupoid must span
+            sys = cluster_mod._augment_with_top(sys)
+        g = _pi_groupoid(args, args.kind, sys)
         cs = cluster_mod.propose_clusters(sys, g, args.kind, args.seeds, args.fallback)
-        # cs.sys is the step-1 system, or its augmentation under --fallback top
-        report = cluster_mod.validate_clustering(cs.sys, g, cs, cs.flavor)
+        report = cluster_mod.validate_clustering(cs.sys, cs.g, cs, cs.flavor)
         scored = cluster_mod.score_clusters(ds, cs, args.metric)
         weights = _parse_weights(args.weights) if args.weights else None
         chosen = cluster_mod.select_clusters(scored, weights, args.k)
-        final_report = cluster_mod.validate_clustering(chosen.sys, g, chosen, chosen.flavor)
+        final_report = cluster_mod.validate_clustering(chosen.sys, chosen.g, chosen, chosen.flavor)
         if args.segment:
             with open(args.segment, "w", encoding="utf-8") as fh:
                 fh.write(cluster_mod.segmentation_csv(chosen))
@@ -359,9 +363,9 @@ def _cmd_cluster(args) -> int:
         lines.append(f"selected valid: {str(final_report.valid).lower()}")
         _emit(args, data, lines)
         return 0
-    cs = _load_cluster_set(args.clusters, sys, g, args.kind)
+    cs = _load_cluster_set(args, sys)
     if args.sub == "validate":
-        report = cluster_mod.validate_clustering(cs.sys, g, cs, cs.flavor)
+        report = cluster_mod.validate_clustering(cs.sys, cs.g, cs, cs.flavor)
         _emit(
             args,
             report.as_dict(),
@@ -512,12 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--data", required=True, help="dataset CSV")
         cp.add_argument("--eps", type=float, required=True)
         cp.add_argument("--rho", choices=("l2", "linf"), default="l2")
-        cp.add_argument("--kind", choices=("cud", "pi"), default="cud",
-                        help="approximation flavor")
         cp.add_argument("--strategy", default=None,
-                        help="kind pi only: min | max | seed:<n> | table:<file>")
+                        help="pi clustering only: min | max | seed:<n> | table:<file>")
         cp.add_argument("--metric", choices=("nasd", "band_variance"), default="nasd")
         if name == "run":
+            cp.add_argument("--kind", choices=("cud", "pi"), default="cud",
+                            help="approximation flavor")
             cp.add_argument("--seeds", choices=("neighborhood", "granule"),
                             default="neighborhood")
             cp.add_argument("--fallback", choices=("error", "basic", "top"),

@@ -24,7 +24,7 @@ from .cud import RoughTuple, cud_family, cud_tuple
 from .errors import InputFormatError, LawError, NotUpDirectedError, StructureError
 from .grpd import Groupoid, subgroupoids
 from .piappr import approx_pi
-from .relsys import RelationalSystem, basic_bounds, from_id_pairs, is_up_directed, read_parsed
+from .relsys import RelationalSystem, basic_bounds, from_id_pairs, read_parsed
 
 RHO_NAMES = ("euclidean", "chebyshev")
 FALLBACKS = ("error", "basic", "top")
@@ -319,10 +319,11 @@ def propose_clusters(
     A system that is not up-directed stops the pipeline unless the caller
     opts into a fallback: "basic" switches to plain neighborhood
     approximations, "top" adds a synthetic row above everything. Neither
-    happens silently. Greedy selection prefers large lower approximations,
-    skips a candidate whose lower is already covered, and stops once the
-    lowers cover the universe; failure to cover is left for
-    validate_clustering to report.
+    happens silently. Pi clustering reads g, a groupoid over the system
+    clustered: under "top" the augmented one. Greedy selection prefers
+    large lower approximations, skips a candidate whose lower is already
+    covered, and stops once the lowers cover the universe; failure to
+    cover is left for validate_clustering to report.
 
     No two chosen supports are nested, with no test for it, because every
     lower used here is monotone in its support. A support inside a chosen
@@ -333,26 +334,21 @@ def propose_clusters(
     """
     if flavor not in ("cud", "pi"):
         raise LawError(f"unknown clustering flavor {flavor!r}")
-    if flavor == "pi" and g is None:
-        raise LawError("pi clustering needs a groupoid")
     if on_not_updirected not in FALLBACKS:
         raise LawError(f"unknown fallback {on_not_updirected!r}")
 
     work_flavor = flavor
-    if not is_up_directed(sys):
+    if not sys.up_directed:
         if on_not_updirected == "error":
             raise NotUpDirectedError(
                 "induced relation is not up-directed; pass a fallback to proceed"
             )
         if on_not_updirected == "top":
             sys = _augment_with_top(sys)
-            if flavor == "pi":
-                raise LawError(
-                    "pi clustering over an augmented system needs a groupoid "
-                    "rebuilt from it; build one and call again"
-                )
         else:
             work_flavor = "basic"
+    if work_flavor == "pi" and (g is None or g.labels != sys.labels):
+        raise LawError("pi clustering needs a groupoid over the system it clusters")
 
     candidates = _seed_candidates(sys, g, work_flavor, seeds)
     seen: set[tuple[int, int]] = set()

@@ -50,9 +50,9 @@ def eth_closure(sys: RelationalSystem, A: int) -> int:
     deterministically: smallest cardinality first, then least id tuple.
     """
     sys.check_set(A)
-    fam = cud_family(sys)
-    if sys.full_mask not in fam:
+    if not sys.up_directed:
         raise NotUpDirectedError("the eth closure needs an up-directed system")
+    fam = cud_family(sys)
     # sorted by (size, ids); the universe is a member, so one always contains A
     return next(H for H in fam.members if is_subset(A, H))
 
@@ -60,10 +60,10 @@ def eth_closure(sys: RelationalSystem, A: int) -> int:
 def cudas_op(sys: RelationalSystem, A: int, B: int, op: str) -> int:
     """oplus = closure of the union, odot = closure of the intersection, in
     an up-directed system."""
+    if not sys.up_directed:
+        raise NotUpDirectedError("CUDAS operations need an up-directed system")
     # the family holds exactly the subsets is_cud accepts
     fam = sys.cud_family
-    if sys.full_mask not in fam:
-        raise NotUpDirectedError("CUDAS operations need an up-directed system")
     if A not in fam:
         raise LawError("left operand is not a CUD set")
     if B not in fam:
@@ -90,9 +90,9 @@ def approx_cud(sys: RelationalSystem, A: int, op: str, mode: str = "pointwise") 
         raise LawError(f"unknown approximation op {op!r}")
     if mode not in ("pointwise", "collection"):
         raise LawError(f"unknown upper approximation mode {mode!r}")
-    fam = cud_family(sys)
-    if sys.full_mask not in fam:
+    if not sys.up_directed:
         raise NotUpDirectedError("CUD approximations need an up-directed system")
+    fam = cud_family(sys)
     if op == "l":
         return fam.union_within(A)
     out = 0

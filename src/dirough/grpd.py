@@ -31,7 +31,6 @@ from .relsys import (
     RelationalSystem,
     Universe,
     from_id_pairs,
-    is_up_directed,
     read_parsed,
     require_cap,
 )
@@ -189,7 +188,7 @@ def build_updir_groupoid(sys: RelationalSystem, strategy: ChoiceStrategy) -> Gro
     upper-bound set, which is what makes the result a pi-groupoid. An
     explicit table is checked cell by cell against the same rule.
     """
-    if not is_up_directed(sys):
+    if not sys.up_directed:
         raise NotUpDirectedError("system is not up-directed")
     elems = range(sys.n)
     if strategy.kind != "explicit":

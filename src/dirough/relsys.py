@@ -140,6 +140,12 @@ class RelationalSystem(Universe):
         return all(row >> i & 1 for i, row in enumerate(self.succ))
 
     @cached_property
+    def up_directed(self) -> bool:
+        """Does every pair have a common R-successor? Checked once per system."""
+        succ = self.succ
+        return all(succ[a] & succ[b] for a in range(self.n) for b in range(a, self.n))
+
+    @cached_property
     def reach(self) -> tuple[int, ...]:
         """reach[i] is the bitmask of elements reachable from i in zero or
         more R-steps: the reflexive-transitive closure of R."""
@@ -364,7 +370,7 @@ class SpaceProfile:
 def classify(sys: RelationalSystem) -> SpaceProfile:
     """Exhaustive first-order check of the five structural flags."""
     n, succ = sys.n, sys.succ
-    up = is_up_directed(sys)
+    up = sys.up_directed
     refl = sys.reflexive
     sym = succ == sys.pred
     anti = all(
@@ -380,9 +386,7 @@ def classify(sys: RelationalSystem) -> SpaceProfile:
 
 
 def is_up_directed(sys: RelationalSystem) -> bool:
-    return all(
-        sys.succ[a] & sys.succ[b] for a in range(sys.n) for b in range(a, sys.n)
-    )
+    return sys.up_directed
 
 
 def is_cud(sys: RelationalSystem, A: int) -> bool:

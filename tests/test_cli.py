@@ -299,9 +299,11 @@ class TestCluster:
         )
         assert code == 0 and "selected valid: true" in out and not err
 
-    def test_top_fallback_reads_back(self, capsys, blob_csv, tmp_path):
+    @pytest.mark.parametrize("kind", ["cud", "pi"])
+    def test_top_fallback_reads_back(self, capsys, blob_csv, tmp_path, kind):
         code, data, _ = cli_json(
             capsys, "cluster", "run", "--data", blob_csv, "--eps", "2", "--fallback", "top",
+            "--kind", kind,
         )
         assert code == 0
         assert any("__top__" in c["support"] for c in data["selected"]["clusters"])
@@ -314,12 +316,17 @@ class TestCluster:
         assert code == 0, err
         assert len(scored["rows"]) == 3 * len(data["selected"]["clusters"])
 
-    @pytest.mark.parametrize("sub", ["validate", "score"])
-    def test_cud_file_needs_updirected_relation(self, capsys, tmp_path, sub):
+    # the cud ids keep the names they had before pi files joined them
+    @pytest.mark.parametrize("sub,kind", [
+        ("validate", "cud"), ("score", "cud"), ("validate", "pi"), ("score", "pi"),
+    ], ids=["validate", "score", "pi-validate", "pi-score"])
+    def test_cud_file_needs_updirected_relation(self, capsys, tmp_path, sub, kind):
         data = tmp_path / "d.csv"
         data.write_text("id,b\nr1,1\nr2,2\nr3,3\n")
-        code, out, _ = cli(capsys, "cluster", "run", "--data", str(data), "--eps", "5", "--json")
-        assert code == 0
+        code, out, _ = cli(
+            capsys, "cluster", "run", "--data", str(data), "--eps", "5", "--kind", kind, "--json"
+        )
+        assert code == 0 and json.loads(out)["selected"]["flavor"] == kind
         clusters = tmp_path / "f.json"
         clusters.write_text(out)
         args = ("cluster", sub, str(clusters), "--data", str(data))
@@ -332,6 +339,31 @@ class TestCluster:
     def test_run_requires_fallback_here(self, capsys, blob_csv):
         code, _, err = cli(capsys, "cluster", "run", "--data", blob_csv, "--eps", "2")
         assert code == 1 and "up-directed" in err
+
+    def test_pi_run_requires_fallback_here(self, blob_csv, tmp_path):
+        argv = ["cluster", "run", "--data", blob_csv, "--eps", "2", "--kind", "pi"]
+        assert "up-directed" in one_error_line(argv, tmp_path).stderr
+
+    def test_pi_basic_fallback_is_cud_basic(self, capsys, blob_csv):
+        # the basic fallback reads no groupoid, so the flavor asked for is moot
+        argv = ("cluster", "run", "--data", blob_csv, "--eps", "2", "--fallback", "basic")
+        for extra in ((), ("--json",)):
+            cud = cli(capsys, *argv, "--kind", "cud", *extra)
+            assert cud[0] == 0 and cud[1]
+            assert cli(capsys, *argv, "--kind", "pi", *extra) == cud
+
+    def test_pi_file_validates_without_kind(self, capsys, blob_csv, tmp_path):
+        # at eps 20 r3 sits above every row, so the relation is up-directed
+        clusters = tmp_path / "clusters.json"
+        clusters.write_text('{"flavor": "pi", "clusters": [{"support": ["r0"]}]}')
+        args = ("--data", blob_csv, "--eps", "20")
+        code, report, err = cli_json(capsys, "cluster", "validate", str(clusters), *args)
+        assert code == 0 and not err
+        code, data, _ = cli_json(capsys, "cluster", "run", *args, "--kind", "pi")
+        assert code == 0 and data["selected"]["flavor"] == "pi"
+        clusters.write_text(json.dumps(data))
+        code, report, err = cli_json(capsys, "cluster", "validate", str(clusters), *args)
+        assert code == 0 and report == data["selected_validity"], err
 
     def test_segment_output(self, capsys, blob_csv, tmp_path):
         seg = tmp_path / "seg.csv"
@@ -505,6 +537,13 @@ class TestUsageErrors:
             run(["approx"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("sub", ["validate", "score"])
+    def test_cluster_file_commands_take_no_kind(self, capsys, sub):
+        # the clusters file records its flavor
+        with pytest.raises(SystemExit) as e:
+            run(["cluster", sub, "c.json", "--data", "d.csv", "--eps", "2", "--kind", "pi"])
+        assert e.value.code == 2
+
 
 # A Cayley table whose second row lacks a cell.
 NARROW_CAYLEY = b",a,b\na,a,b\nb,b\n"
@@ -596,13 +635,20 @@ MALFORMED_INPUTS = {
         ["cluster", "score", "{d}/missing.json", "--data", "{d}/blobs.csv", "--eps", "2"],
         "missing.json",
     ),
-    # a pi clusters file needs the groupoid that only --kind pi builds
-    "cluster-pi-file-without-kind-pi": (
+    # a clusters file's flavor decides what is built, so it is checked on reading
+    "cluster-flavor-unknown": (
         {"blobs.csv": TWO_BLOBS_CSV.encode(),
-         "clusters.json": b'{"flavor": "pi", "clusters": [{"support": ["r0"]}]}'},
+         "clusters.json": b'{"flavor": "kmeans", "clusters": [{"support": ["r0"]}]}'},
         ["cluster", "validate", "{d}/clusters.json", "--data", "{d}/blobs.csv",
          "--eps", "2"],
-        "pi clustering needs a groupoid",
+        "clusters.json: unknown clustering flavor 'kmeans'",
+    ),
+    "cluster-flavor-unknown-no-clusters": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode(),
+         "clusters.json": b'{"flavor": "kmeans", "clusters": []}'},
+        ["cluster", "validate", "{d}/clusters.json", "--data", "{d}/blobs.csv",
+         "--eps", "2"],
+        "clusters.json: unknown clustering flavor 'kmeans'",
     ),
     "cluster-without-support": (
         {"blobs.csv": TWO_BLOBS_CSV.encode(), "clusters.json": b'{"clusters": [1]}'},
@@ -680,7 +726,7 @@ MALFORMED_INPUTS = {
         {}, ["granules", "cud", "--strategy", "max", "--pi"], "--strategy, --pi"
     ),
     # a flag the command would not read: --mode outside --kind cud, and
-    # cluster --strategy outside --kind pi
+    # cluster --strategy outside pi clustering
     "approx-nbd-mode": (
         {}, ["approx", "--kind", "nbd", "--mode", "collection", "--set", "a"], "--mode"
     ),
@@ -697,8 +743,19 @@ MALFORMED_INPUTS = {
         {"blobs.csv": TWO_BLOBS_CSV.encode(),
          "clusters.json": b'{"clusters": [{"support": ["r0", "r1"]}]}'},
         ["cluster", "validate", "{d}/clusters.json", "--data", "{d}/blobs.csv",
-         "--eps", "2", "--kind", "cud", "--strategy", "max"],
+         "--eps", "2", "--strategy", "max"],
         "--strategy",
+    ),
+    # a --strategy table carries the relation's labels in the relation's order
+    "strategy-table-other-labels": (
+        {"ab.rel": AB_REL, "xy.csv": b",x,y\nx,x,y\ny,y,y\n"},
+        ["groupoid", "build", "--rel", "{d}/ab.rel", "--strategy", "table:{d}/xy.csv"],
+        "xy.csv: table labels must be the relation's, in its order",
+    ),
+    "strategy-table-reordered": (
+        {"ab.rel": AB_REL, "ba.csv": b",b,a\nb,b,b\na,b,a\n"},
+        ["groupoid", "build", "--rel", "{d}/ab.rel", "--strategy", "table:{d}/ba.csv"],
+        "ba.csv: table labels must be the relation's, in its order",
     ),
     "cluster-support-unknown-row": (
         {"blobs.csv": TWO_BLOBS_CSV.encode(),

@@ -11,6 +11,7 @@ from dirough.cluster import (
     RoughCluster,
     ScoreRow,
     TOP_LABEL,
+    _augment_with_top,
     _seed_candidates,
     parse_dataset,
     propose_clusters,
@@ -264,6 +265,20 @@ class TestPropose:
         )
         with pytest.raises(LawError):
             propose_clusters(sys, g, "pi", on_not_updirected="top")
+
+    def test_basic_fallback_reads_no_groupoid(self):
+        sys = step1_relation(two_blobs(), eps=2)
+        cs = propose_clusters(sys, None, "pi", on_not_updirected="basic")
+        assert cs.flavor == "basic"
+        assert cs == propose_clusters(sys, None, "cud", on_not_updirected="basic")
+
+    def test_top_fallback_takes_pi_over_the_augmented_system(self):
+        sys = step1_relation(two_blobs(), eps=2)
+        g = build_updir_groupoid(_augment_with_top(sys), ChoiceStrategy.min_index(True))
+        cs = propose_clusters(sys, g, "pi", on_not_updirected="top")
+        assert cs.flavor == "pi" and cs.g is g and cs.sys.labels == g.labels
+        assert all(c.approx.flavor == "pi" for c in cs.clusters)
+        assert validate_clustering(cs.sys, g, cs, "pi").valid
 
     def test_pi_flavor(self):
         sys = step1_relation(chain3(), eps=5)

@@ -115,18 +115,23 @@ class TestEthClosure:
         with pytest.raises(NotUpDirectedError):
             eth_closure(sys, 0b11)
 
-    def test_needs_updirected_system(self):
+    def test_needs_updirected_system(self, monkeypatch):
         # {x} is CUD here, yet the system is not up-directed, as approx_cud
-        # already refuses
-        sys = build_relation(["x", "y"], [("x", "x"), ("y", "y")])
-        for op in (
-            lambda: eth_closure(sys, 0b01),
-            lambda: cudas_op(sys, 0b01, 0b01, "oplus"),
-            lambda: cudas_op(sys, 0b11, 0b01, "odot"),
-            lambda: approx_cud(sys, 0b01, "l"),
-        ):
-            with pytest.raises(NotUpDirectedError, match="need"):
-                op()
+        # already refuses; the relation decides that before any family is
+        # built, so a cap below the universe's size does not come into it
+        two = build_relation(["x", "y"], [("x", "x"), ("y", "y")])
+        three = build_relation(["x", "y", "z"], [("x", "x"), ("y", "y"), ("z", "z")])
+        for sys, cap in ((two, None), (three, "2")):
+            if cap is not None:
+                monkeypatch.setenv("DIROUGH_CAP", cap)
+            for op in (
+                lambda: eth_closure(sys, 0b01),
+                lambda: cudas_op(sys, 0b01, 0b01, "oplus"),
+                lambda: cudas_op(sys, 0b11, 0b01, "odot"),
+                lambda: approx_cud(sys, 0b01, "l"),
+            ):
+                with pytest.raises(NotUpDirectedError, match="need"):
+                    op()
 
 
 class TestCudas:
