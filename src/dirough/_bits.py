@@ -7,7 +7,9 @@ single AND, which is what the exhaustive suites lean on.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+import itertools
+import math
+from typing import Callable, Iterable, Iterator, Sequence
 
 MASK64 = (1 << 64) - 1
 
@@ -65,6 +67,17 @@ def sweep_subsets(n: int, keep: Callable[[list[int], int], int]) -> tuple[int, .
     # n bits reversed do, in descending order; the key ranks size first.
     members.sort(key=lambda m: (m.bit_count() << n) - int(f"{m:0{n}b}"[::-1], 2))
     return tuple(members)
+
+
+def assignments(domains: Sequence[Sequence], limit: int, draw: Callable) -> Iterator[tuple]:
+    """The product of domains in C order when it has at most limit tuples;
+    otherwise limit tuples sampled from it, entry k of tuple t being
+    d[pick(t, k) % len(d)] for the k-th domain d, where pick = draw() is
+    built only when sampling."""
+    if math.prod(map(len, domains)) <= limit:
+        return itertools.product(*domains)
+    pick = draw()
+    return (tuple(d[pick(t, k) % len(d)] for k, d in enumerate(domains)) for t in range(limit))
 
 
 def splitmix64(x: int) -> int:

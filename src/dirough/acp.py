@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Iterable, Iterator
 
-from ._bits import is_subset, mix
+from ._bits import assignments, is_subset, mix
 from .errors import LawError, StructureError
 from .grpd import Groupoid, generate, is_closed, subgroupoids
 from .piappr import pg_tuple
@@ -155,23 +155,6 @@ class LawAuditReport:
         return {"mode": self.mode, "laws": [asdict(v) for v in self.verdicts]}
 
 
-def _pairs_to_check(
-    carrier: tuple[AcpElement, ...], seed: int, limit: int
-) -> Iterable[tuple[AcpElement, AcpElement]]:
-    m = len(carrier)
-    if m * m <= limit:
-        for x in carrier:
-            for y in carrier:
-                yield x, y
-        return
-    # deterministic sample, seeded; Sg(X) is the least closed superset of X,
-    # so join and meet are the lattice bounds and sampling only widens coverage
-    for k in range(limit):
-        i = mix(seed, 2 * k) % m
-        j = mix(seed, 2 * k + 1) % m
-        yield carrier[i], carrier[j]
-
-
 def audit_acp_laws(
     g: Groupoid,
     mode: str = "formal",
@@ -199,7 +182,11 @@ def audit_acp_laws(
         return x.as_labels(g)
 
     def pairs(stream: int) -> Iterable[tuple[AcpElement, AcpElement]]:
-        return _pairs_to_check(carrier, mix(seed, stream), pair_limit)
+        """Every pair of the carrier, or a sample seeded by stream; Sg(X) is the
+        least closed superset of X, so join and meet are the lattice bounds
+        and sampling only widens coverage."""
+        s = mix(seed, stream)
+        return assignments((carrier, carrier), pair_limit, lambda: lambda t, k: mix(s, 2 * t + k))
 
     neg, coprod = partial(_neg, g), partial(_coprod, g)
 

@@ -16,14 +16,12 @@ a report is reproducible byte for byte.
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator
 
-from ._bits import bits, is_subset, mix
+from ._bits import assignments, bits, is_subset, mix
 from .acp import ACP_LAW_TIERS, LawAuditReport, audit_acp_laws
 from .cud import approx_cud, cud_family, cudas_op, eth_closure
 from .errors import LawError
@@ -65,10 +63,11 @@ class AuditInstance:
         return audit_acp_laws(self.g, "formal")
 
     @cached_property
-    def bs_groupoids(self) -> tuple[tuple[str, Groupoid], ...]:
-        """The B(S) groupoid of sys under each audit strategy, built once."""
+    def bs_groupoids(self) -> tuple[tuple[str, Groupoid, bool], ...]:
+        """The B(S) groupoid of sys under each audit strategy, built once, and
+        whether the strategy is pi-constrained."""
         return tuple(
-            (name, build_updir_groupoid(self.sys, strat))
+            (name, build_updir_groupoid(self.sys, strat), strat.pi_constrained)
             for name, strat in _AUDIT_STRATEGIES
         )
 
@@ -334,11 +333,12 @@ def _cone(i: AuditInstance, A: int) -> int:
     return out
 
 
-def _each_strategy(holds: Callable[[RelationalSystem, Groupoid], bool]) -> Checker:
-    """holds(sys, g) on each strategy's B(S) groupoid g; names the first that fails."""
+def _each_strategy(holds: Callable[[RelationalSystem, Groupoid, bool], bool]) -> Checker:
+    """holds(sys, g, pi) on each strategy's B(S) groupoid g, pi telling whether
+    the strategy is pi-constrained; names the first strategy that fails."""
 
     def run(i: AuditInstance) -> tuple[bool, dict | None]:
-        bad = next((name for name, g in i.bs_groupoids if not holds(i.sys, g)), None)
+        bad = next((name for name, g, pi in i.bs_groupoids if not holds(i.sys, g, pi)), None)
         return bad is None, None if bad is None else {"strategy": bad}
 
     return run
@@ -534,8 +534,8 @@ def _claims() -> tuple[Claim, ...]:
     law("aup.atop", 1, top("u_a"))
 
     # --- construction and the pair algebra
-    sound = _each_strategy(lambda s, g: verify_b_of_s(s, g))
-    roundtrip = _each_strategy(lambda s, g: relation_of(g, "R").succ == s.succ)
+    sound = _each_strategy(verify_b_of_s)
+    roundtrip = _each_strategy(lambda s, g, pi: relation_of(g, "R").succ == s.succ)
     checked("grpd.bs-sound", 1, S, sound, updir=True)
     checked("grpd.bs-roundtrip", 1, S, roundtrip, updir=True)
     for law, tier in ACP_LAW_TIERS.items():
@@ -577,12 +577,9 @@ def _assignments(
         # every subset, from the full set down
         subsets = range(holder.full_mask, -1, -1)
     domains = [subsets if v[0].isupper() else range(holder.n) for v in claim.vars]
-    if math.prod(len(d) for d in domains) <= limit:
-        return itertools.product(*domains)
-    base = mix(seed, _hash_str(claim.id), _hash_str(inst.name))
-    return (
-        tuple(d[mix(base, t, k) % len(d)] for k, d in enumerate(domains))
-        for t in range(limit)
+    return assignments(
+        domains, limit,
+        lambda: partial(mix, mix(seed, _hash_str(claim.id), _hash_str(inst.name))),
     )
 
 

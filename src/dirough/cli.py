@@ -18,12 +18,13 @@ from typing import TYPE_CHECKING
 
 from .acp import audit_acp_laws
 from .cud import approx_cud, cud_family
-from .errors import DiroughError, InputFormatError, NotUpDirectedError
+from .errors import DiroughError, InputFormatError, NotUpDirectedError, StructureError
 from .fixtures import build_section6_report, section6_groupoid, section6_system
 from .grpd import (
     ALL_LAWS,
     ChoiceStrategy,
     Groupoid,
+    b_of_s_fault,
     build_updir_groupoid,
     dump_cayley,
     law_violation,
@@ -47,25 +48,36 @@ if TYPE_CHECKING:
     from . import cluster as cluster_mod
 
 
-def _parse_strategy(spec: str | None, pi: bool, sys: RelationalSystem) -> ChoiceStrategy:
-    """--strategy for a groupoid over sys; a table carries sys's labels in order."""
+def _read_table(path: str, sys: RelationalSystem) -> Groupoid:
+    """The Cayley table at path, which must carry sys's labels in sys's order."""
+    g = load_cayley(path)
+    if g.labels != sys.labels:
+        raise InputFormatError(f"{path}: table labels must be the relation's, in its order")
+    return g
+
+
+def _strategy_groupoid(spec: str | None, pi: bool, sys: RelationalSystem) -> Groupoid:
+    """--strategy's groupoid over sys: picked by min, max or seed:<n>, or read from
+    table:<file> and checked against the B(S) family (the pi family under pi)."""
     if spec is None or spec == "min":
-        return ChoiceStrategy.min_index(pi_constrained=pi)
-    if spec == "max":
-        return ChoiceStrategy.max_index(pi_constrained=pi)
-    if spec.startswith("seed:"):
+        strategy = ChoiceStrategy.min_index(pi_constrained=pi)
+    elif spec == "max":
+        strategy = ChoiceStrategy.max_index(pi_constrained=pi)
+    elif spec.startswith("seed:"):
         try:
-            return ChoiceStrategy.seeded(int(spec[5:]), pi_constrained=pi)
+            strategy = ChoiceStrategy.seeded(int(spec[5:]), pi_constrained=pi)
         except ValueError:
             raise InputFormatError(f"bad strategy seed in {spec!r}")
-    if spec.startswith("table:"):
-        g = load_cayley(spec[6:])
-        if g.labels != sys.labels:
-            raise InputFormatError(f"{spec[6:]}: table labels must be the relation's, in its order")
-        return ChoiceStrategy.explicit(g.table, pi_constrained=pi)
-    raise InputFormatError(
-        f"unknown strategy {spec!r}; expected min, max, seed:<n>, or table:<file>"
-    )
+    elif spec.startswith("table:"):
+        g = _read_table(spec[6:], sys)
+        if (fault := b_of_s_fault(sys, g, pi)) is not None:
+            raise (StructureError if sys.up_directed else NotUpDirectedError)(fault)
+        return g
+    else:
+        raise InputFormatError(
+            f"unknown strategy {spec!r}; expected min, max, seed:<n>, or table:<file>"
+        )
+    return build_updir_groupoid(sys, strategy)
 
 
 def _load_sys(args) -> RelationalSystem:
@@ -77,7 +89,7 @@ def _load_groupoid(args, sys: RelationalSystem | None = None) -> Groupoid:
 
     --table gives the groupoid outright, so the flags that build one clash
     with it. A caller that passes sys reads --rel itself, so there --rel
-    does not clash.
+    does not clash, and --table must carry sys's labels.
     """
     if args.table:
         given = {"--rel": sys is None and args.rel, "--strategy": args.strategy,
@@ -87,10 +99,9 @@ def _load_groupoid(args, sys: RelationalSystem | None = None) -> Groupoid:
             raise InputFormatError(
                 f"--table gives the groupoid; it clashes with {', '.join(clash)}"
             )
-        return load_cayley(args.table)
+        return load_cayley(args.table) if sys is None else _read_table(args.table, sys)
     if args.rel:
-        sys = sys or _load_sys(args)
-        return build_updir_groupoid(sys, _parse_strategy(args.strategy, args.pi, sys))
+        return _strategy_groupoid(args.strategy, args.pi, sys or _load_sys(args))
     return section6_groupoid()
 
 
@@ -193,8 +204,7 @@ def _cmd_granules(args) -> int:
 
 
 def _cmd_groupoid_build(args) -> int:
-    sys = _load_sys(args)
-    g = build_updir_groupoid(sys, _parse_strategy(args.strategy, args.pi, sys))
+    g = _strategy_groupoid(args.strategy, args.pi, _load_sys(args))
     table = [[g.labels[v] for v in row] for row in g.table]
     _emit(args, {"labels": list(g.labels), "table": table}, [dump_cayley(g).removesuffix("\n")])
     return 0
@@ -280,8 +290,11 @@ def _pi_groupoid(args, flavor: str, over: RelationalSystem) -> Groupoid | None:
     if flavor != "pi":
         _no_groupoid(args, f"{flavor} clustering")
         return None
-    strategy = _parse_strategy(args.strategy, True, over)
-    return build_updir_groupoid(over, strategy) if over.up_directed else None
+    try:
+        # read --strategy all the same, so that a bad one is still an error
+        return _strategy_groupoid(args.strategy, True, over)
+    except NotUpDirectedError:
+        return None
 
 
 def _load_cluster_set(args, sys: RelationalSystem) -> cluster_mod.ClusterSet:
@@ -418,7 +431,7 @@ def _cmd_audit(args) -> int:
     from . import audit as audit_mod
 
     sys = load_relation(args.rel) if args.rel else None
-    g = load_cayley(args.table) if args.table else None
+    g = _read_table(args.table, sys or section6_system()) if args.table else None
     report = audit_mod.audit_claims(
         sys, g, tier=args.tier, random_instances=args.random, seed=args.seed
     )

@@ -80,7 +80,7 @@ class Groupoid(Universe):
 class ChoiceStrategy:
     """How build_updir_groupoid resolves the free choice in the no-edge case.
 
-    kind: one of min_index, max_index, seeded_random, explicit.
+    kind: one of min_index, max_index, seeded_random.
     pi_constrained: restrict picks to the pseudo-join set and make the
         choice a function of the upper-bound set alone, so equal sets
         U_R(a,b) = U_R(c,e) always receive equal products.
@@ -88,16 +88,13 @@ class ChoiceStrategy:
 
     kind: str
     seed: int | None = None
-    table: tuple[tuple[int, ...], ...] | None = None
     pi_constrained: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("min_index", "max_index", "seeded_random", "explicit"):
+        if self.kind not in ("min_index", "max_index", "seeded_random"):
             raise LawError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "seeded_random" and self.seed is None:
             raise LawError("seeded_random strategy needs a seed")
-        if self.kind == "explicit" and self.table is None:
-            raise LawError("explicit strategy needs a table")
 
     @classmethod
     def min_index(cls, pi_constrained: bool = False) -> "ChoiceStrategy":
@@ -110,16 +107,6 @@ class ChoiceStrategy:
     @classmethod
     def seeded(cls, seed: int, pi_constrained: bool = False) -> "ChoiceStrategy":
         return cls("seeded_random", seed=seed, pi_constrained=pi_constrained)
-
-    @classmethod
-    def explicit(
-        cls, table: Iterable[Iterable[int]], pi_constrained: bool = False
-    ) -> "ChoiceStrategy":
-        return cls(
-            "explicit",
-            table=tuple(tuple(row) for row in table),
-            pi_constrained=pi_constrained,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -185,40 +172,40 @@ def build_updir_groupoid(sys: RelationalSystem, strategy: ChoiceStrategy) -> Gro
     Products follow the relation where it speaks (Rab forces ab = b) and the
     strategy picks a common upper bound elsewhere. A pi-constrained strategy
     picks from the minimal pseudo-join set and factors through the
-    upper-bound set, which is what makes the result a pi-groupoid. An
-    explicit table is checked cell by cell against the same rule.
+    upper-bound set, which is what makes the result a pi-groupoid.
     """
     if not sys.up_directed:
         raise NotUpDirectedError("system is not up-directed")
     elems = range(sys.n)
-    if strategy.kind != "explicit":
-        rows = tuple(tuple(_pick(sys, strategy, a, b) for b in elems) for a in elems)
-        return Groupoid(sys.labels, rows)
-    g = Groupoid(sys.labels, strategy.table)
-    if not verify_b_of_s(sys, g):
-        raise StructureError("explicit table violates the B(S) condition")
-    if strategy.pi_constrained:
-        by_set: dict[int, int] = {}
-        for a, b in itertools.product(elems, elems):
-            v = g.table[a][b]
-            if not _allowed(sys, a, b, True) >> v & 1:
-                raise StructureError(
-                    f"product {g.labels[a]}.{g.labels[b]} is not a pseudo join"
-                )
-            if not sys.has(a, b) and by_set.setdefault(sys.succ[a] & sys.succ[b], v) != v:
-                raise StructureError("choice does not factor through the upper-bound set")
-    return g
+    rows = tuple(tuple(_pick(sys, strategy, a, b) for b in elems) for a in elems)
+    return Groupoid(sys.labels, rows)
 
 
-def verify_b_of_s(sys: RelationalSystem, g: Groupoid) -> bool:
-    """Does every cell obey the B(S) condition for this system?"""
+def b_of_s_fault(sys: RelationalSystem, g: Groupoid, pi: bool = False) -> str | None:
+    """The first reason g is not in the B(S) family of sys (the pi family under
+    pi), or None: a system not up-directed, a cell outside the B(S) rule, then
+    per cell a product that is no pseudo join, or a choice not factoring through U_R(a,b)."""
     if g.labels != sys.labels:
         raise StructureError("groupoid and system universes differ")
-    return all(
-        _allowed(sys, a, b, False) >> g.table[a][b] & 1
-        for a in range(sys.n)
-        for b in range(sys.n)
-    )
+    if not sys.up_directed:
+        return "system is not up-directed"
+    cells = tuple(itertools.product(range(sys.n), repeat=2))
+    if not all(_allowed(sys, a, b, False) >> g.table[a][b] & 1 for a, b in cells):
+        return "explicit table violates the B(S) condition"
+    if pi:
+        by_set: dict[int, int] = {}
+        for a, b in cells:
+            v = g.table[a][b]
+            if not _allowed(sys, a, b, True) >> v & 1:
+                return f"product {g.labels[a]}.{g.labels[b]} is not a pseudo join"
+            if not sys.has(a, b) and by_set.setdefault(sys.succ[a] & sys.succ[b], v) != v:
+                return "choice does not factor through the upper-bound set"
+    return None
+
+
+def verify_b_of_s(sys: RelationalSystem, g: Groupoid, pi: bool = False) -> bool:
+    """Is g a member of the B(S) family of sys, under pi a pi-groupoid of it?"""
+    return b_of_s_fault(sys, g, pi) is None
 
 
 # ---------------------------------------------------------------------------

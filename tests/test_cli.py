@@ -551,6 +551,12 @@ NARROW_CAYLEY = b",a,b\na,a,b\nb,b\n"
 AB_CAYLEY = b",a,b\na,a,b\nb,b,b\n"
 AB_REL = b"elements: a b\na a\na b\nb b\n"
 XY_REL = b"elements: x y\nx y\ny y\n"
+# Tables over other labels than AB_REL's, over its labels in another order,
+# and over its labels in its order but with b.a = a, outside its B(S) family.
+XY_CAYLEY = b",x,y\nx,x,y\ny,y,y\n"
+BA_CAYLEY = b",b,a\nb,b,b\na,b,a\n"
+AB_NOT_BS_CAYLEY = b",a,b\na,a,b\nb,a,b\n"
+LABELS_RULE = "table labels must be the relation's, in its order"
 
 # Each case: files to write into a fresh directory, the argv ({d} is that
 # directory) and a fragment the single "error:" line must name.
@@ -748,14 +754,57 @@ MALFORMED_INPUTS = {
     ),
     # a --strategy table carries the relation's labels in the relation's order
     "strategy-table-other-labels": (
-        {"ab.rel": AB_REL, "xy.csv": b",x,y\nx,x,y\ny,y,y\n"},
+        {"ab.rel": AB_REL, "xy.csv": XY_CAYLEY},
         ["groupoid", "build", "--rel", "{d}/ab.rel", "--strategy", "table:{d}/xy.csv"],
-        "xy.csv: table labels must be the relation's, in its order",
+        f"xy.csv: {LABELS_RULE}",
     ),
     "strategy-table-reordered": (
-        {"ab.rel": AB_REL, "ba.csv": b",b,a\nb,b,b\na,b,a\n"},
+        {"ab.rel": AB_REL, "ba.csv": BA_CAYLEY},
         ["groupoid", "build", "--rel", "{d}/ab.rel", "--strategy", "table:{d}/ba.csv"],
-        "ba.csv: table labels must be the relation's, in its order",
+        f"ba.csv: {LABELS_RULE}",
+    ),
+    # so does a --table read beside a relation: regions and audit claims
+    # read it against --rel, audit claims without --rel against the fixture
+    "regions-table-other-labels": (
+        {"ab.rel": AB_REL, "xy.csv": XY_CAYLEY},
+        ["regions", "--rel", "{d}/ab.rel", "--table", "{d}/xy.csv", "--set", "a",
+         "--set", "b"],
+        f"xy.csv: {LABELS_RULE}",
+    ),
+    "regions-table-reordered": (
+        {"ab.rel": AB_REL, "ba.csv": BA_CAYLEY},
+        ["regions", "--rel", "{d}/ab.rel", "--table", "{d}/ba.csv", "--set", "a",
+         "--set", "b"],
+        f"ba.csv: {LABELS_RULE}",
+    ),
+    "audit-claims-table-other-labels": (
+        {"ab.rel": AB_REL, "xy.csv": XY_CAYLEY},
+        ["audit", "claims", "--rel", "{d}/ab.rel", "--table", "{d}/xy.csv", "--random", "0"],
+        f"xy.csv: {LABELS_RULE}",
+    ),
+    "audit-claims-table-reordered": (
+        {"ab.rel": AB_REL, "ba.csv": BA_CAYLEY},
+        ["audit", "claims", "--rel", "{d}/ab.rel", "--table", "{d}/ba.csv", "--random", "0"],
+        f"ba.csv: {LABELS_RULE}",
+    ),
+    "audit-claims-table-not-fixture": (
+        {"ab.csv": AB_CAYLEY},
+        ["audit", "claims", "--table", "{d}/ab.csv", "--random", "0"],
+        f"ab.csv: {LABELS_RULE}",
+    ),
+    "regions-table-outside-bs": (
+        {"ab.rel": AB_REL, "bad.csv": AB_NOT_BS_CAYLEY},
+        ["regions", "--rel", "{d}/ab.rel", "--table", "{d}/bad.csv", "--set", "a",
+         "--set", "b"],
+        "groupoid is inconsistent with the relation",
+    ),
+    # B(S) is a family of an up-directed system: a two-cycle has none, though
+    # this table obeys the cell rule in every cell
+    "regions-table-not-updirected": (
+        {"cyc.rel": b"elements: a b\na b\nb a\n", "cyc.csv": b",a,b\na,b,b\nb,a,a\n"},
+        ["regions", "--rel", "{d}/cyc.rel", "--table", "{d}/cyc.csv", "--set", "a",
+         "--set", "b"],
+        "groupoid is inconsistent with the relation",
     ),
     "cluster-support-unknown-row": (
         {"blobs.csv": TWO_BLOBS_CSV.encode(),

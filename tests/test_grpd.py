@@ -26,6 +26,7 @@ from dirough.grpd import (
     E_CONSEQUENCES,
     ChoiceStrategy,
     Groupoid,
+    b_of_s_fault,
     build_order_groupoid,
     build_updir_groupoid,
     check_laws,
@@ -143,13 +144,23 @@ class TestBuild:
                 assert seen.setdefault(U, g.table[a][b]) == g.table[a][b]
 
     def test_explicit_table_checked(self, F):
-        good = build_updir_groupoid(F, ChoiceStrategy.min_index()).table
-        rebuilt = build_updir_groupoid(F, ChoiceStrategy.explicit(good))
-        assert rebuilt.table == good
-        bad = [list(row) for row in good]
+        good = build_updir_groupoid(F, ChoiceStrategy.min_index())
+        assert b_of_s_fault(F, good) is None and verify_b_of_s(F, good)
+        bad = [list(row) for row in good.table]
         bad[F.id("e")][F.id("a")] = F.id("e")  # e.a must lie in U(e, a)
-        with pytest.raises(StructureError):
-            build_updir_groupoid(F, ChoiceStrategy.explicit(bad))
+        g = Groupoid(F.labels, tuple(map(tuple, bad)))
+        assert b_of_s_fault(F, g) == "explicit table violates the B(S) condition"
+        assert not verify_b_of_s(F, g)
+
+    def test_fault_needs_updirected_system_and_its_labels(self):
+        # a two-cycle: every cell obeys the cell rule, but B(S) asks for an
+        # up-directed system, and U(a, b) is empty
+        sys = build_relation(["a", "b"], [("a", "b"), ("b", "a")])
+        g = Groupoid(sys.labels, ((1, 1), (0, 0)))
+        assert b_of_s_fault(sys, g) == "system is not up-directed"
+        assert not verify_b_of_s(sys, g, pi=True)
+        with pytest.raises(StructureError, match="universes differ"):
+            verify_b_of_s(sys, Groupoid(("x", "y"), g.table))
 
     def test_not_updirected_rejected(self):
         sys = build_relation(["x", "y"], [("x", "x"), ("y", "y")])
@@ -161,6 +172,9 @@ class TestBuild:
             ChoiceStrategy("seeded_random")
         with pytest.raises(LawError):
             ChoiceStrategy("other")
+        # a given table is checked by b_of_s_fault, not built by a strategy
+        with pytest.raises(LawError):
+            ChoiceStrategy("explicit")
 
 
 # sha256 over dump_cayley of every table one strategy builds for
@@ -192,23 +206,39 @@ class TestBSPins:
                 h.update(dump_cayley(g).encode())
         assert h.hexdigest() == BS_TABLE_PINS[kind, pi]
 
+    def test_tables_in_their_family(self):
+        """Every table is a B(S) member and every pi strategy's table a
+        pi-groupoid, while 162 of the 720 other tables are not."""
+        outside_pi = 0
+        for seed in range(40):
+            for n in range(2, 8):
+                sys = rand_updirected(seed, n)
+                for kind, pi in BS_TABLE_PINS:
+                    g = build_updir_groupoid(sys, pinned_strategy(kind, seed, pi))
+                    assert verify_b_of_s(sys, g), (seed, n, kind, pi)
+                    if pi:
+                        assert verify_b_of_s(sys, g, pi=True), (seed, n, kind)
+                    else:
+                        outside_pi += not verify_b_of_s(sys, g, pi=True)
+        assert outside_pi == 162
+
     @pytest.mark.parametrize("strat,message", [
         (ChoiceStrategy.max_index(), "product v2.v2 is not a pseudo join"),
         (ChoiceStrategy.seeded(1), "choice does not factor through the upper-bound set"),
     ])
     def test_explicit_pi_errors(self, strat, message):
         sys = rand_updirected(0, 5)
-        table = build_updir_groupoid(sys, strat).table
+        g = build_updir_groupoid(sys, strat)
         # a B(S) member, so only the pi conditions can reject it
-        assert build_updir_groupoid(sys, ChoiceStrategy.explicit(table)).table == table
-        with pytest.raises(StructureError, match=f"^{message}$"):
-            build_updir_groupoid(sys, ChoiceStrategy.explicit(table, pi_constrained=True))
+        assert b_of_s_fault(sys, g) is None
+        assert b_of_s_fault(sys, g, pi=True) == message
+        assert not verify_b_of_s(sys, g, pi=True)
         # breaking a forced cell as well: the B(S) verdict comes first
         a, b = next((a, b) for a in range(sys.n) for b in range(sys.n) if sys.has(a, b))
-        bad = [list(row) for row in table]
+        bad = [list(row) for row in g.table]
         bad[a][b] = (b + 1) % sys.n
-        with pytest.raises(StructureError, match=r"^explicit table violates the B\(S\)"):
-            build_updir_groupoid(sys, ChoiceStrategy.explicit(bad, pi_constrained=True))
+        bad_g = Groupoid(sys.labels, tuple(map(tuple, bad)))
+        assert b_of_s_fault(sys, bad_g, pi=True) == "explicit table violates the B(S) condition"
 
 
 class TestRoundTrip:
