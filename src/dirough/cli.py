@@ -48,61 +48,68 @@ if TYPE_CHECKING:
     from . import cluster as cluster_mod
 
 
-def _read_table(path: str, sys: RelationalSystem) -> Groupoid:
-    """The Cayley table at path, which must carry sys's labels in sys's order."""
+def _read_table(path: str, sys: RelationalSystem | None = None) -> Groupoid:
+    """The Cayley table at path; given sys, it must carry sys's labels in sys's order."""
     g = load_cayley(path)
-    if g.labels != sys.labels:
+    if sys is not None and g.labels != sys.labels:
         raise InputFormatError(f"{path}: table labels must be the relation's, in its order")
     return g
-
-
-def _strategy_groupoid(spec: str | None, pi: bool, sys: RelationalSystem) -> Groupoid:
-    """--strategy's groupoid over sys: picked by min, max or seed:<n>, or read from
-    table:<file> and checked against the B(S) family (the pi family under pi)."""
-    if spec is None or spec == "min":
-        strategy = ChoiceStrategy.min_index(pi_constrained=pi)
-    elif spec == "max":
-        strategy = ChoiceStrategy.max_index(pi_constrained=pi)
-    elif spec.startswith("seed:"):
-        try:
-            strategy = ChoiceStrategy.seeded(int(spec[5:]), pi_constrained=pi)
-        except ValueError:
-            raise InputFormatError(f"bad strategy seed in {spec!r}")
-    elif spec.startswith("table:"):
-        g = _read_table(spec[6:], sys)
-        if (fault := b_of_s_fault(sys, g, pi)) is not None:
-            raise (StructureError if sys.up_directed else NotUpDirectedError)(fault)
-        return g
-    else:
-        raise InputFormatError(
-            f"unknown strategy {spec!r}; expected min, max, seed:<n>, or table:<file>"
-        )
-    return build_updir_groupoid(sys, strategy)
 
 
 def _load_sys(args) -> RelationalSystem:
     return load_relation(args.rel) if args.rel else section6_system()
 
 
-def _load_groupoid(args, sys: RelationalSystem | None = None) -> Groupoid:
-    """The groupoid of --table, else the one built from --rel, else the fixture's.
+def _groupoid(args, sys: RelationalSystem | None = None, flavor: str | None = None,
+              *, pick: bool = False) -> Groupoid | None:
+    """The groupoid the input flags give over sys, else over --rel.
 
-    --table gives the groupoid outright, so the flags that build one clash
-    with it. A caller that passes sys reads --rel itself, so there --rel
-    does not clash, and --table must carry sys's labels.
+    --table gives a member of the relation's B(S) family (the pi family under
+    --pi) and is checked against it; read beside no relation it is taken as
+    is. --strategy (default min) picks a member, over the bundled relation
+    when no --rel is read; with no flag and no --rel, the bundled groupoid,
+    unless pick. A clustering passes the system it clusters and its flavor:
+    only pi reads a groupoid, None while that system is not up-directed
+    (the caller answers).
     """
+    if flavor not in (None, "pi"):
+        _no_groupoid(args, f"{flavor} clustering")
+        return None
+    spec = args.strategy
+    pi = flavor == "pi" or args.pi  # cluster commands have no --pi, and no --rel
+    if not (pi or spec or args.table or args.rel or pick):
+        return section6_groupoid()
+    if sys is None and args.rel:
+        sys = load_relation(args.rel)
     if args.table:
-        given = {"--rel": sys is None and args.rel, "--strategy": args.strategy,
-                 "--pi": args.pi}
-        clash = [flag for flag, on in given.items() if on]
+        clash = [flag for flag, on in (("--strategy", spec), ("--pi", pi and sys is None)) if on]
         if clash:
             raise InputFormatError(
                 f"--table gives the groupoid; it clashes with {', '.join(clash)}"
             )
-        return load_cayley(args.table) if sys is None else _read_table(args.table, sys)
-    if args.rel:
-        return _strategy_groupoid(args.strategy, args.pi, sys or _load_sys(args))
-    return section6_groupoid()
+        g = _read_table(args.table, sys)
+        if sys is None:
+            return g
+    else:
+        g = None
+        if spec in (None, "min", "max"):
+            strategy = ChoiceStrategy(f"{spec or 'min'}_index", pi_constrained=pi)
+        elif spec.startswith("seed:"):
+            try:
+                strategy = ChoiceStrategy.seeded(int(spec[5:]), pi_constrained=pi)
+            except ValueError:
+                raise InputFormatError(f"bad strategy seed in {spec!r}")
+        else:
+            raise InputFormatError(f"unknown strategy {spec!r}; expected min, max or seed:<n>")
+        if sys is None:
+            sys = section6_system()
+    if flavor and not sys.up_directed:
+        return None
+    if g is None:
+        return build_updir_groupoid(sys, strategy)
+    if (fault := b_of_s_fault(sys, g, pi)) is not None:
+        raise (StructureError if sys.up_directed else NotUpDirectedError)(f"{args.table}: {fault}")
+    return g
 
 
 def _no_groupoid(args, what: str) -> None:
@@ -162,7 +169,7 @@ def _cmd_approx(args) -> int:
     if args.mode and args.kind != "cud":
         raise InputFormatError(f"--kind {args.kind} has no mode; it clashes with --mode")
     if args.kind == "pi":
-        holder = _load_groupoid(args)
+        holder = _groupoid(args)
         A = _mask(holder, args.set)
         ops = {"lower": "l_pi", "upper": "u_pi", "anti_upper": "u_a"}
         _emit_sets(args, holder, {"kind": "pi"}, A,
@@ -191,7 +198,7 @@ def _cmd_granules(args) -> int:
         fam = cud_family(sys)
         holder = sys
     else:
-        g = _load_groupoid(args)
+        g = _groupoid(args)
         fam = subgroupoids(g)
         holder = g
     members = [list(holder.set_labels(m)) for m in fam.members]
@@ -204,14 +211,14 @@ def _cmd_granules(args) -> int:
 
 
 def _cmd_groupoid_build(args) -> int:
-    g = _strategy_groupoid(args.strategy, args.pi, _load_sys(args))
+    g = _groupoid(args, _load_sys(args), pick=True)
     table = [[g.labels[v] for v in row] for row in g.table]
     _emit(args, {"labels": list(g.labels), "table": table}, [dump_cayley(g).removesuffix("\n")])
     return 0
 
 
 def _cmd_groupoid_laws(args) -> int:
-    g = _load_groupoid(args)
+    g = _groupoid(args)
     wanted = (
         tuple(t.strip() for t in args.laws.split(",") if t.strip())
         if args.laws
@@ -231,7 +238,7 @@ def _cmd_groupoid_laws(args) -> int:
 
 
 def _cmd_acp(args) -> int:
-    g = _load_groupoid(args)
+    g = _groupoid(args)
     report = audit_acp_laws(g, args.mode, seed=args.seed)
     data = report.as_dict()
     lines = [f"carrier: {report.mode}"]
@@ -244,7 +251,7 @@ def _cmd_acp(args) -> int:
 
 def _cmd_regions(args) -> int:
     sys = _load_sys(args)
-    g = _load_groupoid(args, sys)
+    g = _groupoid(args, sys)
     sets = args.set or []
     if len(sets) != 2:
         raise InputFormatError("regions needs exactly two --set arguments")
@@ -284,19 +291,6 @@ def _parse_weights(spec: str) -> list[float]:
         raise InputFormatError(f"--weights must be comma-separated numbers, got {spec!r}")
 
 
-def _pi_groupoid(args, flavor: str, over: RelationalSystem) -> Groupoid | None:
-    """Under pi, the groupoid of --strategy over the clustered system, None while
-    that is not up-directed (the caller answers); no other flavor reads one."""
-    if flavor != "pi":
-        _no_groupoid(args, f"{flavor} clustering")
-        return None
-    try:
-        # read --strategy all the same, so that a bad one is still an error
-        return _strategy_groupoid(args.strategy, True, over)
-    except NotUpDirectedError:
-        return None
-
-
 def _load_cluster_set(args, sys: RelationalSystem) -> cluster_mod.ClusterSet:
     """The clusters file re-approximated over sys with the file's flavor (cud if unnamed)."""
     from . import cluster as cluster_mod
@@ -326,7 +320,7 @@ def _load_cluster_set(args, sys: RelationalSystem) -> cluster_mod.ClusterSet:
         return flavor, over, [over.mask(labels) for labels in supports]
 
     flavor, sys, supports = read_parsed(args.clusters, parse)
-    g = _pi_groupoid(args, flavor, sys)
+    g = _groupoid(args, sys, flavor)
     if flavor != "basic" and not sys.up_directed:
         # as `cluster run` does; cud's reflexive shortcut would answer regardless
         raise NotUpDirectedError(f"{args.clusters}: induced relation is not up-directed")
@@ -347,7 +341,7 @@ def _cmd_cluster(args) -> int:
         if args.fallback == "top" and not sys.up_directed:
             # the system clustered, which a pi groupoid must span
             sys = cluster_mod._augment_with_top(sys)
-        g = _pi_groupoid(args, args.kind, sys)
+        g = _groupoid(args, sys, args.kind)
         cs = cluster_mod.propose_clusters(sys, g, args.kind, args.seeds, args.fallback)
         report = cluster_mod.validate_clustering(cs.sys, cs.g, cs, cs.flavor)
         scored = cluster_mod.score_clusters(ds, cs, args.metric)
@@ -468,16 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     # the input flags, declared once: --rel; then --strategy and --pi, which
-    # build a groupoid from the relation; then --table, which gives it outright
+    # pick a member of the relation's B(S) family, or --table, which gives one
     rel = argparse.ArgumentParser(add_help=False)
     rel.add_argument("--rel", default=None, help="relation file (default: bundled fixture)")
-    build = argparse.ArgumentParser(add_help=False, parents=[rel])
-    build.add_argument("--strategy", default=None, help="min | max | seed:<n> | table:<file>")
-    build.add_argument("--pi", action="store_true",
-                       help="constrain strategy choices to pseudo joins")
-    groupoid = argparse.ArgumentParser(add_help=False, parents=[build])
+    groupoid = argparse.ArgumentParser(add_help=False, parents=[rel])
+    groupoid.add_argument("--strategy", default=None, help="min | max | seed:<n>")
+    groupoid.add_argument("--pi", action="store_true", help="the pi family: pseudo joins only")
     groupoid.add_argument("--table", default=None,
-                          help="Cayley table CSV; gives the groupoid outright")
+                          help="Cayley table CSV, checked against the relation read")
 
     p = sub.add_parser("relation", help="inspect a relation file")
     rsub = p.add_subparsers(dest="sub", required=True)
@@ -501,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("groupoid", help="build a groupoid or check laws")
     gsub = p.add_subparsers(dest="sub", required=True)
-    gb = gsub.add_parser("build", help="build from a relation", parents=[build])
+    gb = gsub.add_parser("build", help="build from a relation", parents=[groupoid])
     _add_common(gb)
     gb.set_defaults(fn=_cmd_groupoid_build)
     gl = gsub.add_parser("laws", help="evaluate equational laws", parents=[groupoid])
@@ -530,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--eps", type=float, required=True)
         cp.add_argument("--rho", choices=("l2", "linf"), default="l2")
         cp.add_argument("--strategy", default=None,
-                        help="pi clustering only: min | max | seed:<n> | table:<file>")
+                        help="pi clustering only: min | max | seed:<n>")
+        cp.add_argument("--table", default=None, help="pi clustering only: Cayley table CSV")
         cp.add_argument("--metric", choices=("nasd", "band_variance"), default="nasd")
         if name == "run":
             cp.add_argument("--kind", choices=("cud", "pi"), default="cud",

@@ -549,10 +549,6 @@ def _weighted(
             weights = [1.0] * len(value)
         if len(weights) != len(value):
             raise LawError("weight count does not match band count")
-        if not all(math.isfinite(w) for w in weights):
-            raise LawError("weights must be finite")
-        if any(w < 0 for w in weights):
-            raise LawError("weights must be non-negative")
         return float(sum(w * v for w, v in zip(weights, value)))
     return float(value)
 
@@ -565,8 +561,13 @@ def select_clusters(
     weight the bands of band_variance scores; nasd scores have no bands."""
     if k < 1:
         raise LawError("k must be at least 1")
-    if priorities is not None and scored.metric != "band_variance":
-        raise LawError("band weights apply only to band_variance scores")
+    if priorities is not None:
+        if scored.metric != "band_variance":
+            raise LawError("band weights apply only to band_variance scores")
+        if not all(math.isfinite(w) for w in priorities):
+            raise LawError("weights must be finite")
+        if any(w < 0 for w in priorities):
+            raise LawError("weights must be non-negative")
     cs = scored.cluster_set
     ranked = sorted(
         range(len(cs.clusters)),

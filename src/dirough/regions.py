@@ -2,14 +2,14 @@
 
 Each product a.b with a drawn from A and b from B lands somewhere; the six
 region kinds classify the landing spot relative to A, B, and the
-upper-bound set of the pair. The groupoid must actually fit the relation,
-so the pair is verified before anything is computed.
+upper-bound set of the pair. The groupoid must be a member of the
+relation's B(S) family, so the pair is checked before anything is computed.
 """
 
 from __future__ import annotations
 
-from .errors import LawError, StructureError
-from .grpd import Groupoid, verify_b_of_s
+from .errors import LawError, NotUpDirectedError, StructureError
+from .grpd import Groupoid, b_of_s_fault
 from .relsys import RelationalSystem
 from ._bits import bits
 
@@ -23,10 +23,11 @@ def region_table(
 
     n: elements of B fixed by some a in A. o1/o2: products that are
     genuine upper bounds escaping A (resp. B). i1/i2: upper-bound products
-    landing back inside A (resp. B). o: escaping both.
+    landing back inside A (resp. B). o: escaping both. A pair outside B(S)
+    raises the first fault: NotUpDirectedError, else StructureError.
     """
-    if not verify_b_of_s(sys, g):
-        raise StructureError("groupoid is inconsistent with the relation")
+    if (fault := b_of_s_fault(sys, g)) is not None:
+        raise (StructureError if sys.up_directed else NotUpDirectedError)(fault)
     if (A | B) & ~sys.full_mask:
         raise LawError("operand sets must be subsets of the universe")
     n = o1 = o2 = i1 = i2 = 0

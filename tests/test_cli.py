@@ -229,6 +229,48 @@ class TestGroupoid:
             assert want in out
 
 
+class TestInputFlags:
+    """--strategy and --pi pick over --rel or, without it, the bundled relation;
+    --table gives a member and is checked against the relation read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["groupoid", "laws", "--strategy", "max"],
+        ["acp", "audit", "--strategy", "max", "--pi"],
+        ["approx", "--kind", "pi", "--set", "e,b,c", "--strategy", "seed:2", "--pi"],
+        ["granules", "subgroupoid", "--strategy", "max"],
+        ["regions", "--set", "a,c", "--set", "b,e", "--strategy", "max"],
+    ], ids=["groupoid-laws", "acp-audit", "approx-pi", "granules-subgroupoid", "regions"])
+    def test_strategy_picks_over_bundled_relation(self, capsys, fixture_files, argv):
+        rel, _ = fixture_files
+        want = cli(capsys, *argv, "--rel", rel)
+        assert want[0] == 0 and cli(capsys, *argv) == want
+
+    def test_build_checks_table(self, capsys, fixture_files):
+        rel, table = fixture_files
+        for extra in ((), ("--rel", rel)):
+            code, out, err = cli(capsys, "groupoid", "build", "--table", table, *extra)
+            assert code == 0 and out == dump_cayley(section6_groupoid()), err
+        # the bundled groupoid is in B(S) but not a pi-groupoid
+        code, out, err = cli(capsys, "groupoid", "build", "--table", table, "--pi")
+        assert code == 1 and out == ""
+        assert err == f"error: {table}: choice does not factor through the upper-bound set\n"
+
+    def test_cluster_table_is_the_picked_member(self, capsys, blob_csv, tmp_path):
+        from dirough.cluster import load_dataset, step1_relation
+
+        # at eps 20 r3 sits above every row, so the relation is up-directed
+        sys_ = step1_relation(load_dataset(blob_csv), "euclidean", 20)
+        table = tmp_path / "pi.csv"
+        table.write_text(dump_cayley(build_updir_groupoid(sys_, ChoiceStrategy.max_index(True))))
+        argv = ("cluster", "run", "--data", blob_csv, "--eps", "20", "--kind", "pi", "--json")
+        want = cli(capsys, *argv, "--strategy", "max")
+        assert want[0] == 0 and cli(capsys, *argv, "--table", str(table)) == want
+        clusters = tmp_path / "clusters.json"
+        clusters.write_text(want[1])
+        argv = ("cluster", "validate", str(clusters), "--data", blob_csv, "--eps", "20")
+        assert cli(capsys, *argv, "--table", str(table)) == cli(capsys, *argv, "--strategy", "max")
+
+
 class TestAcp:
     def test_audit_formal(self, capsys):
         code, data, _ = cli_json(capsys, "acp", "audit")
@@ -682,13 +724,14 @@ MALFORMED_INPUTS = {
     "audit-claims-negative-random": (
         {}, ["audit", "claims", "--random", "-3"], "non-negative"
     ),
-    # --table gives the groupoid: a flag that builds another one, or a
-    # command that uses none, clashes with it
+    # --table gives the groupoid, checked against the relation read beside
+    # it: --strategy, --pi beside no relation, or a command that uses no
+    # groupoid, clashes with it
     "approx-pi-table-and-rel": (
-        {"ab.csv": AB_CAYLEY, "xy.rel": XY_REL},
-        ["approx", "--kind", "pi", "--rel", "{d}/xy.rel", "--table", "{d}/ab.csv",
+        {"ab.rel": AB_REL, "bad.csv": AB_NOT_BS_CAYLEY},
+        ["approx", "--kind", "pi", "--rel", "{d}/ab.rel", "--table", "{d}/bad.csv",
          "--set", "a"],
-        "--rel",
+        "bad.csv: explicit table violates the B(S) condition",
     ),
     "acp-audit-table-and-pi": (
         {"ab.csv": AB_CAYLEY}, ["acp", "audit", "--table", "{d}/ab.csv", "--pi"], "--pi"
@@ -700,9 +743,9 @@ MALFORMED_INPUTS = {
         "--strategy",
     ),
     "groupoid-laws-table-and-rel": (
-        {"ab.csv": AB_CAYLEY, "ab.rel": AB_REL},
-        ["groupoid", "laws", "--table", "{d}/ab.csv", "--rel", "{d}/ab.rel"],
-        "--rel",
+        {"ab.rel": AB_REL, "bad.csv": AB_NOT_BS_CAYLEY},
+        ["groupoid", "laws", "--table", "{d}/bad.csv", "--rel", "{d}/ab.rel"],
+        "bad.csv: explicit table violates the B(S) condition",
     ),
     "granules-subgroupoid-table-and-strategy": (
         {"ab.csv": AB_CAYLEY},
@@ -732,7 +775,7 @@ MALFORMED_INPUTS = {
         {}, ["granules", "cud", "--strategy", "max", "--pi"], "--strategy, --pi"
     ),
     # a flag the command would not read: --mode outside --kind cud, and
-    # cluster --strategy outside pi clustering
+    # cluster --strategy or --table outside pi clustering
     "approx-nbd-mode": (
         {}, ["approx", "--kind", "nbd", "--mode", "collection", "--set", "a"], "--mode"
     ),
@@ -752,19 +795,40 @@ MALFORMED_INPUTS = {
          "--eps", "2", "--strategy", "max"],
         "--strategy",
     ),
-    # a --strategy table carries the relation's labels in the relation's order
-    "strategy-table-other-labels": (
+    "cluster-run-cud-table": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode(), "ab.csv": AB_CAYLEY},
+        ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "2", "--fallback", "basic",
+         "--table", "{d}/ab.csv"],
+        "cud clustering uses no groupoid; it clashes with --table",
+    ),
+    # --strategy only picks, in every command: a table is given with --table
+    "strategy-table-unknown": (
+        {"ab.rel": AB_REL, "ab.csv": AB_CAYLEY},
+        ["groupoid", "build", "--rel", "{d}/ab.rel", "--strategy", "table:{d}/ab.csv"],
+        "unknown strategy 'table:",
+    ),
+    "acp-audit-strategy-unknown": (
+        {}, ["acp", "audit", "--strategy", "bogus"], "unknown strategy 'bogus'"
+    ),
+    # a --table read beside a relation carries the relation's labels in the
+    # relation's order: --rel, the fixture for regions and groupoid build, the
+    # clustered system for cluster, and for audit claims without --rel the fixture
+    "build-table-other-labels": (
         {"ab.rel": AB_REL, "xy.csv": XY_CAYLEY},
-        ["groupoid", "build", "--rel", "{d}/ab.rel", "--strategy", "table:{d}/xy.csv"],
+        ["groupoid", "build", "--rel", "{d}/ab.rel", "--table", "{d}/xy.csv"],
         f"xy.csv: {LABELS_RULE}",
     ),
-    "strategy-table-reordered": (
+    "build-table-reordered": (
         {"ab.rel": AB_REL, "ba.csv": BA_CAYLEY},
-        ["groupoid", "build", "--rel", "{d}/ab.rel", "--strategy", "table:{d}/ba.csv"],
+        ["groupoid", "build", "--rel", "{d}/ab.rel", "--table", "{d}/ba.csv"],
         f"ba.csv: {LABELS_RULE}",
     ),
-    # so does a --table read beside a relation: regions and audit claims
-    # read it against --rel, audit claims without --rel against the fixture
+    "cluster-run-table-other-labels": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode(), "ab.csv": AB_CAYLEY},
+        ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "20", "--kind", "pi",
+         "--table", "{d}/ab.csv"],
+        f"ab.csv: {LABELS_RULE}",
+    ),
     "regions-table-other-labels": (
         {"ab.rel": AB_REL, "xy.csv": XY_CAYLEY},
         ["regions", "--rel", "{d}/ab.rel", "--table", "{d}/xy.csv", "--set", "a",
@@ -796,7 +860,7 @@ MALFORMED_INPUTS = {
         {"ab.rel": AB_REL, "bad.csv": AB_NOT_BS_CAYLEY},
         ["regions", "--rel", "{d}/ab.rel", "--table", "{d}/bad.csv", "--set", "a",
          "--set", "b"],
-        "groupoid is inconsistent with the relation",
+        "bad.csv: explicit table violates the B(S) condition",
     ),
     # B(S) is a family of an up-directed system: a two-cycle has none, though
     # this table obeys the cell rule in every cell
@@ -804,7 +868,7 @@ MALFORMED_INPUTS = {
         {"cyc.rel": b"elements: a b\na b\nb a\n", "cyc.csv": b",a,b\na,b,b\nb,a,a\n"},
         ["regions", "--rel", "{d}/cyc.rel", "--table", "{d}/cyc.csv", "--set", "a",
          "--set", "b"],
-        "groupoid is inconsistent with the relation",
+        "cyc.csv: system is not up-directed",
     ),
     "cluster-support-unknown-row": (
         {"blobs.csv": TWO_BLOBS_CSV.encode(),
@@ -826,23 +890,26 @@ class TestMalformedInput:
 
 
 class TestExplicitPiTable:
-    """A B(S) table that breaks a pi condition fails `groupoid build --pi`."""
+    """A B(S) table that breaks a pi condition is refused beside --pi."""
 
+    @pytest.mark.parametrize("command", [
+        ["groupoid", "build"], ["regions", "--set", "v0", "--set", "v1"],
+    ], ids=["groupoid-build", "regions"])
     @pytest.mark.parametrize("strat,fragment", [
         (ChoiceStrategy.max_index(), "product v2.v2 is not a pseudo join"),
         (ChoiceStrategy.seeded(1), "choice does not factor through the upper-bound set"),
-    ])
-    def test_one_error_line(self, tmp_path, strat, fragment):
+    ], ids=["pseudo-join", "factoring"])
+    def test_one_error_line(self, tmp_path, command, strat, fragment):
         sys_ = rand_updirected(0, 5)
         rel, table = tmp_path / "r.rel", tmp_path / "t.csv"
         rel.write_text(dump_relation(sys_))
         table.write_text(dump_cayley(build_updir_groupoid(sys_, strat)))
-        argv = ["groupoid", "build", "--rel", str(rel), "--strategy", f"table:{table}"]
+        argv = [*command, "--rel", str(rel), "--table", str(table)]
         out = subprocess.run(
             [sys.executable, "-m", "dirough", *argv, "--pi"], capture_output=True, text=True
         )
         assert out.returncode == 1 and out.stdout == ""
-        assert out.stderr.splitlines() == [f"error: {fragment}"]
+        assert out.stderr.splitlines() == [f"error: {table}: {fragment}"]
         out = subprocess.run(
             [sys.executable, "-m", "dirough", *argv], capture_output=True, text=True
         )

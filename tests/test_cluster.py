@@ -665,6 +665,14 @@ class TestSelect:
             with pytest.raises(LawError):
                 select_clusters(scored, priorities=[bad, 1.0], k=2)
 
+    @pytest.mark.parametrize("bad", [[-1.0], [math.nan, 1.0]], ids=["negative", "nan"])
+    def test_weights_validated_with_nothing_to_weigh(self, bad):
+        ds = two_blobs()
+        empty = ClusterSet((), "cud", step1_relation(ds, eps=2))
+        scored = score_clusters(ds, empty, "band_variance")
+        with pytest.raises(LawError, match="weights must be"):
+            select_clusters(scored, priorities=bad, k=2)
+
     def test_matches_union_oracle(self):
         ds, sets = hand_cluster_sets()
         cases = [(ds, cs) for cs in sets]

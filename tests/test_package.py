@@ -270,3 +270,23 @@ def test_no_private_name_crosses_modules():
         if alias.name.startswith("_")
     ]
     assert crossing == []
+
+
+# --- one way for a Cayley table into the CLI --------------------------------
+
+
+@pytest.mark.parametrize("callee,caller", [
+    ("load_cayley", "_read_table"), ("b_of_s_fault", "_groupoid"),
+])
+def test_table_meets_the_cli_in_one_function(callee, caller):
+    """cli reads a Cayley table in one function and checks it against the
+    B(S) rule in one, so a second table path cannot come back."""
+    tree = ast.parse((Path(dirough.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    callers = {
+        f.name
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == callee
+    }
+    assert callers == {caller}

@@ -3,9 +3,10 @@ import pytest
 import oracles
 from conftest import label_pairs, rand_updirected, sample_masks
 
-from dirough.errors import LawError, StructureError
+from dirough.errors import LawError, NotUpDirectedError, StructureError
 from dirough.fixtures import section6_groupoid, section6_system
-from dirough.grpd import ChoiceStrategy, build_updir_groupoid
+from dirough.grpd import ChoiceStrategy, build_updir_groupoid, parse_cayley
+from dirough.relsys import parse_relation
 from dirough.regions import REGION_KINDS, region, region_table
 
 
@@ -43,6 +44,20 @@ class TestErrors:
         other = rand_updirected(1, F.n)
         with pytest.raises(StructureError):
             region(G, other, 0, 0, "n")
+
+    @pytest.mark.parametrize("rel,table,error,message", [
+        # b.a = a, where B(S) asks for an upper bound of b and a, here only b
+        ("elements: a b\na a\na b\nb b\n", ",a,b\na,a,b\nb,a,b\n",
+         StructureError, "explicit table violates the B(S) condition"),
+        # a two-cycle has no B(S) family, though this table obeys the cell rule
+        ("elements: a b\na b\nb a\n", ",a,b\na,b,b\nb,a,a\n",
+         NotUpDirectedError, "system is not up-directed"),
+    ], ids=["outside-bs", "not-updirected"])
+    def test_fault_names_itself(self, rel, table, error, message):
+        sys_, g = parse_relation(rel), parse_cayley(table)
+        with pytest.raises(error) as e:
+            region_table(g, sys_, 1, 2)
+        assert str(e.value) == message
 
     def test_unknown_kind(self, F, G):
         with pytest.raises(LawError):
