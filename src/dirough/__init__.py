@@ -109,7 +109,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "regions": ("REGION_KINDS", "region", "region_table"),
     "relsys": (
         "GranuleFamily",
-        "InformationTable",
         "RelationalSystem",
         "SpaceProfile",
         "approx_basic",
@@ -117,7 +116,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "check_morphism",
         "classify",
         "dc_neighborhood",
-        "derive_pawl_relation",
         "dump_relation",
         "exhaustive_cap",
         "from_id_pairs",
@@ -127,7 +125,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "load_relation",
         "neighborhood",
         "parse_relation",
-        "to_dot",
         "upper_bounds",
     ),
 }

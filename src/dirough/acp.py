@@ -14,9 +14,8 @@ and then runs the operations proper directly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ._bits import assignments, is_subset, mix
 from .errors import LawError, StructureError
@@ -32,8 +31,7 @@ ACP_LAW_TIERS = {"A1": 1, "A2": 2, "A3": 1, "A4": 1, "A5": 1, "A6": 2,
                  "well-defined": 1, "realized-closure": 2}
 
 
-@dataclass(frozen=True)
-class AcpElement:
+class AcpElement(NamedTuple):
     """Pair of element-sets; valid when both closed and first ⊆ second."""
 
     first: int
@@ -134,16 +132,14 @@ def acp_leq(x: AcpElement, y: AcpElement) -> bool:
 # Law audit
 
 
-@dataclass(frozen=True)
-class LawVerdict:
+class LawVerdict(NamedTuple):
     law: str
     tier: int
     holds: bool
     witness: dict | None = None
 
 
-@dataclass(frozen=True)
-class LawAuditReport:
+class LawAuditReport(NamedTuple):
     mode: str
     verdicts: tuple[LawVerdict, ...]
 
@@ -152,7 +148,7 @@ class LawAuditReport:
         return tuple(v for v in self.verdicts if not v.holds)
 
     def as_dict(self) -> dict:
-        return {"mode": self.mode, "laws": [asdict(v) for v in self.verdicts]}
+        return {"mode": self.mode, "laws": [v._asdict() for v in self.verdicts]}
 
 
 def audit_acp_laws(

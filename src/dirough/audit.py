@@ -17,9 +17,8 @@ a report is reproducible byte for byte.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from ._bits import assignments, bits, is_subset, mix
 from .acp import ACP_LAW_TIERS, LawAuditReport, audit_acp_laws
@@ -34,6 +33,7 @@ from .grpd import (
 )
 from .piappr import approx_pi
 from .relsys import (
+    Record,
     RelationalSystem,
     approx_basic,
     dc_neighborhood,
@@ -51,11 +51,14 @@ _AUDIT_STRATEGIES = (
 )
 
 
-@dataclass(frozen=True)
-class AuditInstance:
-    name: str
-    sys: RelationalSystem
-    g: Groupoid | None = None
+class AuditInstance(Record):
+    """A system under audit, with its groupoid where it has one."""
+
+    _fields = ("name", "sys", "g")
+
+    def __init__(self, name: str, sys: RelationalSystem, g: Groupoid | None = None):
+        d = self.__dict__
+        d["name"], d["sys"], d["g"] = name, sys, g
 
     @cached_property
     def acp_report(self) -> LawAuditReport:
@@ -72,8 +75,7 @@ class AuditInstance:
         )
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One auditable statement.
 
     vars names the quantified variables: uppercase entries range over
@@ -93,8 +95,7 @@ class Claim:
     requires_updirected: bool = False
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim: str
     tier: int
     instance: str
@@ -102,11 +103,10 @@ class ClaimResult:
     witness: dict | None = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     results: tuple[ClaimResult, ...]
 
     @property
@@ -157,8 +157,7 @@ def random_updirected_system(seed: int, n: int) -> RelationalSystem:
 # Named operators
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(NamedTuple):
     """A subset operator that claims are stated over.
 
     needs says whether it reads the system or the groupoid, which also

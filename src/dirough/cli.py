@@ -16,23 +16,7 @@ import os as _os
 import sys as _sys
 from typing import TYPE_CHECKING
 
-from .acp import audit_acp_laws
-from .cud import approx_cud, cud_family
 from .errors import DiroughError, InputFormatError, NotUpDirectedError, StructureError
-from .fixtures import build_section6_report, section6_groupoid, section6_system
-from .grpd import (
-    ALL_LAWS,
-    ChoiceStrategy,
-    Groupoid,
-    b_of_s_fault,
-    build_updir_groupoid,
-    dump_cayley,
-    law_violation,
-    load_cayley,
-    subgroupoids,
-)
-from .piappr import approx_pi
-from .regions import REGION_KINDS, region_table
 from .relsys import (
     RelationalSystem,
     basic_bounds,
@@ -42,14 +26,19 @@ from .relsys import (
     read_parsed,
 )
 
-# audit and cluster are imported by the handlers that run them, so the
-# other commands start without them (and cluster's numpy)
+# Every command reads relations, so relsys loads here. Each other module is
+# imported by the handler or helper that runs it, so a cold command compiles
+# only what it uses: `relation check --rel` needs relsys alone, and only
+# `cluster` loads numpy.
 if TYPE_CHECKING:
     from . import cluster as cluster_mod
+    from .grpd import Groupoid
 
 
 def _read_table(path: str, sys: RelationalSystem | None = None) -> Groupoid:
     """The Cayley table at path; given sys, it must carry sys's labels in sys's order."""
+    from .grpd import load_cayley
+
     g = load_cayley(path)
     if sys is not None and g.labels != sys.labels:
         raise InputFormatError(f"{path}: table labels must be the relation's, in its order")
@@ -57,7 +46,12 @@ def _read_table(path: str, sys: RelationalSystem | None = None) -> Groupoid:
 
 
 def _load_sys(args) -> RelationalSystem:
-    return load_relation(args.rel) if args.rel else section6_system()
+    """The --rel relation, else the bundled one."""
+    if args.rel:
+        return load_relation(args.rel)
+    from .fixtures import section6_system
+
+    return section6_system()
 
 
 def _groupoid(args, sys: RelationalSystem | None = None, flavor: str | None = None,
@@ -78,7 +72,11 @@ def _groupoid(args, sys: RelationalSystem | None = None, flavor: str | None = No
     spec = args.strategy
     pi = flavor == "pi" or args.pi  # cluster commands have no --pi, and no --rel
     if not (pi or spec or args.table or args.rel or pick):
+        from .fixtures import section6_groupoid
+
         return section6_groupoid()
+    from .grpd import ChoiceStrategy, b_of_s_fault, build_updir_groupoid
+
     if sys is None and args.rel:
         sys = load_relation(args.rel)
     if args.table:
@@ -102,7 +100,7 @@ def _groupoid(args, sys: RelationalSystem | None = None, flavor: str | None = No
         else:
             raise InputFormatError(f"unknown strategy {spec!r}; expected min, max or seed:<n>")
         if sys is None:
-            sys = section6_system()
+            sys = _load_sys(args)
     if flavor and not sys.up_directed:
         return None
     if g is None:
@@ -169,6 +167,8 @@ def _cmd_approx(args) -> int:
     if args.mode and args.kind != "cud":
         raise InputFormatError(f"--kind {args.kind} has no mode; it clashes with --mode")
     if args.kind == "pi":
+        from .piappr import approx_pi
+
         holder = _groupoid(args)
         A = _mask(holder, args.set)
         ops = {"lower": "l_pi", "upper": "u_pi", "anti_upper": "u_a"}
@@ -182,6 +182,8 @@ def _cmd_approx(args) -> int:
         lo, up = basic_bounds(holder, A)
         _emit_sets(args, holder, {"kind": "nbd"}, A, {"lower": lo, "upper": up})
         return 0
+    from .cud import approx_cud
+
     # Not packaged as a RoughTuple: the collection-mode upper may fail
     # to contain the lower, which that container rejects by design.
     mode = args.mode or "pointwise"
@@ -193,11 +195,15 @@ def _cmd_approx(args) -> int:
 
 def _cmd_granules(args) -> int:
     if args.family == "cud":
+        from .cud import cud_family
+
         _no_groupoid(args, "granules cud")
         sys = _load_sys(args)
         fam = cud_family(sys)
         holder = sys
     else:
+        from .grpd import subgroupoids
+
         g = _groupoid(args)
         fam = subgroupoids(g)
         holder = g
@@ -211,6 +217,8 @@ def _cmd_granules(args) -> int:
 
 
 def _cmd_groupoid_build(args) -> int:
+    from .grpd import dump_cayley
+
     g = _groupoid(args, _load_sys(args), pick=True)
     table = [[g.labels[v] for v in row] for row in g.table]
     _emit(args, {"labels": list(g.labels), "table": table}, [dump_cayley(g).removesuffix("\n")])
@@ -218,6 +226,8 @@ def _cmd_groupoid_build(args) -> int:
 
 
 def _cmd_groupoid_laws(args) -> int:
+    from .grpd import ALL_LAWS, law_violation
+
     g = _groupoid(args)
     wanted = (
         tuple(t.strip() for t in args.laws.split(",") if t.strip())
@@ -238,6 +248,8 @@ def _cmd_groupoid_laws(args) -> int:
 
 
 def _cmd_acp(args) -> int:
+    from .acp import audit_acp_laws
+
     g = _groupoid(args)
     report = audit_acp_laws(g, args.mode, seed=args.seed)
     data = report.as_dict()
@@ -250,6 +262,8 @@ def _cmd_acp(args) -> int:
 
 
 def _cmd_regions(args) -> int:
+    from .regions import region_table
+
     sys = _load_sys(args)
     g = _groupoid(args, sys)
     sets = args.set or []
@@ -397,6 +411,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
+    from .fixtures import build_section6_report
+
     report = build_section6_report()
     if args.json:
         print(json.dumps(report, indent=2))
@@ -425,7 +441,7 @@ def _cmd_audit(args) -> int:
     from . import audit as audit_mod
 
     sys = load_relation(args.rel) if args.rel else None
-    g = _read_table(args.table, sys or section6_system()) if args.table else None
+    g = _read_table(args.table, sys or _load_sys(args)) if args.table else None
     report = audit_mod.audit_claims(
         sys, g, tier=args.tier, random_instances=args.random, seed=args.seed
     )
@@ -510,7 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regions", help="decision regions of a subset pair", parents=[groupoid])
     p.add_argument("--set", action="append", help="pass twice: first A, then B")
-    p.add_argument("--kind", choices=REGION_KINDS, default=None, help="one kind only")
+    # regions.REGION_KINDS, spelled out so that building the parser imports no domain module
+    p.add_argument("--kind", choices=("n", "o1", "o2", "i1", "i2", "o"), default=None,
+                   help="one kind only")
     _add_common(p)
     p.set_defaults(fn=_cmd_regions)
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .cud import RoughTuple, cud_family, cud_tuple
 from .errors import InputFormatError, LawError, NotUpDirectedError, StructureError
 from .grpd import Groupoid, subgroupoids
 from .piappr import approx_pi
-from .relsys import RelationalSystem, basic_bounds, from_id_pairs, read_parsed
+from .relsys import Record, RelationalSystem, basic_bounds, from_id_pairs, read_parsed
 
 RHO_NAMES = ("euclidean", "chebyshev")
 FALLBACKS = ("error", "basic", "top")
@@ -39,32 +38,36 @@ _SCORE_BLOCK = 64
 # Dataset
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Rows of non-negative band intensities, optionally georeferenced."""
 
-    ids: tuple[str, ...]
-    bands: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
-    coords: tuple[tuple[float, float], ...] | None = None
+    _fields = ("ids", "bands", "rows", "coords")
 
-    def __post_init__(self):
-        if len(set(self.ids)) != len(self.ids):
+    def __init__(
+        self,
+        ids: tuple[str, ...],
+        bands: tuple[str, ...],
+        rows: tuple[tuple[float, ...], ...],
+        coords: tuple[tuple[float, float], ...] | None = None,
+    ):
+        d = self.__dict__
+        d["ids"], d["bands"], d["rows"], d["coords"] = ids, bands, rows, coords
+        if len(set(ids)) != len(ids):
             raise InputFormatError("duplicate row id")
-        if TOP_LABEL in self.ids:
+        if TOP_LABEL in ids:
             raise InputFormatError(f"row id {TOP_LABEL!r} is reserved for the top fallback")
-        if len(self.rows) != len(self.ids):
+        if len(rows) != len(ids):
             raise InputFormatError("row count does not match id count")
-        d = len(self.bands)
-        for rid, row in zip(self.ids, self.rows):
-            if len(row) != d:
-                raise InputFormatError(f"row {rid!r} has {len(row)} bands, expected {d}")
-            for band, v in zip(self.bands, row):
+        dim = len(bands)
+        for rid, row in zip(ids, rows):
+            if len(row) != dim:
+                raise InputFormatError(f"row {rid!r} has {len(row)} bands, expected {dim}")
+            for band, v in zip(bands, row):
                 if not math.isfinite(v) or v < 0:
                     raise InputFormatError(
                         f"row {rid!r}, band {band!r}: intensities must be finite and >= 0"
                     )
-        if self.coords is not None and len(self.coords) != len(self.ids):
+        if coords is not None and len(coords) != len(ids):
             raise InputFormatError("coordinate count does not match row count")
 
     @property
@@ -209,16 +212,14 @@ def step1_relation(
 # Rough clusters
 
 
-@dataclass(frozen=True)
-class RoughCluster:
+class RoughCluster(NamedTuple):
     """A candidate subset together with its approximation tuple."""
 
     support: int
     approx: RoughTuple
 
 
-@dataclass(frozen=True)
-class ClusterSet:
+class ClusterSet(NamedTuple):
     clusters: tuple[RoughCluster, ...]
     flavor: str
     sys: RelationalSystem
@@ -232,8 +233,7 @@ class ClusterSet:
         return out
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     covers: bool
     uncovered: tuple[str, ...]
     disclusion_pairs: tuple[tuple[int, int], ...]
@@ -428,18 +428,18 @@ def validate_clustering(
 _COMPONENTS = ("lower", "upper", "boundary")
 
 
-@dataclass(frozen=True)
-class ScoreRow:
+class ScoreRow(NamedTuple):
     cluster: int
     component: str
     value: tuple[float, ...] | float | None
 
 
-@dataclass(frozen=True)
-class ScoreTable:
-    metric: str
-    rows: tuple[ScoreRow, ...]
-    cluster_set: ClusterSet
+class ScoreTable(Record):
+    _fields = ("metric", "rows", "cluster_set")
+
+    def __init__(self, metric: str, rows: tuple[ScoreRow, ...], cluster_set: ClusterSet):
+        d = self.__dict__
+        d["metric"], d["rows"], d["cluster_set"] = metric, rows, cluster_set
 
     @cached_property
     def _values(self) -> dict[tuple[int, str], tuple[float, ...] | float | None]:

@@ -8,15 +8,12 @@ and a pair of approximations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._bits import bits, is_subset
 from .errors import LawError, NotUpDirectedError, StructureError
-from .relsys import GranuleFamily, RelationalSystem, is_cud
+from .relsys import GranuleFamily, Record, RelationalSystem, is_cud
 
 
-@dataclass(frozen=True)
-class RoughTuple:
+class RoughTuple(Record):
     """(lower, upper, boundary) of one approximation pass.
 
     flavor records which machinery produced it: cud granules, the
@@ -24,17 +21,19 @@ class RoughTuple:
     the fallback for systems that are not up-directed).
     """
 
-    lower: int
-    upper: int
-    boundary: int
-    flavor: str
+    _fields = ("lower", "upper", "boundary", "flavor")
 
-    def __post_init__(self):
-        if self.flavor not in ("cud", "pi", "basic"):
-            raise LawError(f"unknown rough-tuple flavor {self.flavor!r}")
-        if not is_subset(self.lower, self.upper):
+    def __init__(self, lower: int, upper: int, boundary: int, flavor: str):
+        d = self.__dict__
+        d["lower"] = lower
+        d["upper"] = upper
+        d["boundary"] = boundary
+        d["flavor"] = flavor
+        if flavor not in ("cud", "pi", "basic"):
+            raise LawError(f"unknown rough-tuple flavor {flavor!r}")
+        if not is_subset(lower, upper):
             raise StructureError("rough tuple lower is not inside its upper")
-        if self.boundary != self.upper & ~self.lower:
+        if boundary != upper & ~lower:
             raise StructureError("rough tuple boundary is not upper minus lower")
 
 

@@ -18,7 +18,7 @@ exactly {3,4,5}.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .cud import approx_cud, cud_family
 from .grpd import Groupoid, subgroupoids, verify_b_of_s
@@ -98,8 +98,7 @@ PRINTED_VALUES = {
 }
 
 
-@dataclass(frozen=True)
-class Erratum:
+class Erratum(NamedTuple):
     id: str
     location: str
     printed: str
@@ -107,7 +106,7 @@ class Erratum:
     forcing: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 ERRATA = (

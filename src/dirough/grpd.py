@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem
 from typing import Iterable
@@ -28,6 +27,7 @@ from .errors import (
 )
 from .relsys import (
     GranuleFamily,
+    Record,
     RelationalSystem,
     Universe,
     from_id_pairs,
@@ -36,18 +36,18 @@ from .relsys import (
 )
 
 
-@dataclass(frozen=True)
 class Groupoid(Universe):
     """Total binary operation given as an n x n Cayley table (row . col)."""
 
-    table: tuple[tuple[int, ...], ...]
+    _fields = ("labels", "table")
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, labels: tuple[str, ...], table: tuple[tuple[int, ...], ...]):
+        super().__init__(labels)
+        self.__dict__["table"] = table
         n = self.n
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        if len(table) != n or any(len(row) != n for row in table):
             raise StructureError("Cayley table shape does not match universe")
-        for row in self.table:
+        for row in table:
             for v in row:
                 if not 0 <= v < n:
                     raise StructureError(f"Cayley cell {v} is not an element id")
@@ -76,8 +76,7 @@ class Groupoid(Universe):
         return GranuleFamily(sweep_subsets(n, closed), n)
 
 
-@dataclass(frozen=True)
-class ChoiceStrategy:
+class ChoiceStrategy(Record):
     """How build_updir_groupoid resolves the free choice in the no-edge case.
 
     kind: one of min_index, max_index, seeded_random.
@@ -86,14 +85,14 @@ class ChoiceStrategy:
         U_R(a,b) = U_R(c,e) always receive equal products.
     """
 
-    kind: str
-    seed: int | None = None
-    pi_constrained: bool = False
+    _fields = ("kind", "seed", "pi_constrained")
 
-    def __post_init__(self):
-        if self.kind not in ("min_index", "max_index", "seeded_random"):
-            raise LawError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "seeded_random" and self.seed is None:
+    def __init__(self, kind: str, seed: int | None = None, pi_constrained: bool = False):
+        d = self.__dict__
+        d["kind"], d["seed"], d["pi_constrained"] = kind, seed, pi_constrained
+        if kind not in ("min_index", "max_index", "seeded_random"):
+            raise LawError(f"unknown strategy kind {kind!r}")
+        if kind == "seeded_random" and seed is None:
             raise LawError("seeded_random strategy needs a seed")
 
     @classmethod

@@ -8,15 +8,14 @@ gradations of rough equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._bits import is_subset
 from .errors import LawError
 from .grpd import Groupoid, generate, subgroupoids
 
 
-@dataclass(frozen=True)
-class PgTuple:
+class PgTuple(NamedTuple):
     """(lower, generated lower, upper); the middle closes the lower."""
 
     lower: int

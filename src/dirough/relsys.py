@@ -8,19 +8,13 @@ Relation text format:
     line 1:            elements: a b c ...
     following lines:   x y        (meaning R x y)
     comments:          # ...
-
-Information table CSV: header row names the attributes (first column holds
-object labels), one row per object, cell values are ``|``-separated tokens.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import os
-from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from ._bits import bits, is_subset, mask_of, sweep_subsets
 from .errors import (
@@ -59,18 +53,53 @@ def require_cap(n: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Universe:
+class Record:
+    """Base of the immutable records that check their fields or cache state.
+
+    A subclass names its fields in _fields and sets them in its __init__
+    through __dict__, which is also where a cached_property keeps its value.
+    Equality, hashing and repr read the fields in that order, and assigning
+    or deleting an attribute afterwards raises AttributeError. Records with
+    neither checks nor cached state are typing.NamedTuple classes instead.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Universe(Record):
     """A finite universe S of distinct labels; element ids are positions.
 
     Subsets of S are bitmasks over the ids. Systems and groupoids share this
     base, so label lookup and the in-universe checks live here once.
     """
 
-    labels: tuple[str, ...]
+    _fields = ("labels",)
 
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+    def __init__(self, labels: tuple[str, ...]):
+        self.__dict__["labels"] = labels
+        if len(set(labels)) != len(labels):
             raise LabelError("duplicate universe label")
 
     @property
@@ -106,7 +135,6 @@ class Universe:
             raise LabelError(f"element id {x} out of range")
 
 
-@dataclass(frozen=True)
 class RelationalSystem(Universe):
     """Universe with one binary relation; the pair ``(S, R)``.
 
@@ -115,13 +143,14 @@ class RelationalSystem(Universe):
         means R holds from element i to element j.
     """
 
-    succ: tuple[int, ...]
+    _fields = ("labels", "succ")
 
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.succ) != self.n:
+    def __init__(self, labels: tuple[str, ...], succ: tuple[int, ...]):
+        super().__init__(labels)
+        self.__dict__["succ"] = succ
+        if len(succ) != self.n:
             raise StructureError("successor table size does not match universe")
-        for row in self.succ:
+        for row in succ:
             if row & ~self.full_mask:
                 raise StructureError("relation pair component out of range")
 
@@ -227,92 +256,6 @@ def from_id_pairs(labels: Sequence[str], idpairs: Iterable[tuple[int, int]]) -> 
 
 
 # ---------------------------------------------------------------------------
-# Information tables and the Pawlak-style indiscernibility derivation
-
-
-@dataclass(frozen=True)
-class InformationTable:
-    """Objects x attributes, each cell a finite set of opaque value tokens."""
-
-    objects: tuple[str, ...]
-    attributes: tuple[str, ...]
-    cells: tuple[tuple[frozenset[str], ...], ...]  # cells[obj][attr]
-
-    def __post_init__(self):
-        if len(set(self.objects)) != len(self.objects):
-            raise LabelError("duplicate object label")
-        if len(set(self.attributes)) != len(self.attributes):
-            raise LabelError("duplicate attribute label")
-        if len(self.cells) != len(self.objects):
-            raise StructureError("row count does not match object count")
-        for row in self.cells:
-            if len(row) != len(self.attributes):
-                raise StructureError("a row is missing attribute cells")
-
-    def value(self, attribute: str, obj: str) -> frozenset[str]:
-        try:
-            ai = self.attributes.index(attribute)
-        except ValueError:
-            raise LabelError(f"unknown attribute {attribute!r}")
-        try:
-            oi = self.objects.index(obj)
-        except ValueError:
-            raise LabelError(f"unknown object {obj!r}")
-        return self.cells[oi][ai]
-
-
-def parse_table(text: str) -> InformationTable:
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows:
-        raise InputFormatError("empty information table")
-    header = rows[0]
-    if len(header) < 2:
-        raise InputFormatError("information table needs an object column and at least one attribute")
-    attributes = tuple(h.strip() for h in header[1:])
-    objects = []
-    cells = []
-    for row in rows[1:]:
-        if len(row) != len(header):
-            raise InputFormatError(
-                f"row {row[0]!r} has {len(row) - 1} cells, expected {len(attributes)}"
-            )
-        objects.append(row[0].strip())
-        cells.append(
-            tuple(
-                frozenset(tok.strip() for tok in cell.split("|") if tok.strip())
-                for cell in row[1:]
-            )
-        )
-    return InformationTable(tuple(objects), attributes, tuple(cells))
-
-
-def derive_pawl_relation(
-    table: InformationTable, attrs: Iterable[str] | None = None
-) -> RelationalSystem:
-    """Indiscernibility over the given attributes.
-
-    Two objects are related when every chosen attribute assigns them equal
-    value sets. Empty attribute selection relates everything vacuously. The
-    result is always an equivalence relation on the objects.
-    """
-    chosen = tuple(table.attributes) if attrs is None else tuple(attrs)
-    idx = []
-    for a in chosen:
-        if a not in table.attributes:
-            raise LabelError(f"unknown attribute {a!r}")
-        idx.append(table.attributes.index(a))
-    n = len(table.objects)
-    keys = [tuple(table.cells[o][i] for i in idx) for o in range(n)]
-    succ = [0] * n
-    for x in range(n):
-        for w in range(n):
-            if keys[x] == keys[w]:
-                succ[x] |= 1 << w
-    return RelationalSystem(table.objects, tuple(succ))
-
-
-# ---------------------------------------------------------------------------
 # Neighborhoods, bounds, classification, basic approximations
 
 
@@ -355,8 +298,7 @@ def upper_bounds(sys: RelationalSystem, a: int, b: int, side: str = "upper") -> 
     raise LawError(f"unknown side {side!r}")
 
 
-@dataclass(frozen=True)
-class SpaceProfile:
+class SpaceProfile(NamedTuple):
     up_directed: bool
     reflexive: bool
     antisymmetric: bool
@@ -364,7 +306,7 @@ class SpaceProfile:
     transitive: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return asdict(self)
+        return self._asdict()
 
 
 def classify(sys: RelationalSystem) -> SpaceProfile:
@@ -489,17 +431,17 @@ def check_morphism(
 # Granule families
 
 
-@dataclass(frozen=True)
-class GranuleFamily:
+class GranuleFamily(Record):
     """A collection of subsets (bitmasks) of an n-element universe, used as
     approximation granules. Members are sorted smallest first, then by id
     tuple."""
 
-    members: tuple[int, ...]
-    n: int
+    _fields = ("members", "n")
 
-    def __post_init__(self):
-        if len(set(self.members)) != len(self.members):
+    def __init__(self, members: tuple[int, ...], n: int):
+        d = self.__dict__
+        d["members"], d["n"] = members, n
+        if len(set(members)) != len(members):
             raise StructureError("duplicate family member")
 
     def __iter__(self):
@@ -604,13 +546,3 @@ def dump_relation(sys: RelationalSystem) -> str:
     lines += [f"{x} {y}" for x, y in sys.label_pairs()]
     return "\n".join(lines) + "\n"
 
-
-def to_dot(sys: RelationalSystem, name: str = "R") -> str:
-    """DOT digraph of the relation, for quick visualization."""
-    lines = [f"digraph {name} {{"]
-    for lab in sys.labels:
-        lines.append(f'  "{lab}";')
-    for x, y in sys.label_pairs():
-        lines.append(f'  "{x}" -> "{y}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

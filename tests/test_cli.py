@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -996,7 +997,8 @@ def imported_modules(argv) -> set[str]:
 
 class TestColdStart:
     """A cold command imports what it runs: numpy and the cluster pipeline
-    only for `cluster *`, the auditor only for `audit claims`."""
+    only for `cluster *`, the auditor only for `audit claims`, and no
+    command loads dataclasses (or the inspect module it pulls in)."""
 
     LIGHT = {
         "relation-check": ["relation", "check", "--json"],
@@ -1017,9 +1019,64 @@ class TestColdStart:
     def test_light_commands_skip_heavy_modules(self, case):
         heavy = {
             m for m in imported_modules(self.LIGHT[case])
-            if m.split(".")[0] == "numpy" or m in ("dirough.audit", "dirough.cluster")
+            if m.split(".")[0] == "numpy"
+            or m in ("dirough.audit", "dirough.cluster", "dataclasses", "inspect")
         }
         assert not heavy, sorted(heavy)
+
+    # the cli-cold benchmark mix, each command but the fixture report given
+    # a relation: the dirough modules it loads besides the package, cli,
+    # relsys, _bits and errors
+    MIX = {
+        "relation-check": (["relation", "check", "--rel", "{rel}"], set()),
+        "approx-cud": (["approx", "--rel", "{rel}", "--kind", "cud", "--set", "a"], {"cud"}),
+        "approx-pi": (["approx", "--rel", "{rel}", "--kind", "pi", "--pi", "--set", "a"],
+                      {"grpd", "piappr"}),
+        "granules-cud": (["granules", "cud", "--rel", "{rel}"], {"cud"}),
+        "granules-subgroupoid": (["granules", "subgroupoid", "--rel", "{rel}", "--pi"], {"grpd"}),
+        "groupoid-build": (["groupoid", "build", "--rel", "{rel}", "--pi"], {"grpd"}),
+        "groupoid-laws": (["groupoid", "laws", "--rel", "{rel}", "--pi"], {"grpd"}),
+        "regions": (["regions", "--rel", "{rel}", "--pi", "--set", "a", "--set", "b"],
+                    {"grpd", "regions"}),
+        "fixture": (["fixture", "section6"], {"fixtures", "cud", "grpd", "piappr"}),
+        "acp-audit": (["acp", "audit", "--rel", "{rel}", "--pi"], {"grpd", "piappr", "acp"}),
+        "audit-claims": (["audit", "claims", "--rel", "{rel}", "--random", "0"],
+                         {"audit", "acp", "cud", "grpd", "piappr"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MIX))
+    def test_mix_command_loads_only_its_modules(self, case, tmp_path):
+        rel = tmp_path / "r.rel"
+        rel.write_text("elements: a b c\na c\nb c\nc c\n")
+        argv, own = self.MIX[case]
+        loaded = {
+            m for m in imported_modules([a.format(rel=rel) for a in argv] + ["--json"])
+            if m.split(".")[0] == "dirough"
+        }
+        base = {"dirough", "dirough.cli", "dirough.relsys", "dirough._bits", "dirough.errors"}
+        assert loaded == base | {f"dirough.{m}" for m in own}
+
+    def test_no_module_imports_dataclasses(self):
+        src = Path(dirough.__file__).parent
+        importing = [
+            f"{path.stem}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] == "dataclasses" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+        ]
+        assert importing == []
+
+    def test_region_kinds_spelled_out_in_parser(self):
+        """The parser's --kind choices are regions.REGION_KINDS, written out
+        so that building the parser loads no domain module."""
+        from dirough.cli import build_parser
+        from dirough.regions import REGION_KINDS
+
+        sub = next(a for a in build_parser()._actions if a.dest == "cmd")
+        kind = next(a for a in sub.choices["regions"]._actions if a.dest == "kind")
+        assert tuple(kind.choices) == REGION_KINDS
 
     def test_cluster_run_loads_cluster(self, blob_csv):
         mods = imported_modules(

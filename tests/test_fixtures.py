@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from dirough import fixtures
@@ -96,7 +94,7 @@ class TestReport:
     ):
         # a recomputation that differs from its erratum's oracle is not exact
         errata = tuple(
-            dataclasses.replace(e, oracle=oracle) if e.id == erratum else e
+            e._replace(oracle=oracle) if e.id == erratum else e
             for e in ERRATA
         )
         monkeypatch.setattr(fixtures, "ERRATA", errata)

@@ -14,7 +14,7 @@ PUBLIC = [
     "ALL_LAWS", "AcpElement", "AuditInstance", "CLAIMS", "CapExceededError",
     "ChoiceStrategy", "Claim", "ClaimResult", "ClusterSet", "Dataset",
     "DeviationReport", "DiroughError", "ERRATA", "E_CONSEQUENCES", "GranuleFamily",
-    "Groupoid", "InformationTable", "InputFormatError", "LabelError",
+    "Groupoid", "InputFormatError", "LabelError",
     "LawAuditReport", "LawError", "LawVerdict", "NotUpDirectedError", "PgTuple",
     "REGION_KINDS", "RelationalSystem", "RoughCluster",
     "RoughTuple", "ScoreTable", "SpaceProfile", "StructureError", "ValidityReport",
@@ -24,7 +24,7 @@ PUBLIC = [
     "build_section6_report", "build_updir_groupoid", "check_claim", "check_laws",
     "check_morphism", "claim_ids", "classify", "cluster", "compare_cud",
     "compare_pi", "cud", "cud_family", "cud_tuple", "cudas_op", "dc_neighborhood",
-    "derive_pawl_relation", "dump_cayley", "dump_relation", "errors",
+    "dump_cayley", "dump_relation", "errors",
     "eth_closure", "exhaustive_cap", "fixtures", "from_id_pairs", "generate",
     "grpd", "is_closed", "is_cud", "is_ideal_or_filter", "is_up_directed",
     "law_violation", "load_cayley", "load_dataset", "load_relation",
@@ -34,13 +34,13 @@ PUBLIC = [
     "relation_of", "relsys", "replay_witness", "rough_tuple_for",
     "score_clusters", "section3_system", "section6_groupoid", "section6_system",
     "segmentation_csv", "segmentation_rows", "select_clusters", "step1_relation",
-    "subgroupoids", "to_dot", "top", "upper_bounds", "validate_clustering",
+    "subgroupoids", "top", "upper_bounds", "validate_clustering",
     "validate_element", "verify_b_of_s",
 ]
 
 
 def test_public_names_fixed():
-    assert len(PUBLIC) == 112
+    assert len(PUBLIC) == 109
     assert sorted(dirough.__all__) == PUBLIC
     assert set(PUBLIC) <= set(dir(dirough))
 
@@ -153,6 +153,64 @@ def test_each_fault_raises_one_class(case):
         call()
 
 
+# --- immutable records -------------------------------------------------------
+
+
+def _records():
+    """One instance of each record class, by class name."""
+    from dirough import acp, audit, cluster, cud, fixtures, grpd, piappr, relsys
+
+    s = relsys.RelationalSystem(("a",), (1,))
+    t = cud.RoughTuple(0, 1, 1, "cud")
+    cs = cluster.ClusterSet((cluster.RoughCluster(1, t),), "cud", s)
+    recs = [
+        relsys.Universe(("a",)), s, relsys.SpaceProfile(True, True, True, True, True),
+        relsys.GranuleFamily((0, 1), 1), t, piappr.PgTuple(0, 0, 1),
+        grpd.Groupoid(("a",), ((0,),)), grpd.ChoiceStrategy("min_index"), fixtures.ERRATA[0],
+        acp.AcpElement(0, 1), acp.LawVerdict("A1", 1, True), acp.LawAuditReport("formal", ()),
+        audit.AuditInstance("given", s), audit.CLAIMS[0], audit.OPERATORS["l"],
+        audit.ClaimResult("c", 1, "given", "pass"), audit.DeviationReport(()),
+        cluster.Dataset(("r0",), ("b",), ((1.0,),)), cs.clusters[0], cs,
+        cluster.ValidityReport(True, (), ()), cluster.ScoreRow(0, "lower", None),
+        cluster.ScoreTable("nasd", (), cs),
+    ]
+    return {type(r).__name__: r for r in recs}
+
+
+_RECORDS = _records()
+
+
+def test_every_record_class_is_covered():
+    """Each Record subclass and NamedTuple defined in the package has an
+    instance above."""
+    from dirough.relsys import Record
+
+    defined = {
+        name
+        for mod in dirough._EXPORTS
+        for name, obj in vars(getattr(dirough, mod)).items()
+        if isinstance(obj, type) and obj.__module__ == f"dirough.{mod}"
+        and (issubclass(obj, Record) and obj is not Record or issubclass(obj, tuple))
+    }
+    assert defined == set(_RECORDS) and len(defined) == 23
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_record_is_immutable_and_hashable(name):
+    rec = _RECORDS[name]
+    field = rec._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(rec, field, getattr(rec, field))
+    with pytest.raises(AttributeError):
+        rec.no_such_field = 1
+    with pytest.raises(AttributeError):
+        delattr(rec, field)
+    again = type(rec)(*(getattr(rec, f) for f in rec._fields))
+    assert again == rec and hash(again) == hash(rec)
+    assert repr(rec) == f"{name}(" + ", ".join(
+        f"{f}={getattr(rec, f)!r}" for f in rec._fields) + ")"
+
+
 # --- imports ----------------------------------------------------------------
 
 # names a module imports only for others to find there: perfbench's tracer
@@ -186,11 +244,6 @@ def test_every_module_import_is_used():
             if name not in used and (path.stem, name) not in REEXPORTS
         ]
     assert unused == []
-
-
-# module-level definitions kept for users although nothing in the package
-# calls them: the README documents parse_table as the information-table reader
-UNREFERENCED_API = {("relsys", "parse_table")}
 
 
 def _referenced_names(node: ast.AST):
@@ -230,7 +283,7 @@ def test_every_definition_is_exported_or_used():
             if name.startswith("__") or name in dirough._EXPORTS.get(stem, ()):
                 continue  # a module hook, or public through the package
             own = sum(1 for n in _referenced_names(node) if n == name)
-            if counts.get(name, 0) == own and (stem, name) not in UNREFERENCED_API:
+            if counts.get(name, 0) == own:
                 dead.append(f"{stem}.{name}")
     assert dead == []
 

@@ -12,22 +12,18 @@ from dirough.errors import (
 )
 from dirough.fixtures import section6_system
 from dirough.relsys import (
-    InformationTable,
     approx_basic,
     basic_bounds,
     build_relation,
     check_morphism,
     classify,
     dc_neighborhood,
-    derive_pawl_relation,
     dump_relation,
     is_ideal_or_filter,
     is_up_directed,
     neighborhood,
     parse_relation,
-    parse_table,
     require_cap,
-    to_dot,
     upper_bounds,
 )
 
@@ -266,53 +262,6 @@ class TestMorphism:
             check_morphism({0: 0}, F, F)
 
 
-def _table(objects, attributes, rows):
-    cells = tuple(tuple(frozenset(cell) for cell in row) for row in rows)
-    return InformationTable(tuple(objects), tuple(attributes), cells)
-
-
-class TestPawlak:
-    def test_identical_rows_related(self):
-        t = _table(["o1", "o2"], ["a1"], [[{"v"}], [{"v"}]])
-        assert derive_pawl_relation(t).succ == (0b11, 0b11)
-
-    def test_empty_attrs_total(self):
-        t = _table(["o1", "o2"], ["a1"], [[{"v"}], [{"w"}]])
-        assert derive_pawl_relation(t, attrs=()).succ == (0b11, 0b11)
-
-    def test_two_classes(self):
-        t = _table(
-            ["o1", "o2", "o3"],
-            ["a1", "a2"],
-            [[{"x"}, set()], [{"x"}, set()], [{"y"}, set()]],
-        )
-        sys = derive_pawl_relation(t)
-        assert sys.succ == (0b011, 0b011, 0b100)
-        p = classify(sys)
-        assert p.reflexive and p.symmetric and p.transitive
-
-    def test_attribute_subset_coarsens(self):
-        t = _table(
-            ["o1", "o2", "o3"],
-            ["a1", "a2"],
-            [[{"x"}, {"1"}], [{"x"}, {"2"}], [{"y"}, {"2"}]],
-        )
-        fine = derive_pawl_relation(t)
-        coarse = derive_pawl_relation(t, attrs=("a1",))
-        for x in range(3):
-            assert fine.succ[x] & ~coarse.succ[x] == 0
-
-    def test_always_equivalence(self):
-        for seed in range(20):
-            t = _table(
-                [f"o{i}" for i in range(4)],
-                ["a"],
-                [[{str((seed + i) % 3)}] for i in range(4)],
-            )
-            p = classify(derive_pawl_relation(t))
-            assert p.reflexive and p.symmetric and p.transitive
-
-
 class TestTextFormats:
     def test_round_trip(self, F):
         assert parse_relation(dump_relation(F)) == F
@@ -329,17 +278,6 @@ class TestTextFormats:
     def test_bad_pair_line(self):
         with pytest.raises(InputFormatError):
             parse_relation("elements: x y\nx\n")
-
-    def test_information_table_csv(self):
-        text = "object,color,size\no1,red|blue,big\no2,red,\n"
-        t = parse_table(text)
-        assert t.objects == ("o1", "o2")
-        assert t.value("color", "o1") == frozenset({"red", "blue"})
-        assert t.value("size", "o2") == frozenset()
-
-    def test_dot_output(self, F):
-        dot = to_dot(F)
-        assert dot.startswith("digraph") and '"a" -> "c";' in dot
 
 
 class TestCaps:
