@@ -294,16 +294,15 @@ def _seed_candidates(
     sys: RelationalSystem, g: Groupoid | None, flavor: str, seeds: str
 ) -> list[int]:
     if seeds == "neighborhood":
-        cands = {sys.pred[x] for x in range(sys.n)}
+        cands = [nb for filed in sys.nbds_by_least for nb in filed]
     elif seeds == "granule":
         if flavor != "pi" and sys.reflexive:
-            cands = {1 << x for x in range(sys.n)}  # the minimal CUD sets
+            cands = [1 << x for x in range(sys.n)]  # the minimal CUD sets
         else:
             fam = subgroupoids(g) if flavor == "pi" else cud_family(sys)
-            cands = set(fam.minimal_members(bool))
+            cands = fam.minimal_members(bool)
     else:
         raise LawError(f"unknown seed kind {seeds!r}")
-    cands.discard(0)
     return sorted(cands, key=lambda m: (m.bit_count(), lex_key(m)))
 
 

@@ -18,11 +18,8 @@ exactly {3,4,5}.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cud import approx_cud, cud_family
-from .grpd import Groupoid, subgroupoids, verify_b_of_s
-from .piappr import approx_pi
 from .relsys import (
     RelationalSystem,
     basic_bounds,
@@ -30,6 +27,11 @@ from .relsys import (
     classify,
     neighborhood,
 )
+
+# cud, grpd and piappr are imported by the functions that call them, so a
+# command that reads only the bundled system does not compile them
+if TYPE_CHECKING:
+    from .grpd import Groupoid
 
 SECTION6_LABELS = ("a", "b", "c", "e", "f")
 
@@ -169,6 +171,8 @@ def section6_system() -> RelationalSystem:
 
 
 def section6_groupoid() -> Groupoid:
+    from .grpd import Groupoid
+
     g = Groupoid(
         SECTION6_LABELS,
         tuple(
@@ -194,6 +198,10 @@ def build_section6_report() -> dict:
     the observed diff ids equal the expected ones and each erratum's stored
     oracle value matches the recomputation.
     """
+    from .cud import approx_cud, cud_family
+    from .grpd import subgroupoids, verify_b_of_s
+    from .piappr import approx_pi
+
     sys = section6_system()
     g = section6_groupoid()
     diffs: list[dict] = []

@@ -192,6 +192,31 @@ class RelationalSystem(Universe):
         return tuple(reach)
 
     @cached_property
+    def up(self) -> tuple[int, ...]:
+        """up[y] is the upper approximation of {y}: the union of the
+        neighborhoods [a] with a an R-successor of y."""
+        pred = self.pred
+        out = []
+        for row in self.succ:
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= pred[low.bit_length() - 1]
+                row ^= low
+            out.append(acc)
+        return tuple(out)
+
+    @cached_property
+    def nbds_by_least(self) -> tuple[tuple[int, ...], ...]:
+        """nbds_by_least[y] holds the distinct nonempty neighborhoods whose
+        least element is y, so each one is filed exactly once."""
+        rows: list[list[int]] = [[] for _ in range(self.n)]
+        for nb in dict.fromkeys(self.pred):
+            if nb:
+                rows[(nb & -nb).bit_length() - 1].append(nb)
+        return tuple(map(tuple, rows))
+
+    @cached_property
     def _bounds(self) -> dict[int, tuple[int, int]]:
         """basic_bounds' (lower, upper) by set, kept as long as the system."""
         return {}
@@ -350,30 +375,30 @@ def basic_bounds(sys: RelationalSystem, A: int) -> tuple[int, int]:
     lower: union of the neighborhoods contained in A.
     upper: union of the neighborhoods meeting A, taken over the whole universe.
 
-    The neighborhood [a] meets A exactly when a lies in the R-image of A,
-    and a nonempty [a] inside A meets A, so both unions run over the image
-    only: the cost is O(|A| + |R[A]|), not O(n). The pair is kept on the
-    system, so a set asked for again costs one lookup.
+    Both run over the elements of A alone, against two tables the system
+    builds once, on first use, in O(|R| + n) big-int operations. The upper
+    approximation is additive, so upper(A) is the union of sys.up[y] over
+    y in A. A nonempty neighborhood inside A has its least element in A,
+    so lower(A) is the union of the entries of sys.nbds_by_least[y], y in
+    A, that lie inside A, whether or not R is reflexive. Each set then
+    costs O(|A|) table reads plus one subset test per neighborhood filed
+    under its elements, not O(n). The pair is kept on the system, so a set
+    asked for again costs one lookup.
     """
     sys.check_set(A)
     if (known := sys._bounds.get(A)) is not None:
         return known
-    succ, pred = sys.succ, sys.pred
-    image = 0
+    up, by_least = sys.up, sys.nbds_by_least
+    lower = upper = 0
+    outside = ~A
     rest = A
     while rest:
         low = rest & -rest
-        image |= succ[low.bit_length() - 1]
-        rest ^= low
-    lower = upper = 0
-    outside = ~A
-    rest = image
-    while rest:
-        low = rest & -rest
-        nb = pred[low.bit_length() - 1]
-        upper |= nb
-        if not nb & outside:
-            lower |= nb
+        y = low.bit_length() - 1
+        upper |= up[y]
+        for nb in by_least[y]:
+            if not nb & outside:
+                lower |= nb
         rest ^= low
     bounds = sys._bounds[A] = (lower, upper)
     return bounds

@@ -1044,17 +1044,38 @@ class TestColdStart:
                          {"audit", "acp", "cud", "grpd", "piappr"}),
     }
 
-    @pytest.mark.parametrize("case", sorted(MIX))
-    def test_mix_command_loads_only_its_modules(self, case, tmp_path):
+    # without --rel a command reads the bundled example: fixtures loads, and
+    # nothing else beyond what the command loads given a relation
+    NO_REL = {
+        "relation-check": (["relation", "check"], {"fixtures"}),
+        "approx-nbd": (["approx", "--kind", "nbd", "--set", "a"], {"fixtures"}),
+        "approx-cud": (["approx", "--kind", "cud", "--set", "a"], {"fixtures", "cud"}),
+        "approx-pi": (["approx", "--kind", "pi", "--set", "a"], {"fixtures", "grpd", "piappr"}),
+        "granules-cud": (["granules", "cud"], {"fixtures", "cud"}),
+        "granules-subgroupoid": (["granules", "subgroupoid"], {"fixtures", "grpd"}),
+        "groupoid-laws": (["groupoid", "laws"], {"fixtures", "grpd"}),
+        "regions": (["regions", "--set", "a", "--set", "b"], {"fixtures", "grpd", "regions"}),
+        "acp-audit": (["acp", "audit"], {"fixtures", "grpd", "piappr", "acp"}),
+    }
+
+    @staticmethod
+    def _assert_loads(argv, own, tmp_path):
         rel = tmp_path / "r.rel"
         rel.write_text("elements: a b c\na c\nb c\nc c\n")
-        argv, own = self.MIX[case]
         loaded = {
             m for m in imported_modules([a.format(rel=rel) for a in argv] + ["--json"])
             if m.split(".")[0] == "dirough"
         }
         base = {"dirough", "dirough.cli", "dirough.relsys", "dirough._bits", "dirough.errors"}
         assert loaded == base | {f"dirough.{m}" for m in own}
+
+    @pytest.mark.parametrize("case", sorted(MIX))
+    def test_mix_command_loads_only_its_modules(self, case, tmp_path):
+        self._assert_loads(*self.MIX[case], tmp_path)
+
+    @pytest.mark.parametrize("case", sorted(NO_REL))
+    def test_bundled_example_adds_only_fixtures(self, case, tmp_path):
+        self._assert_loads(*self.NO_REL[case], tmp_path)
 
     def test_no_module_imports_dataclasses(self):
         src = Path(dirough.__file__).parent

@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from conftest import label_pairs, mix, rand_system, sample_masks
+from conftest import every_relation, label_pairs, mix, rand_system, sample_masks
 
 from dirough.errors import (
     CapExceededError,
@@ -172,38 +172,54 @@ class TestApproxBasic:
         assert approx_basic(F, 0, "u") == 0
 
     def test_matches_oracle(self):
-        # every subset at n = 1..7, from sparse systems (many empty
-        # neighborhoods) to dense ones, most of them not up-directed
+        # every subset of every relation at n = 1..3 (4,164 cases, reflexive
+        # or not, with and without empty neighborhoods), then every subset at
+        # n = 1..7 from sparse systems to dense ones, most not up-directed
+        systems = [sys for n in range(1, 4) for sys in every_relation(n)]
+        systems += [
+            rand_system(mix(seed, n, density), n, density)
+            for n in range(1, 8) for density in (10, 35, 60, 90) for seed in range(3)
+        ]
         seen_empty = seen_not_updirected = False
-        for n in range(1, 8):
-            for density in (10, 35, 60, 90):
-                for seed in range(3):
-                    sys = rand_system(mix(seed, n, density), n, density)
-                    uni, prs = list(sys.labels), label_pairs(sys)
-                    seen_empty |= 0 in sys.pred
-                    seen_not_updirected |= not is_up_directed(sys)
-                    for A in range(1 << n):
-                        labs = frozenset(sys.set_labels(A))
-                        lo, up = approx_basic(sys, A, "l"), approx_basic(sys, A, "u")
-                        assert frozenset(sys.set_labels(lo)) == oracles.nbd_lower(uni, prs, labs)
-                        assert frozenset(sys.set_labels(up)) == oracles.nbd_upper(uni, prs, labs)
-                    # every subset is now kept on the system, and a second
-                    # call returns what the first stored
-                    assert sorted(sys._bounds) == list(range(1 << n))
-                    for A, bounds in sys._bounds.items():
-                        labs = frozenset(sys.set_labels(A))
-                        assert basic_bounds(sys, A) is bounds
-                        assert [frozenset(sys.set_labels(b)) for b in bounds] == [
-                            oracles.nbd_lower(uni, prs, labs), oracles.nbd_upper(uni, prs, labs)
-                        ]
+        for sys in systems:
+            n, uni, prs = sys.n, list(sys.labels), label_pairs(sys)
+            seen_empty |= 0 in sys.pred
+            seen_not_updirected |= not is_up_directed(sys)
+            for A in range(1 << n):
+                labs = frozenset(sys.set_labels(A))
+                lo, up = approx_basic(sys, A, "l"), approx_basic(sys, A, "u")
+                assert frozenset(sys.set_labels(lo)) == oracles.nbd_lower(uni, prs, labs), sys
+                assert frozenset(sys.set_labels(up)) == oracles.nbd_upper(uni, prs, labs), sys
+            # every subset is now kept on the system, and a second call
+            # returns what the first stored
+            assert sorted(sys._bounds) == list(range(1 << n))
+            for A, bounds in sys._bounds.items():
+                labs = frozenset(sys.set_labels(A))
+                assert basic_bounds(sys, A) is bounds
+                assert [frozenset(sys.set_labels(b)) for b in bounds] == [
+                    oracles.nbd_lower(uni, prs, labs), oracles.nbd_upper(uni, prs, labs)
+                ]
         assert seen_empty and seen_not_updirected
 
     def test_memo_lives_on_its_system(self):
         a, b = rand_system(1, 5), rand_system(1, 5)
         assert a == b and a is not b
+        cached = ("up", "nbds_by_least", "_bounds")
+        # a set outside the universe raises before any table or memo exists
+        with pytest.raises(LawError, match="not a subset of the universe"):
+            basic_bounds(a, 1 << a.n)
+        assert not any(name in a.__dict__ for name in cached)
         bounds = basic_bounds(a, 0b101)
-        assert 0b101 in a._bounds and not b._bounds
+        tables = (a.up, a.nbds_by_least)
+        assert 0b101 in a._bounds and not any(name in b.__dict__ for name in cached)
+        # built once: another set reads the same tables
+        basic_bounds(a, 0b11010)
+        assert a.up is tables[0] and a.nbds_by_least is tables[1]
+        # an equal system builds its own, equal tables and memo
         assert basic_bounds(b, 0b101) == bounds
+        assert (b.up, b.nbds_by_least) == tables
+        assert b.up is not tables[0] and b.nbds_by_least is not tables[1]
+        assert sorted(b._bounds) == [0b101]
 
     def test_outside_universe_never_stored(self, F):
         outside = 1 << F.n | 1
