@@ -42,6 +42,19 @@ def lex_key(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
+def element_slices(width: int) -> list[int]:
+    """The 2^width-bit indicator words of the elements of a width-element
+    universe: bit A of slice e is set when subset A holds element e."""
+    size = 1 << width
+    full = (1 << size) - 1
+    # the slice of element width - 1 is the word's upper half, and each
+    # lower one is the one above XOR itself shifted down by half its period
+    slices = [full ^ full >> (size >> 1)] if width else []
+    for e in range(width - 2, -1, -1):
+        slices.insert(0, slices[0] ^ slices[0] >> (1 << e))
+    return slices
+
+
 def sweep_subsets(n: int, keep: Callable[[list[int], int], int]) -> tuple[int, ...]:
     """Every subset of an n-element universe that keep admits, smallest
     first, then by id tuple, found by one bit-sliced test per block of at
@@ -52,11 +65,7 @@ def sweep_subsets(n: int, keep: Callable[[list[int], int], int]) -> tuple[int, .
     width = min(n, _SWEEP_BITS)
     size = 1 << width
     full = (1 << size) - 1
-    # the slice of element width - 1 is the block's upper half, and each
-    # lower one is the one above XOR itself shifted down by half its period
-    low = [full ^ full >> (size >> 1)] if width else []
-    for e in range(width - 2, -1, -1):
-        low.insert(0, low[0] ^ low[0] >> (1 << e))
+    low = element_slices(width)
     members: list[int] = []
     for base in range(0, 1 << n, size):
         # a high element is in all of a block's subsets or in none
@@ -67,6 +76,30 @@ def sweep_subsets(n: int, keep: Callable[[list[int], int], int]) -> tuple[int, .
     # n bits reversed do, in descending order; the key ranks size first.
     members.sort(key=lambda m: (m.bit_count() << n) - int(f"{m:0{n}b}"[::-1], 2))
     return tuple(members)
+
+
+def lattice_transform(values: list, combine: Callable, upward: bool) -> list:
+    """values transformed in place over the lattice of subsets of an
+    n-element universe, len(values) being 2^n: upward, each entry becomes
+    its fold with the entries of its subsets; downward, of its supersets.
+    One pass per element e updates every index pair (A, A | 2^e) with e
+    outside A, n * 2^(n-1) updates in all (Yates 1937). combine(mine,
+    other) takes two equal slices and returns the updated first one; a pass
+    is one call per run of pairs: runs of one offset while they are fewer
+    than the blocks of 2^e consecutive pairs, else blocks."""
+    size = len(values)
+    step = 1
+    while step < size:
+        span = 2 * step
+        if step * span <= size:
+            runs = [(slice(j, size, span), slice(j + step, size, span)) for j in range(step)]
+        else:
+            runs = [(slice(b, b + step), slice(b + step, b + span)) for b in range(0, size, span)]
+        for low, high in runs:
+            dst, src = (high, low) if upward else (low, high)
+            values[dst] = combine(values[dst], values[src])
+        step = span
+    return values
 
 
 def assignments(domains: Sequence[Sequence], limit: int, draw: Callable) -> Iterator[tuple]:

@@ -8,8 +8,9 @@ closes the complements crosswise, and the coproduct re-closes components
 the four operator laws, each tagged by tier.
 
 The public operations validate their operands and then run the operations
-proper (_op, _neg, _coprod). The audit validates each carrier element once
-and then runs the operations proper directly.
+proper (_PairOps), which close one set per call. The audit checks each
+carrier element once and runs the same operations over the subgroupoid
+family's tables, which cover all 2^n subsets.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Iterable, Iterator, NamedTuple
 from ._bits import assignments, is_subset, mix
 from .errors import LawError, StructureError
 from .grpd import Groupoid, generate, is_closed, subgroupoids
-from .piappr import pg_tuple
 from .relsys import require_cap
 
 CARRIER_MODES = ("formal", "realized")
@@ -52,22 +52,67 @@ def top(g: Groupoid) -> AcpElement:
     return AcpElement(g.full_mask, g.full_mask)
 
 
+class _PairOps:
+    """The pair operations of g, written over two maps of subsets: sg, the
+    least closed superset, and flat, the union of the closed sets inside a
+    set. Per call by default, so one operation on any groupoid costs one
+    closure; with tables, both maps and the closedness test read the
+    subgroupoid family's tables over all 2^n subsets, which the audit
+    builds once."""
+
+    def __init__(self, g: Groupoid, tables: bool = False):
+        self.full = g.full_mask
+        if tables:
+            fam = subgroupoids(g)
+            self.sg, self.flat = fam.least.__getitem__, fam.within.__getitem__
+            self.closed = fam.__contains__
+        else:
+            self.sg, self.closed = partial(generate, g), partial(is_closed, g)
+            self.flat = lambda A: subgroupoids(g).union_within(A)
+
+    def fault(self, x: AcpElement) -> str | None:
+        """Why x is not a valid pair, or None."""
+        if (x.first | x.second) & ~self.full:
+            return "pair components must be subsets of the universe"
+        if not is_subset(x.first, x.second):
+            return "pair is not inclusion-ordered"
+        if not (self.closed(x.first) and self.closed(x.second)):
+            return "pair components must be closed under the product"
+        return None
+
+    def op(self, x: AcpElement, y: AcpElement, op: str) -> AcpElement:
+        sg = self.sg
+        if op == "join":
+            return AcpElement(sg(x.first | y.first), sg(x.second | y.second))
+        if op == "meet":
+            # the flat of the intersection equals x.first & y.first on valid
+            # pairs, since intersections of closed sets are closed
+            return AcpElement(sg(self.flat(x.first & y.first)), x.second & y.second)
+        raise LawError(f"unknown pair operation {op!r}")
+
+    def neg(self, x: AcpElement) -> AcpElement:
+        # each component closes the flat of the other's complement: the
+        # union of the closed sets avoiding it entirely
+        sg, flat = self.sg, self.flat
+        return AcpElement(sg(flat(self.full & ~x.second)), sg(flat(self.full & ~x.first)))
+
+    def coprod(self, x: AcpElement) -> AcpElement:
+        return AcpElement(self.sg(x.first), self.sg(x.second))
+
+
 def validate_element(g: Groupoid, x: AcpElement) -> None:
-    if x.first & ~g.full_mask or x.second & ~g.full_mask:
-        raise StructureError("pair components must be subsets of the universe")
-    if not is_subset(x.first, x.second):
-        raise StructureError("pair is not inclusion-ordered")
-    if not is_closed(g, x.first) or not is_closed(g, x.second):
-        raise StructureError("pair components must be closed under the product")
+    if (fault := _PairOps(g).fault(x)) is not None:
+        raise StructureError(fault)
 
 
 def acp_carrier(g: Groupoid, mode: str = "formal") -> tuple[AcpElement, ...]:
     """formal: all inclusion-ordered pairs of subgroupoids.
 
     realized: the pairs (Sg(lower), upper) actually reached by approximating
-    some subset. Realized is always inside formal; the converse fails.
-    Both come ordered by each component's position in the subgroupoid
-    family, which is smallest first, then by id tuple.
+    some subset, read from the subgroupoid family's tables. Realized is
+    always inside formal; the converse fails. Both come ordered by each
+    component's position in the subgroupoid family, which is smallest
+    first, then by id tuple.
     """
     if mode not in CARRIER_MODES:
         raise LawError(f"unknown carrier mode {mode!r}")
@@ -75,53 +120,27 @@ def acp_carrier(g: Groupoid, mode: str = "formal") -> tuple[AcpElement, ...]:
     if mode == "formal":
         return tuple(AcpElement(X, Y) for X in fam for Y in fam if is_subset(X, Y))
     require_cap(g.n, "realized carrier enumeration")
-    pairs = {pg_tuple(g, A).acpg() for A in range(g.full_mask + 1)}
+    sg, flat = fam.least, fam.within
+    pairs = {(sg[flat[A]], sg[A]) for A in range(g.full_mask + 1)}
     rank = {m: i for i, m in enumerate(fam.members)}
     order = sorted(pairs, key=lambda p: (rank[p[0]], rank[p[1]]))
     return tuple(AcpElement(X, Y) for X, Y in order)
 
 
-def _op(g: Groupoid, x: AcpElement, y: AcpElement, op: str) -> AcpElement:
-    if op == "join":
-        return AcpElement(
-            generate(g, x.first | y.first), generate(g, x.second | y.second)
-        )
-    if op == "meet":
-        # union of the closed sets inside the intersection; equals x.first &
-        # y.first on valid pairs, since intersections of closed sets are closed
-        inside = subgroupoids(g).union_within(x.first & y.first)
-        return AcpElement(generate(g, inside), x.second & y.second)
-    raise LawError(f"unknown pair operation {op!r}")
-
-
 def acp_op(g: Groupoid, x: AcpElement, y: AcpElement, op: str) -> AcpElement:
     validate_element(g, x)
     validate_element(g, y)
-    return _op(g, x, y, op)
-
-
-def _neg(g: Groupoid, x: AcpElement) -> AcpElement:
-    # each component closes the flat of the other: the union of the closed
-    # sets avoiding it entirely
-    fam = subgroupoids(g)
-    return AcpElement(
-        generate(g, fam.union_within(g.full_mask & ~x.second)),
-        generate(g, fam.union_within(g.full_mask & ~x.first)),
-    )
+    return _PairOps(g).op(x, y, op)
 
 
 def acp_neg(g: Groupoid, x: AcpElement) -> AcpElement:
     validate_element(g, x)
-    return _neg(g, x)
-
-
-def _coprod(g: Groupoid, x: AcpElement) -> AcpElement:
-    return AcpElement(generate(g, x.first), generate(g, x.second))
+    return _PairOps(g).neg(x)
 
 
 def acp_coprod(g: Groupoid, x: AcpElement) -> AcpElement:
     validate_element(g, x)
-    return _coprod(g, x)
+    return _PairOps(g).coprod(x)
 
 
 def acp_leq(x: AcpElement, y: AcpElement) -> bool:
@@ -169,8 +188,10 @@ def audit_acp_laws(
     if pair_limit < 1:
         raise LawError(f"the pair limit must be at least 1, got {pair_limit}")
     carrier = acp_carrier(g, mode)
+    ops = _PairOps(g, tables=True)
     for x in carrier:
-        validate_element(g, x)
+        if (fault := ops.fault(x)) is not None:
+            raise StructureError(fault)
     formal = set(carrier if mode == "formal" else acp_carrier(g, "formal"))
     inside = set(carrier)
 
@@ -184,41 +205,36 @@ def audit_acp_laws(
         s = mix(seed, stream)
         return assignments((carrier, carrier), pair_limit, lambda: lambda t, k: mix(s, 2 * t + k))
 
-    neg, coprod = partial(_neg, g), partial(_coprod, g)
+    op, neg, coprod = ops.op, ops.neg, ops.coprod
 
     def lattice_faults(x: AcpElement, y: AcpElement) -> Iterator[str]:
         """The A1 checks that (x, y) fails, in order."""
-        j = _op(g, x, y, "join")
-        m = _op(g, x, y, "meet")
+        j = op(x, y, "join")
+        m = op(x, y, "meet")
         checks = (
             ("join-closure", j in formal),
             ("meet-closure", m in formal),
             ("join-upper", acp_leq(x, j) and acp_leq(y, j)),
             ("meet-lower", acp_leq(m, x) and acp_leq(m, y)),
-            ("join-comm", j == _op(g, y, x, "join")),
-            ("meet-comm", m == _op(g, y, x, "meet")),
-            ("absorb-jm", _op(g, x, m, "join") == x),
-            ("absorb-mj", _op(g, x, j, "meet") == x),
+            ("join-comm", j == op(y, x, "join")),
+            ("meet-comm", m == op(y, x, "meet")),
+            ("absorb-jm", op(x, m, "join") == x),
+            ("absorb-mj", op(x, j, "meet") == x),
             ("bottom-le", acp_leq(bottom(g), x)),
             ("top-ge", acp_leq(x, top(g))),
         )
         return (name for name, ok in checks if not ok)
 
     def invalid_results(x: AcpElement, y: AcpElement) -> Iterator[str]:
-        """The error of the first result on (x, y) that is no valid pair."""
-        try:
-            validate_element(g, _op(g, x, y, "join"))
-            validate_element(g, _op(g, x, y, "meet"))
-            validate_element(g, neg(x))
-            validate_element(g, coprod(x))
-        except StructureError as exc:
-            yield str(exc)
+        """The faults of the results on (x, y) that are no valid pairs."""
+        results = (op(x, y, "join"), op(x, y, "meet"), neg(x), coprod(x))
+        return (f for f in map(ops.fault, results) if f is not None)
 
     def escapes(x: AcpElement, y: AcpElement) -> Iterator[dict]:
         """The operations on (x, y) whose result leaves the carrier."""
-        for op in ("join", "meet"):
-            if _op(g, x, y, op) not in inside:
-                yield {"op": op, "x": labels(x), "y": labels(y)}
+        for name in ("join", "meet"):
+            if op(x, y, name) not in inside:
+                yield {"op": name, "x": labels(x), "y": labels(y)}
         if neg(x) not in inside:
             yield {"op": "neg", "x": labels(x)}
 

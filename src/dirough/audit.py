@@ -22,7 +22,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from ._bits import assignments, bits, is_subset, mix
 from .acp import ACP_LAW_TIERS, LawAuditReport, audit_acp_laws
-from .cud import approx_cud, cud_family, cudas_op, eth_closure
+from .cud import approx_cud, cud_family
 from .errors import LawError
 from .grpd import (
     ChoiceStrategy,
@@ -173,14 +173,16 @@ class Operator(NamedTuple):
 OPERATORS: dict[str, Operator] = {
     "l": Operator("sys", lambda i, A: approx_basic(i.sys, A, "l")),
     "u": Operator("sys", lambda i, A: approx_basic(i.sys, A, "u")),
-    "eth": Operator("sys", lambda i, A: eth_closure(i.sys, A), updir=True),
-    "l_cd": Operator("sys", lambda i, A: approx_cud(i.sys, A, "l"), updir=True),
-    "u_cd": Operator("sys", lambda i, A: approx_cud(i.sys, A, "u"), updir=True),
+    # these five read the granule families' tables over all 2^n subsets;
+    # eth_closure, approx_cud and approx_pi give the same values per call
+    "eth": Operator("sys", lambda i, A: i.sys.cud_family.least[A], updir=True),
+    "l_cd": Operator("sys", lambda i, A: i.sys.cud_family.within[A], updir=True),
+    "u_cd": Operator("sys", lambda i, A: i.sys.cud_family.pointwise_upper[A], updir=True),
     "u_cd_coll": Operator(
         "sys", lambda i, A: approx_cud(i.sys, A, "u", "collection"), updir=True
     ),
-    "l_pi": Operator("grpd", lambda i, A: approx_pi(i.g, A, "l_pi")),
-    "u_pi": Operator("grpd", lambda i, A: approx_pi(i.g, A, "u_pi")),
+    "l_pi": Operator("grpd", lambda i, A: i.g.subgroupoids.within[A]),
+    "u_pi": Operator("grpd", lambda i, A: i.g.subgroupoids.least[A]),
     "u_a": Operator("grpd", lambda i, A: approx_pi(i.g, A, "u_a")),
 }
 
@@ -282,26 +284,35 @@ def top(*fs: str) -> LawSpec:
     return fs, (), pred
 
 
+# A CUDAS operation on two CUD members closes their join, read from the eth
+# table: oplus closes the union, odot the intersection (cud.cudas_op per call)
+_CUDAS_JOINS: dict[str, Callable[[int, int], int]] = {
+    "oplus": operator.or_, "odot": operator.and_,
+}
+
+
+def _cudas(kind: str) -> Callable[[AuditInstance, int, int], int]:
+    """The CUDAS operation kind on CUD members, as an operator of the instance."""
+    join = _CUDAS_JOINS[kind]
+    return lambda i, A, B: i.sys.cud_family.least[join(A, B)]
+
+
 def idem_comm(kind: str) -> Predicate:
     """The CUDAS operation kind is commutative and idempotent."""
-
-    def pred(i, A, B):
-        return (
-            cudas_op(i.sys, A, B, kind) == cudas_op(i.sys, B, A, kind)
-            and cudas_op(i.sys, A, A, kind) == A
-        )
-
-    return pred
+    F = _cudas(kind)
+    return lambda i, A, B: F(i, A, B) == F(i, B, A) and F(i, A, A) == A
 
 
-def cautious_mono(kind: str, join: Callable[[int, int], int]) -> Predicate:
-    """A ⊆ B, C ⊆ E and join(B, E) ⊆ A∘C imply A∘C ⊆ B∘E, ∘ being kind."""
+def cautious_mono(kind: str) -> Predicate:
+    """A ⊆ B, C ⊆ E and join(B, E) ⊆ A∘C imply A∘C ⊆ B∘E, ∘ being kind and
+    join the union for oplus, the intersection for odot."""
+    F, join = _cudas(kind), _CUDAS_JOINS[kind]
 
     def pred(i, A, B, C, E):
-        ac = cudas_op(i.sys, A, C, kind)
+        ac = F(i, A, C)
         if not (is_subset(A, B) and is_subset(C, E) and is_subset(join(B, E), ac)):
             return True
-        return is_subset(ac, cudas_op(i.sys, B, E, kind))
+        return is_subset(ac, F(i, B, E))
 
     return pred
 
@@ -433,7 +444,7 @@ def _claims() -> tuple[Claim, ...]:
     # --- the cautious closure
     @claim("eth.inclusion", 1, S, ["A"], updir=True)
     def _(i, A):
-        return is_subset(A, eth_closure(i.sys, A))
+        return is_subset(A, op["eth"](i, A))
 
     law("eth.idempotence", 1, fixes("eth"))
     law("eth.bottom", 1, bottom("eth"))
@@ -441,31 +452,29 @@ def _claims() -> tuple[Claim, ...]:
 
     @claim("eth.cmo", 2, S, ["A", "B"], updir=True)
     def _(i, A, B):
-        if not (is_subset(A, B) and A != B and is_subset(B, eth_closure(i.sys, A))):
+        eth = op["eth"]
+        if not (is_subset(A, B) and A != B and is_subset(B, eth(i, A))):
             return True
-        return is_subset(eth_closure(i.sys, A), eth_closure(i.sys, B))
+        return is_subset(eth(i, A), eth(i, B))
 
     # --- CUDAS
     def cudas(id, tier, vars):
         return claim(id, tier, S, vars, domain="cud", updir=True)
 
+    oplus, odot = _cudas("oplus"), _cudas("odot")
     cudas("cudas.ic-oplus", 1, ["A", "B"])(idem_comm("oplus"))
     cudas("cudas.ic-odot", 1, ["A", "B"])(idem_comm("odot"))
 
     @cudas("cudas.inclusion-plus", 1, ["A", "B"])
     def _(i, A, B):
-        return is_subset(A, cudas_op(i.sys, A, B, "oplus"))
+        return is_subset(A, oplus(i, A, B))
 
-    cudas("cudas.cmo-plus", 2, ["A", "B", "C", "E"])(
-        cautious_mono("oplus", operator.or_)
-    )
-    cudas("cudas.cmo-dot", 2, ["A", "B", "C", "E"])(
-        cautious_mono("odot", operator.and_)
-    )
+    cudas("cudas.cmo-plus", 2, ["A", "B", "C", "E"])(cautious_mono("oplus"))
+    cudas("cudas.cmo-dot", 2, ["A", "B", "C", "E"])(cautious_mono("odot"))
 
     @cudas("cudas.inclusiondot", 2, ["A", "B"])
     def _(i, A, B):
-        return is_subset(cudas_op(i.sys, A, B, "odot"), A)
+        return is_subset(odot(i, A, B), A)
 
     # --- cud approximations, pointwise reading
     law("cdbas.cdInclusion", 1, sandwich("l_cd", "u_cd"))
@@ -647,7 +656,12 @@ def replay_witness(claim_id: str, inst: AuditInstance, witness: dict) -> bool:
     def value(v: str) -> int:
         x = witness.get(v)
         if v[0].isupper() and isinstance(x, list) and all(isinstance(a, str) for a in x):
-            return holder.mask(x)
+            A = holder.mask(x)
+            # the predicates read tables, which take any subset: a CUD-domain
+            # operand is checked here, once
+            if claim.domain == "cud" and A not in inst.sys.cud_family:
+                raise LawError(f"witness variable {v!r} is not a CUD set")
+            return A
         if v[0].islower() and isinstance(x, str):
             return holder.id(x)
         kind = "a list of labels" if v[0].isupper() else "a label"

@@ -12,11 +12,12 @@ Relation text format:
 
 from __future__ import annotations
 
+import operator
 import os
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
-from ._bits import bits, is_subset, mask_of, sweep_subsets
+from ._bits import bits, element_slices, is_subset, lattice_transform, mask_of, sweep_subsets
 from .errors import (
     CapExceededError, DiroughError, InputFormatError, LabelError, LawError, StructureError,
 )
@@ -456,6 +457,10 @@ def check_morphism(
 # Granule families
 
 
+def _pairwise_min(a: list[int], b: list[int]) -> list[int]:
+    return [x if x < y else y for x, y in zip(a, b)]
+
+
 class GranuleFamily(Record):
     """A collection of subsets (bitmasks) of an n-element universe, used as
     approximation granules. Members are sorted smallest first, then by id
@@ -492,13 +497,33 @@ class GranuleFamily(Record):
 
     @cached_property
     def minimal_union(self) -> tuple[int, ...]:
-        """minimal_union[x] unions the inclusion-minimal members containing x."""
+        """minimal_union[x] unions the inclusion-minimal members containing x.
+
+        Computed on 2^n-bit indicator words, bit A standing for subset A
+        (``_bits.element_slices``). For each x, the members holding x are
+        grown one element e at a time, e in increasing order, which reaches
+        every superset of each; a member so reached lies strictly above
+        another, and the others are the minimal ones. About 5n^2 big-int
+        operations in all.
+        """
+        n = self.n
+        slices = element_slices(n)
+        full = (1 << (1 << n)) - 1
+        words = bytearray(max(1 << n >> 3, 1))
+        for m in self.members:
+            words[m >> 3] |= 1 << (m & 7)
+        family = int.from_bytes(words, "little")
         out = []
-        for x in range(self.n):
-            union = 0
-            for H in self.minimal_members(lambda m: m >> x & 1):
-                union |= H
-            out.append(union)
+        for x in range(n):
+            holding = reach = family & slices[x]
+            above = 0
+            for e in range(n):
+                if e != x:  # every set reached already holds x
+                    grown = (reach & (full ^ slices[e])) << (1 << e)
+                    reach |= grown
+                    above |= grown
+            minimal = holding & ~above
+            out.append(mask_of(y for y in range(n) if minimal & slices[y]))
         return tuple(out)
 
     def union_within(self, A: int) -> int:
@@ -507,6 +532,40 @@ class GranuleFamily(Record):
             if is_subset(m, A):
                 out |= m
         return out
+
+    # Tables over all 2^n subsets, indexed by the subset's mask and built
+    # once on first use; only the whole-lattice audits read them.
+
+    @cached_property
+    def within(self) -> tuple[int, ...]:
+        """within[A] = union_within(A): an OR transform over the lattice."""
+        table = [0] * (1 << self.n)
+        for m in self.members:
+            table[m] = m
+        return tuple(lattice_transform(table, partial(map, operator.or_), upward=True))
+
+    @cached_property
+    def least(self) -> tuple[int | None, ...]:
+        """least[A] is the first member, in family order, containing A, or
+        None when no member does: a min transform over the supersets of
+        each member's rank. For the CUD family this is the eth closure; for
+        the subgroupoids, Sg(A)."""
+        members = self.members
+        ranks = [len(members)] * (1 << self.n)
+        for r, m in enumerate(members):
+            ranks[m] = r
+        lattice_transform(ranks, _pairwise_min, upward=False)
+        return tuple(map((*members, None).__getitem__, ranks))
+
+    @cached_property
+    def pointwise_upper(self) -> tuple[int, ...]:
+        """pointwise_upper[A] unions minimal_union[x] over x in A: the table
+        for the subsets of the first x + 1 elements is the one for the first
+        x, then the same with minimal_union[x] added."""
+        table = [0]
+        for union in self.minimal_union:
+            table += [v | union for v in table]
+        return tuple(table)
 
 
 # ---------------------------------------------------------------------------

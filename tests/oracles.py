@@ -117,6 +117,23 @@ def cud_upper_collection(universe, pairs, A):
     return frozenset(out)
 
 
+def minimal_union(members, n):
+    """For each element x, the union of the inclusion-minimal members that
+    hold x; members are masks, smallest first, so no later member lies
+    below a kept one. One pass over the family per element."""
+    out = []
+    for x in range(n):
+        kept = []
+        for m in members:
+            if m >> x & 1 and not any(k & ~m == 0 for k in kept):
+                kept.append(m)
+        union = 0
+        for H in kept:
+            union |= H
+        out.append(union)
+    return tuple(out)
+
+
 def closed_sets(labels, table):
     """All product-closed subsets; table maps (a, b) -> product label."""
     out = []

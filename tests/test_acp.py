@@ -21,7 +21,8 @@ from dirough.acp import (
     top,
     validate_element,
 )
-from dirough.errors import LawError, StructureError
+from dirough.audit import random_updirected_system
+from dirough.errors import CapExceededError, LawError, StructureError
 from dirough.fixtures import section6_groupoid
 from dirough.grpd import ChoiceStrategy, Groupoid, build_updir_groupoid, generate, subgroupoids
 from dirough.piappr import pg_tuple
@@ -175,6 +176,27 @@ class TestOperations:
                 validate_element(g, acp_coprod(g, x))
 
 
+def test_per_call_operations_need_no_tables(monkeypatch):
+    """On a 17-element groupoid, past the default cap, join and the
+    coproduct still close per call, while meet and negation, which read the
+    subgroupoid family, stop at the cap."""
+    monkeypatch.delenv("DIROUGH_CAP", raising=False)
+    g = build_updir_groupoid(random_updirected_system(0, 17), ChoiceStrategy.min_index(True))
+    x = AcpElement(generate(g, g.mask(["v2"])), generate(g, g.mask(["v2", "v5"])))
+    y = AcpElement(generate(g, g.mask(["v3"])), generate(g, g.mask(["v3", "v13"])))
+    assert acp_op(g, x, y, "join").as_labels(g) == {
+        "first": ["v0", "v1", "v2", "v3"],
+        "second": ["v0", "v1", "v2", "v3", "v5", "v8", "v9", "v13"],
+    }
+    assert acp_coprod(g, x).as_labels(g) == {
+        "first": ["v0", "v2"], "second": ["v0", "v1", "v2", "v5"],
+    }
+    with pytest.raises(CapExceededError):
+        acp_op(g, x, y, "meet")
+    with pytest.raises(CapExceededError):
+        acp_neg(g, x)
+
+
 def lemma_groupoids():
     """name -> groupoid: the fixture, the seeded B(S) groupoids, every total
     table on 2 elements and seeded total tables on 3 and 4 elements."""
@@ -298,16 +320,22 @@ class TestAuditGolden:
 
     def test_each_pair_validated_once(self, G, monkeypatch):
         """Once per carrier element, plus the four results per pair that
-        well-defined checks: 46 + 4 * 46**2 on the fixture."""
+        well-defined checks: 46 + 4 * 46**2 on the fixture. The audit checks
+        pairs against the subgroupoid tables, never through the per-call
+        validate_element."""
         import dirough.acp as acp_mod
 
-        calls = []
-        real = acp_mod.validate_element
+        calls, public = [], []
+        real, real_public = acp_mod._PairOps.fault, acp_mod.validate_element
         monkeypatch.setattr(
-            acp_mod, "validate_element", lambda g, x: calls.append(x) or real(g, x)
+            acp_mod._PairOps, "fault", lambda ops, x: calls.append(x) or real(ops, x)
+        )
+        monkeypatch.setattr(
+            acp_mod, "validate_element", lambda g, x: public.append(x) or real_public(g, x)
         )
         audit_acp_laws(G)
         assert len(calls) == 46 + 4 * 46**2
+        assert public == []
 
     @pytest.mark.parametrize("limit", [0, -5])
     def test_pair_limit_below_one_rejected(self, G, limit):

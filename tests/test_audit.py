@@ -161,9 +161,10 @@ class TestSelection:
             ("lup.l-mo", ["A", "B"], "a witness is a dict, got list"),
             ("pi9.lpimo", {"A": ["a"], "B": ["a"]}, "no groupoid available"),
             ("acp.A6", {"x": {"first": [], "second": ["c"]}}, "no groupoid available"),
+            ("cudas.ic-oplus", {"A": ["a", "b"], "B": ["c"]}, "is not a CUD set"),
         ],
         ids=["missing-variable", "element-as-list", "not-a-dict", "no-groupoid",
-             "no-groupoid-checker"],
+             "no-groupoid-checker", "operand-not-cud"],
     )
     def test_replay_malformed_witness(self, claim, witness, message):
         """A witness read back from a report is outside input: each fault is
