@@ -105,12 +105,12 @@ def lattice_transform(values: list, combine: Callable, upward: bool) -> list:
 def assignments(domains: Sequence[Sequence], limit: int, draw: Callable) -> Iterator[tuple]:
     """The product of domains in C order when it has at most limit tuples;
     otherwise limit tuples sampled from it, entry k of tuple t being
-    d[pick(t, k) % len(d)] for the k-th domain d, where pick = draw() is
+    d[row(t)[k] % len(d)] for the k-th domain d, where row = draw() is
     built only when sampling."""
     if math.prod(map(len, domains)) <= limit:
         return itertools.product(*domains)
-    pick = draw()
-    return (tuple(d[pick(t, k) % len(d)] for k, d in enumerate(domains)) for t in range(limit))
+    row = draw()
+    return (tuple(d[v % len(d)] for d, v in zip(domains, row(t))) for t in range(limit))
 
 
 def splitmix64(x: int) -> int:
@@ -127,3 +127,15 @@ def mix(*parts: int) -> int:
     for p in parts:
         acc = splitmix64((acc ^ (p & MASK64)) & MASK64)
     return acc
+
+
+def mix_rows(base: int, width: int) -> Callable[[int], list[int]]:
+    """row with row(t)[k] == mix(base, t, k) for k < width: the step on
+    base is taken once, and the step on t once per row."""
+    head = splitmix64(base & MASK64)
+
+    def row(t: int) -> list[int]:
+        acc = splitmix64(head ^ (t & MASK64))
+        return [splitmix64(acc ^ k) for k in range(width)]
+
+    return row

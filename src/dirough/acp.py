@@ -203,7 +203,8 @@ def audit_acp_laws(
         least closed superset of X, so join and meet are the lattice bounds
         and sampling only widens coverage."""
         s = mix(seed, stream)
-        return assignments((carrier, carrier), pair_limit, lambda: lambda t, k: mix(s, 2 * t + k))
+        return assignments((carrier, carrier), pair_limit,
+                           lambda: lambda t: (mix(s, 2 * t), mix(s, 2 * t + 1)))
 
     op, neg, coprod = ops.op, ops.neg, ops.coprod
 

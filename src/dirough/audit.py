@@ -17,10 +17,10 @@ a report is reproducible byte for byte.
 from __future__ import annotations
 
 import operator
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
 
-from ._bits import assignments, bits, is_subset, mix
+from ._bits import assignments, bits, is_subset, mix, mix_rows
 from .acp import ACP_LAW_TIERS, LawAuditReport, audit_acp_laws
 from .cud import approx_cud, cud_family
 from .errors import LawError
@@ -587,7 +587,7 @@ def _assignments(
     domains = [subsets if v[0].isupper() else range(holder.n) for v in claim.vars]
     return assignments(
         domains, limit,
-        lambda: partial(mix, mix(seed, _hash_str(claim.id), _hash_str(inst.name))),
+        lambda: mix_rows(mix(seed, _hash_str(claim.id), _hash_str(inst.name)), len(domains)),
     )
 
 

@@ -14,6 +14,8 @@ import argparse
 import json
 import os as _os
 import sys as _sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import DiroughError, InputFormatError, NotUpDirectedError, StructureError
@@ -127,12 +129,90 @@ def _fmt_set(holder, mask: int) -> str:
     return "{" + ", ".join(labs) + "}"
 
 
-def _emit(args, data: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(data, indent=2))
+# ---------------------------------------------------------------------------
+# Output
+
+
+_BATCH_CHARS = 1 << 16
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout in batches of about 64 KiB: one write call
+    per batch, where an unbuffered stdout makes each call a system call."""
+    out = _sys.stdout
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH_CHARS:
+            out.write("".join(batch))
+            batch, size = [], 0
+    out.write("".join(batch))
+
+
+def _json_key(key) -> str:
+    """key as json.dumps writes it: a string, or a number, bool or None in quotes."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _encode_scalar(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_pieces(x, indent: str) -> Iterator[str]:
+    """What json.dumps writes for x with indent=2, x nested at indent (a
+    newline and two spaces a level), one container at a time; an iterator is
+    written as the list it yields. Every string, number and key is encoded
+    by json."""
+    if isinstance(x, str):
+        yield _encode_str(x)
+    elif isinstance(x, dict):
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in x.items():
+            yield sep + _json_key(key) + ": "
+            yield from _json_pieces(value, inner)
+            sep = "," + inner
+        yield "{}" if not x else indent + "}"
+    elif isinstance(x, (list, tuple, Iterator)):
+        inner = indent + "  "
+        if isinstance(x, (list, tuple)) and x:
+            # a list of strings is one join; the encoder raises TypeError at
+            # the first item that is not a string
+            try:
+                body = ("," + inner).join(map(_encode_str, x))
+            except TypeError:
+                pass
+            else:
+                yield "[" + inner + body + indent + "]"
+                return
+        sep = "[" + inner
+        empty = True
+        for value in x:
+            yield sep
+            yield from _json_pieces(value, inner)
+            sep = "," + inner
+            empty = False
+        yield "[]" if empty else indent + "]"
     else:
-        for line in text_lines:
-            print(line)
+        yield _encode_scalar(x)
+
+
+def _print_json(data) -> None:
+    """Write to stdout what json.dumps writes for data with indent=2, and a
+    newline; lists may be iterators, which are never held whole."""
+    _write(chain(_json_pieces(data, "\n"), "\n"))
+
+
+def _emit(args, data: dict, text_lines: Iterable[str]) -> None:
+    """data as JSON under --json, else the text lines, which are read only then."""
+    if args.json:
+        _print_json(data)
+    else:
+        _write(line + "\n" for line in text_lines)
 
 
 def _emit_sets(args, holder, head: dict, A: int, named: dict[str, int]) -> None:
@@ -140,7 +220,7 @@ def _emit_sets(args, holder, head: dict, A: int, named: dict[str, int]) -> None:
     head fields, or one `name: {..}` text line per result (anti_upper as anti-upper)."""
     data = head | {"set": list(holder.set_labels(A))}
     data |= {name: list(holder.set_labels(m)) for name, m in named.items()}
-    lines = [f"{name.replace('_', '-')}: {_fmt_set(holder, m)}" for name, m in named.items()]
+    lines = (f"{name.replace('_', '-')}: {_fmt_set(holder, m)}" for name, m in named.items())
     _emit(args, data, lines)
 
 
@@ -207,11 +287,13 @@ def _cmd_granules(args) -> int:
         g = _groupoid(args)
         fam = subgroupoids(g)
         holder = g
-    members = [list(holder.set_labels(m)) for m in fam.members]
-    data = {"family": args.family, "count": len(members), "members": members}
-    lines = [f"count: {len(members)}"] + [
-        "{" + ", ".join(m) + "}" for m in members
-    ]
+    members = fam.members
+    data = {
+        "family": args.family,
+        "count": len(members),
+        "members": (holder.set_labels(m) for m in members),
+    }
+    lines = chain([f"count: {len(members)}"], (_fmt_set(holder, m) for m in members))
     _emit(args, data, lines)
     return 0
 
@@ -229,11 +311,11 @@ def _cmd_groupoid_laws(args) -> int:
     from .grpd import ALL_LAWS, law_violation
 
     g = _groupoid(args)
-    wanted = (
-        tuple(t.strip() for t in args.laws.split(",") if t.strip())
-        if args.laws
-        else ALL_LAWS
-    )
+    wanted = ALL_LAWS
+    if args.laws is not None:
+        wanted = tuple(t.strip() for t in args.laws.split(",") if t.strip())
+        if not wanted:
+            raise InputFormatError(f"--laws {args.laws!r} names no law id")
     data = {"laws": {}}
     lines = []
     for law in dict.fromkeys(wanted):
@@ -415,7 +497,7 @@ def _cmd_fixture(args) -> int:
 
     report = build_section6_report()
     if args.json:
-        print(json.dumps(report, indent=2))
+        _print_json(report)
     else:
         print(f"universe: {', '.join(report['labels'])}")
         print("table1 (upper bounds):")
@@ -446,7 +528,7 @@ def _cmd_audit(args) -> int:
         sys, g, tier=args.tier, random_instances=args.random, seed=args.seed
     )
     if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
+        _print_json(report.as_dict())
     else:
         for r in report.results:
             line = f"{r.claim} (tier {r.tier}) on {r.instance}: {r.status}"

@@ -7,6 +7,7 @@ import re
 import pytest
 
 import oracles
+from dirough._bits import MASK64, mix, mix_rows
 from dirough.audit import (
     CLAIMS,
     AuditInstance,
@@ -217,6 +218,15 @@ class TestGenerators:
     def test_random_updirected_always_is(self):
         for seed in range(25):
             assert is_up_directed(random_updirected_system(seed, 3 + seed % 5))
+
+    def test_sampler_rows_equal_mix(self):
+        """The sampler's row(t)[k] is mix(base, t, k), over bases, rows and
+        widths that reach past 64 bits."""
+        for base in (0, 1, 2030, MASK64, MASK64 + 5, -1, 1 << 70):
+            for width in range(5):
+                row = mix_rows(base, width)
+                for t in (0, 1, 7, 255, 1 << 63, MASK64 + 3):
+                    assert row(t) == [mix(base, t, k) for k in range(width)]
 
 
 # ---------------------------------------------------------------------------

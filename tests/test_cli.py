@@ -1,11 +1,14 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -15,7 +18,7 @@ import pytest
 import dirough
 from conftest import mix, rand_updirected
 from dirough.audit import random_updirected_system
-from dirough.cli import run
+from dirough.cli import _print_json, run
 from dirough.grpd import ChoiceStrategy, build_updir_groupoid, dump_cayley, parse_cayley
 from dirough.fixtures import section6_groupoid, section6_system
 from dirough.relsys import dump_relation, exhaustive_cap
@@ -194,6 +197,113 @@ class TestGranules:
         assert code == 0 and data["count"] == 10
         assert ["b", "f"] in data["members"]
         validate("granules.json", data)
+
+
+def cud_n16_rel(tmp_path) -> str:
+    """A relation on 16 elements whose CUD family has 9,207 members, which
+    `granules cud --json` prints as 1.1 MB."""
+    rel = tmp_path / "n16.rel"
+    rel.write_text(dump_relation(random_updirected_system(1, 16)))
+    return str(rel)
+
+
+def printed_json(data, out=None) -> str:
+    out = out or io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _print_json(data)
+    return out.getvalue()
+
+
+def as_iterators(x):
+    """x with every list and tuple turned into a generator of its items."""
+    if isinstance(x, dict):
+        return {k: as_iterators(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return (as_iterators(v) for v in x)
+    return x
+
+
+JSON_STRINGS = (
+    "", "plain", 'a "quoted" word', "back\\slash", "ctrl \x00\x01\x1f\t\n\r\b\f\x7f",
+    "non-ASCII é ü ∅ 中 \U0001d518", "lone surrogate \ud800",
+)
+JSON_LEAVES = JSON_STRINGS + (
+    0, -1, 2**53 + 1, -(2**63) - 1, 10**30,
+    -0.0, 0.0, 1e-7, 1e16, 1.5, -2.25e-300, float("nan"), float("inf"), float("-inf"),
+    True, False, None,
+)
+JSON_KEYS = ("", "k", 'q"k', "\\", "é\n", 3, -(2**60), 2.5, float("inf"), True, False, None)
+
+
+def json_corpus(seed: int, depth: int):
+    """A nested value drawn from seed: dicts, lists, tuples and lists of
+    strings of 0 to 3 items, so that empty containers occur at every depth."""
+    kind = mix(seed, 0) % 5 if depth else 0
+    if kind == 0:
+        return JSON_LEAVES[mix(seed, 1) % len(JSON_LEAVES)]
+    items = [json_corpus(mix(seed, 2, i), depth - 1) for i in range(mix(seed, 3) % 4)]
+    if kind == 1:
+        return items
+    if kind == 2:
+        return tuple(items)
+    if kind == 3:
+        return [JSON_STRINGS[mix(seed, 4, i) % len(JSON_STRINGS)] for i in range(len(items))]
+    return {JSON_KEYS[mix(seed, 5, i) % len(JSON_KEYS)]: v for i, v in enumerate(items)}
+
+
+class TestJsonWriter:
+    """--json output is json.dumps(data, indent=2) and a newline, byte for
+    byte, written in batches and with lists that may be iterators."""
+
+    FIXED = [
+        {}, [], (), "", 0,
+        [[], {}, [[{}]], {"a": {"b": []}, "c": [()]}],
+        {"leaves": list(JSON_LEAVES), "keys": {k: k for k in JSON_KEYS}},
+        list(JSON_STRINGS),
+    ]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_equals_json_dumps(self, seed):
+        for data in [json_corpus(seed, depth) for depth in range(6)] + self.FIXED:
+            want = json.dumps(data, indent=2) + "\n"
+            assert printed_json(data) == want
+            assert printed_json(as_iterators(data)) == want
+
+    @pytest.mark.parametrize("bad", [{1, 2}, {"a": [object()]}, {(1, 2): 3}, {b"k": 1}])
+    def test_refuses_what_json_dumps_refuses(self, bad):
+        with pytest.raises(TypeError) as want:
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError) as got:
+            printed_json(bad)
+        assert str(got.value) == str(want.value)
+
+    def test_writes_in_batches(self):
+        class Recorder(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        sizes = []
+        data = {"members": ([f"v{i}", f"w{i}"] for i in range(20000))}
+        text = printed_json(data, Recorder())
+        assert text == json.dumps({"members": [[f"v{i}", f"w{i}"] for i in range(20000)]},
+                                  indent=2) + "\n"
+        assert len(sizes) - (len(text) >> 16) in (0, 1)
+        assert all(1 << 16 <= n < (1 << 16) + 64 for n in sizes[:-1])
+
+    def test_granules_peak_memory(self, tmp_path):
+        """The member list is streamed, never held: the family itself takes
+        about 1 MB of traced memory, and json.dumps(indent=2) held about 10 MB
+        more while it built the 1.1 MB of output."""
+        rel = cud_n16_rel(tmp_path)
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = run(["granules", "cud", "--rel", rel, "--json"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0 and peak < 3 << 20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestGroupoid:
@@ -688,6 +798,9 @@ MALFORMED_INPUTS = {
     "groupoid-laws-wrong-width": (
         {"narrow.csv": NARROW_CAYLEY}, ["groupoid", "laws", "--table", "{d}/narrow.csv"], "width"
     ),
+    # a --laws value that names no law id checks nothing, so it is refused
+    "groupoid-laws-no-id": ({}, ["groupoid", "laws", "--laws", ","], "names no law id"),
+    "groupoid-laws-empty": ({}, ["groupoid", "laws", "--laws", ""], "names no law id"),
     "acp-audit-wrong-width": (
         {"narrow.csv": NARROW_CAYLEY}, ["acp", "audit", "--table", "{d}/narrow.csv"], "width"
     ),
@@ -990,6 +1103,24 @@ class TestEntryPoints:
             os.close(write_end)
         assert out.returncode == 1
         assert "Traceback" not in out.stderr and "BrokenPipeError" not in out.stderr
+
+    def test_reader_closing_mid_stream(self, tmp_path):
+        """A reader that closes stdout after the first 4 KiB of a long JSON
+        stream gets exit code 1 and no traceback."""
+        argv = ["granules", "cud", "--rel", cud_n16_rel(tmp_path), "--json"]
+        p = subprocess.Popen([sys.executable, "-m", "dirough", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert len(p.stdout.read(4096)) == 4096
+            p.stdout.close()
+            err = p.stderr.read().decode()
+            code = p.wait(timeout=60)
+        finally:
+            p.kill()
+            p.wait()
+            p.stderr.close()
+        assert code == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
     def test_byte_identical_reruns(self):
         cmd = [
