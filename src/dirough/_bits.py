@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 MASK64 = (1 << 64) - 1
@@ -26,7 +27,10 @@ def mask_of(ids: Iterable[int]) -> int:
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions in increasing order."""
+    """Yield set bit positions in increasing order. Each yielded bit costs
+    O(N/64) machine words on an N-bit mask (one negation, one AND and one
+    XOR over the whole int), so a walk over a mask with many members is
+    quadratic in its width; big masks are better walked in numpy."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -40,6 +44,31 @@ def is_subset(a: int, b: int) -> bool:
 def lex_key(mask: int) -> tuple[int, ...]:
     """Sorted id tuple; the canonical lexicographic tie-break key."""
     return tuple(bits(mask))
+
+
+@cache
+def _rank_bytes() -> bytes:
+    """Byte v -> its bits reversed and complemented; built on first use,
+    which keeps it out of a cold command that sorts nothing."""
+    return bytes(255 - int(f"{v:08b}"[::-1], 2) for v in range(256))
+
+
+def rank_key(n: int) -> Callable[[int], int]:
+    """The sort key of masks over an n-element universe for the order
+    fewest members first, then by id tuple.
+
+    Two masks of one size first differ at their least differing id, and
+    the one holding it has the smaller id tuple. Little-endian bytes put
+    the ids in byte order; the table reverses the bits of each byte, so
+    that lower ids sit higher, and complements them, so that a held id
+    ranks first. The bytes then compare as the id tuples do, and so does
+    the big-endian int they spell, under the member count. One int per
+    key keeps a sort over a big family as small as its members."""
+    table, width = _rank_bytes(), (n + 7) >> 3
+    shift = 8 * width
+    return lambda m: m.bit_count() << shift | int.from_bytes(
+        m.to_bytes(width, "little").translate(table), "big"
+    )
 
 
 def element_slices(width: int) -> list[int]:
@@ -72,9 +101,7 @@ def sweep_subsets(n: int, keep: Callable[[list[int], int], int]) -> tuple[int, .
         M = low + [full if base >> e & 1 else 0 for e in range(width, n)]
         kept = keep(M, full).to_bytes(max(size >> 3, 1), "little")
         members += (base + 8 * i + j for i, v in enumerate(kept) if v for j in _BYTE_BITS[v])
-    # Among sets of one size, the id tuples compare as the masks with their
-    # n bits reversed do, in descending order; the key ranks size first.
-    members.sort(key=lambda m: (m.bit_count() << n) - int(f"{m:0{n}b}"[::-1], 2))
+    members.sort(key=rank_key(n))
     return tuple(members)
 
 

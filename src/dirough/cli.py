@@ -445,8 +445,11 @@ def _cmd_cluster(args) -> int:
         chosen = cluster_mod.select_clusters(scored, weights, args.k)
         final_report = cluster_mod.validate_clustering(chosen.sys, chosen.g, chosen, chosen.flavor)
         if args.segment:
-            with open(args.segment, "w", encoding="utf-8") as fh:
-                fh.write(cluster_mod.segmentation_csv(chosen))
+            try:
+                with open(args.segment, "w", encoding="utf-8") as fh:
+                    fh.write(cluster_mod.segmentation_csv(chosen))
+            except OSError as exc:
+                raise InputFormatError(f"cannot write {args.segment}: {exc.strerror or exc}")
         data = {
             "proposed": _cluster_set_dict(cs),
             "validity": report.as_dict(),

@@ -14,11 +14,12 @@ import csv
 import io
 import math
 from functools import cached_property
+from itertools import groupby
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._bits import bits, is_subset, lex_key, mask_of
+from ._bits import bits, is_subset, lex_key, mask_of, rank_key
 from .cud import RoughTuple, cud_family, cud_tuple
 from .errors import InputFormatError, LawError, NotUpDirectedError, StructureError
 from .grpd import Groupoid, subgroupoids
@@ -303,7 +304,7 @@ def _seed_candidates(
             cands = fam.minimal_members(bool)
     else:
         raise LawError(f"unknown seed kind {seeds!r}")
-    return sorted(cands, key=lambda m: (m.bit_count(), lex_key(m)))
+    return sorted(cands, key=rank_key(sys.n))
 
 
 def propose_clusters(
@@ -362,18 +363,20 @@ def propose_clusters(
         seen.add(key)
         clusters.append(RoughCluster(A, t))
 
-    clusters.sort(
-        key=lambda c: (-c.approx.lower.bit_count(), lex_key(c.approx.lower), lex_key(c.support))
-    )
+    rank = rank_key(sys.n)
+    clusters.sort(key=lambda c: (-c.approx.lower.bit_count(), rank(c.approx.lower)))
     chosen: list[RoughCluster] = []
     covered = 0
-    for c in clusters:
+    for lower, run in groupby(clusters, key=lambda c: c.approx.lower):
         if covered == sys.full_mask:
             break
-        if is_subset(c.approx.lower, covered):
+        if is_subset(lower, covered):
             continue
-        chosen.append(c)
-        covered |= c.approx.lower
+        # of the clusters with this lower only the first by support id
+        # tuple can be chosen; the rest are then covered
+        run = list(run)
+        chosen.append(min(run, key=lambda c: lex_key(c.support)) if len(run) > 1 else run[0])
+        covered |= lower
     return ClusterSet(tuple(chosen), work_flavor, sys, g)
 
 
@@ -511,16 +514,14 @@ def _component_variances(
     contiguous column, which numpy sums pairwise, so there each component
     keeps its own call.
     """
-    nbytes = (n + 7) // 8
     var = np.full((len(masks), X.shape[1]), np.nan)
     # a block of components at a time keeps the member arrays small
     for k0 in range(0, len(masks), _SCORE_BLOCK):
         block = masks[k0:k0 + _SCORE_BLOCK]
         k = len(block)
-        packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in block), np.uint8)
-        member = np.unpackbits(packed.reshape(k, nbytes), axis=1, bitorder="little").view(bool)
+        member = _members(block, n)
         # the members component by component, each in id order
-        comp, pos = np.divmod(np.flatnonzero(member), 8 * nbytes)
+        comp, pos = np.divmod(np.flatnonzero(member), member.shape[1])
         rows = row_of[pos]
         size = np.bincount(comp, minlength=k)
         out = var[k0:k0 + k]
@@ -536,6 +537,19 @@ def _component_variances(
                 dev = vals - mean[comp]
                 out[:, j] = np.bincount(comp, dev * dev, k) / size
     return var
+
+
+def _members(masks: Sequence[int], n: int) -> np.ndarray:
+    """The bool matrix whose row i marks the members of masks[i], over an
+    n-element universe padded to whole bytes."""
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), nbytes), axis=1, bitorder="little").view(bool)
+
+
+def _mask_of_row(row: np.ndarray) -> int:
+    """The mask whose bit x is set when row[x] is."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def _weighted(
@@ -574,19 +588,18 @@ def select_clusters(
     )
     kept = set(ranked)
     # depth[x]: how many kept lowers contain x; a cluster can go without
-    # shrinking the cover exactly when every element of its lower is deeper than 1
-    depth = [0] * cs.sys.n
-    for c in cs.clusters:
-        for x in bits(c.approx.lower):
-            depth[x] += 1
+    # shrinking the cover exactly when its lower misses every element of
+    # depth at most 1
+    member = _members([c.approx.lower for c in cs.clusters], cs.sys.n)
+    depth = member.sum(axis=0)
+    thin = _mask_of_row(depth <= 1)
     for i in reversed(ranked):  # worst first
         if len(kept) <= k:
             break
-        lower = cs.clusters[i].approx.lower
-        if all(depth[x] > 1 for x in bits(lower)):
+        if not cs.clusters[i].approx.lower & thin:
             kept.remove(i)
-            for x in bits(lower):
-                depth[x] -= 1
+            depth -= member[i]
+            thin = _mask_of_row(depth <= 1)
     clusters = tuple(cs.clusters[i] for i in sorted(kept))
     return ClusterSet(clusters, cs.flavor, cs.sys, cs.g)
 
@@ -598,15 +611,12 @@ def segmentation_rows(cs: ClusterSet) -> list[tuple[str, str]]:
     rows in no lower (or in several) are boundary. The synthetic top row of
     the "top" fallback is not a dataset row and gets no line.
     """
-    n = cs.sys.n
-    hits = [0] * n
-    owner = [""] * n
-    for k, c in enumerate(cs.clusters):
-        for i in bits(c.approx.lower):
-            hits[i] += 1
-            owner[i] = str(k)
+    member = _members([c.approx.lower for c in cs.clusters], cs.sys.n)
+    hits = member.sum(axis=0).tolist()
+    # the index of a row's cluster, where it has exactly one
+    owner = (np.arange(len(member)) @ member).tolist()
     return [
-        (lab, owner[i] if hits[i] == 1 else "boundary")
+        (lab, str(owner[i]) if hits[i] == 1 else "boundary")
         for i, lab in enumerate(cs.sys.labels)
         if lab != TOP_LABEL
     ]

@@ -73,6 +73,15 @@ PINNED_RUNS = {
                                "--weights", "1,2,1,1", "--k", "3"],
                       "856954b53cd69c2dac06d42d201ddc2c5c8e28a3d04729398a904feb7c697c2a",
                       "fa1fecf03ff0340b63c2ee89386a965c9cce2f97143364761603f075f6fb0aee"),
+    # these two were recorded while the proposal sorts walked every mask bit
+    # by bit (lex_key) and selection and segmentation counted lower members
+    # one by one; 550 rows is the top rung of the cluster-bands benchmark
+    "rows550": (5, 550, ["--eps", "4", "--fallback", "basic"],
+                "206b76452f491cbf4edf240e3cffd0bab00b792e013838d041719a7276a886fb",
+                "dfacddc0b96a4b11e72100c27c8da410ad561ccfc90ec18b4b6c3dd32d85adef"),
+    "pi-top": (6, 13, ["--eps", "4", "--kind", "pi", "--fallback", "top", "--seeds", "granule"],
+               "711d6dbc1fcf848ea17e416be42314e656ba51f99d287e1750a6981a33dd78d8",
+               "f3504f517649c0983c2759fafac97b59e691e1eb9b5493bbeb26b2b308334d10"),
 }
 
 
@@ -1005,6 +1014,18 @@ MALFORMED_INPUTS = {
          "--set", "b"],
         "cyc.csv: system is not up-directed",
     ),
+    "segment-is-directory": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode()},
+        ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "1", "--fallback", "basic",
+         "--segment", "{d}"],
+        "cannot write",
+    ),
+    "segment-parent-missing": (
+        {"blobs.csv": TWO_BLOBS_CSV.encode()},
+        ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "1", "--fallback", "basic",
+         "--segment", "{d}/missing/seg.csv"],
+        "cannot write",
+    ),
     "cluster-support-unknown-row": (
         {"blobs.csv": TWO_BLOBS_CSV.encode(),
          "clusters.json": b'{"clusters": [{"support": ["r0", "q9"]}]}'},
@@ -1022,6 +1043,15 @@ class TestMalformedInput:
         for name, data in files.items():
             (tmp_path / name).write_bytes(data)
         assert fragment in one_error_line(argv, tmp_path).stderr
+
+    @pytest.mark.parametrize("case", ["segment-is-directory", "segment-parent-missing"])
+    def test_unwritable_segment_names_the_path_and_prints_nothing(self, tmp_path, case):
+        files, argv, _ = MALFORMED_INPUTS[case]
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        out = one_error_line(argv, tmp_path)
+        assert f"cannot write {argv[-1].format(d=tmp_path)}: " in out.stderr
+        assert out.stdout == "" and sorted(os.listdir(tmp_path)) == ["blobs.csv"]
 
 
 class TestExplicitPiTable:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import oracles
-from conftest import label_pairs, mix, rand_system, sample_masks
+from conftest import label_pairs, mix, rand_system, rand_updirected, sample_masks
 
 from dirough.cluster import (
     ClusterSet,
@@ -336,26 +336,30 @@ class TestPropose:
 
 
 class TestProposeMatchesGreedyOracle:
-    def _check(self, sys, seeds):
-        """Propose against the greedy oracle; returns how many candidates
-        reached the nesting test while meeting a chosen support."""
-        cs = propose_clusters(sys, None, "cud", seeds, "basic")
-        seen, ranked = set(), []
-        for A in _seed_candidates(cs.sys, None, cs.flavor, seeds):
-            t = rough_tuple_for(cs.sys, None, A, cs.flavor)
+    def _check(self, sys, seeds, g=None):
+        """Propose against the greedy oracle, pi over g when given, else cud.
+        Returns how many candidates reached the nesting test while meeting a
+        chosen support, and how many chosen clusters the support tie-break
+        decided: another candidate with the same lower comes first in
+        candidate order, which ranks small supports first."""
+        cs = propose_clusters(sys, g, "cud" if g is None else "pi", seeds, "basic")
+        seen, ranked, first = set(), [], {}
+        for A in _seed_candidates(cs.sys, g, cs.flavor, seeds):
+            t = rough_tuple_for(cs.sys, g, A, cs.flavor)
             if t.lower and (t.lower, t.upper) not in seen:
                 seen.add((t.lower, t.upper))
                 ranked.append((ids(A), ids(t.lower)))
+                first.setdefault(t.lower, A)
         ranked.sort(key=lambda c: (-len(c[1]), sorted(c[1]), sorted(c[0])))
         want, met = oracles.greedy_clusters(range(cs.sys.n), ranked)
         assert [(ids(c.support), ids(c.approx.lower)) for c in cs.clusters] == want
-        return met
+        return met, sum(c.support != first[c.approx.lower] for c in cs.clusters)
 
     def test_blob_sets(self):
         met = 0
         for seed, m in ((0, 40), (1, 90), (2, 150)):
             sys = step1_relation(blobs(seed, m, d=2), eps=4)
-            met += self._check(sys, "neighborhood")
+            met += self._check(sys, "neighborhood")[0]
         assert met
 
     def test_random_systems(self):
@@ -363,8 +367,21 @@ class TestProposeMatchesGreedyOracle:
         for seed in range(30):
             sys = rand_system(seed, 6 + seed % 5)
             for seeds in ("neighborhood", "granule"):
-                met += self._check(sys, seeds)
+                met += self._check(sys, seeds)[0]
         assert met
+
+    def test_pi_support_tie_break(self):
+        """Pi lowers of neighbourhoods often coincide; among equal lowers the
+        support with the least id tuple wins, which is not always the
+        smallest. Here that decides a chosen cluster several times, first at
+        seed 10 with n = 7."""
+        decided = 0
+        for seed in range(60):
+            for n in range(5, 12):
+                sys = rand_updirected(seed, n)
+                g = build_updir_groupoid(sys, ChoiceStrategy.min_index(pi_constrained=True))
+                decided += self._check(sys, "neighborhood", g)[1]
+        assert decided
 
 
 class TestNeighborhoodApproxAtClusterScale:

@@ -3,9 +3,9 @@
 import pytest
 
 import oracles
-from conftest import every_relation, label_pairs
+from conftest import every_relation, label_pairs, mix
 
-from dirough._bits import element_slices, lattice_transform
+from dirough._bits import element_slices, lattice_transform, lex_key, mask_of, rank_key
 from dirough.audit import _AUDIT_STRATEGIES, random_system, random_updirected_system
 from dirough.grpd import build_updir_groupoid
 from dirough.relsys import build_relation
@@ -91,3 +91,21 @@ def test_lattice_transform_folds_subsets_and_supersets():
             subsets = [values[B] for B in range(1 << n) if B & ~A == 0]
             supersets = [values[B] for B in range(1 << n) if A & ~B == 0]
             assert up[A] == max(subsets) and down[A] == min(supersets)
+
+
+def wide_masks(seed, n, count):
+    """Seeded n-bit masks: dense ones, ones of one to seven members, and
+    variants of one mask in its top 8 bits, which agree on every lower byte."""
+    full = (1 << n) - 1
+    dense = [sum(mix(seed, k, w) << 64 * w for w in range(n // 64 + 1)) & full for k in range(count)]
+    sparse = [mask_of(mix(seed, k, j) % n for j in range(1 + k % 7)) for k in range(count)]
+    top = max(n - 8, 0)
+    tails = [dense[0] & ~(255 << top) & full | v << top & full for v in range(256)]
+    return dense + sparse + tails
+
+
+@pytest.mark.parametrize("n", [*range(11), 13, 64, 550, 4001])
+def test_rank_key_orders_by_size_then_id_tuple(n):
+    masks = range(1 << n) if n <= 10 else wide_masks(n, n, 100)
+    want = sorted(masks, key=lambda m: (m.bit_count(), lex_key(m)))
+    assert sorted(masks, key=rank_key(n)) == want
