@@ -64,7 +64,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "cud": (
         "RoughTuple",
         "approx_cud",
-        "compare_cud",
         "cud_family",
         "cud_tuple",
         "cudas_op",
@@ -105,8 +104,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "subgroupoids",
         "verify_b_of_s",
     ),
-    "piappr": ("PgTuple", "approx_pi", "compare_pi", "pg_tuple"),
-    "regions": ("REGION_KINDS", "region", "region_table"),
+    "piappr": ("PgTuple", "approx_pi", "pg_tuple"),
+    "regions": ("REGION_KINDS", "region_table"),
     "relsys": (
         "GranuleFamily",
         "RelationalSystem",
@@ -120,7 +119,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "exhaustive_cap",
         "from_id_pairs",
         "is_cud",
-        "is_ideal_or_filter",
         "is_up_directed",
         "load_relation",
         "neighborhood",

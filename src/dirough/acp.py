@@ -162,10 +162,6 @@ class LawAuditReport(NamedTuple):
     mode: str
     verdicts: tuple[LawVerdict, ...]
 
-    @property
-    def failing(self) -> tuple[LawVerdict, ...]:
-        return tuple(v for v in self.verdicts if not v.holds)
-
     def as_dict(self) -> dict:
         return {"mode": self.mode, "laws": [v._asdict() for v in self.verdicts]}
 

@@ -56,24 +56,23 @@ def _load_sys(args) -> RelationalSystem:
     return section6_system()
 
 
-def _groupoid(args, sys: RelationalSystem | None = None, flavor: str | None = None,
-              *, pick: bool = False) -> Groupoid | None:
+def _groupoid(args, sys: RelationalSystem | None = None,
+              flavor: str | None = None) -> Groupoid | None:
     """The groupoid the input flags give over sys, else over --rel.
 
     --table gives a member of the relation's B(S) family (the pi family under
     --pi) and is checked against it; read beside no relation it is taken as
-    is. --strategy (default min) picks a member, over the bundled relation
-    when no --rel is read; with no flag and no --rel, the bundled groupoid,
-    unless pick. A clustering passes the system it clusters and its flavor:
-    only pi reads a groupoid, None while that system is not up-directed
-    (the caller answers).
+    is. --strategy (default min) chooses a member, over the bundled relation
+    when no --rel is read; with no flag and no --rel, the bundled groupoid.
+    A clustering passes the system it clusters and its flavor: only pi reads
+    a groupoid, None while that system is not up-directed (the caller answers).
     """
     if flavor not in (None, "pi"):
         _no_groupoid(args, f"{flavor} clustering")
         return None
     spec = args.strategy
     pi = flavor == "pi" or args.pi  # cluster commands have no --pi, and no --rel
-    if not (pi or spec or args.table or args.rel or pick):
+    if not (pi or spec or args.table or args.rel):
         from .fixtures import section6_groupoid
 
         return section6_groupoid()
@@ -301,7 +300,7 @@ def _cmd_granules(args) -> int:
 def _cmd_groupoid_build(args) -> int:
     from .grpd import dump_cayley
 
-    g = _groupoid(args, _load_sys(args), pick=True)
+    g = _groupoid(args, _load_sys(args))
     table = [[g.labels[v] for v in row] for row in g.table]
     _emit(args, {"labels": list(g.labels), "table": table}, [dump_cayley(g).removesuffix("\n")])
     return 0
@@ -499,26 +498,27 @@ def _cmd_fixture(args) -> int:
     from .fixtures import build_section6_report
 
     report = build_section6_report()
-    if args.json:
-        _print_json(report)
-    else:
-        print(f"universe: {', '.join(report['labels'])}")
-        print("table1 (upper bounds):")
+
+    def lines() -> Iterator[str]:
+        yield f"universe: {', '.join(report['labels'])}"
+        yield "table1 (upper bounds):"
         for pair, labs in report["table1"].items():
-            print(f"  U({pair}) = {{{', '.join(labs)}}}")
-        print("table3 (neighborhoods):")
+            yield f"  U({pair}) = {{{', '.join(labs)}}}"
+        yield "table3 (neighborhoods):"
         for x, labs in report["table3"].items():
-            print(f"  [{x}] = {{{', '.join(labs)}}}")
-        print(f"granules: {len(report['granules'])} nonempty members")
-        print(f"subgroupoids: {len(report['su'])} members")
-        print("values:")
+            yield f"  [{x}] = {{{', '.join(labs)}}}"
+        yield f"granules: {len(report['granules'])} nonempty members"
+        yield f"subgroupoids: {len(report['su'])} members"
+        yield "values:"
         for key, labs in report["values"].items():
-            print(f"  {key} = {{{', '.join(labs)}}}")
-        print("deviations from the printed tables:")
+            yield f"  {key} = {{{', '.join(labs)}}}"
+        yield "deviations from the printed tables:"
         for d in report["diffs"]:
             tag = d["erratum"] or "UNDOCUMENTED"
-            print(f"  [{tag}] {d['where']}: printed {d['printed']} computed {d['computed']}")
-        print(f"exact after errata: {str(report['exact_after_errata']).lower()}")
+            yield f"  [{tag}] {d['where']}: printed {d['printed']} computed {d['computed']}"
+        yield f"exact after errata: {str(report['exact_after_errata']).lower()}"
+
+    _emit(args, report, lines())
     return 0 if report["exact_after_errata"] else 1
 
 
@@ -530,18 +530,15 @@ def _cmd_audit(args) -> int:
     report = audit_mod.audit_claims(
         sys, g, tier=args.tier, random_instances=args.random, seed=args.seed
     )
-    if args.json:
-        _print_json(report.as_dict())
-    else:
+
+    def lines() -> Iterator[str]:
         for r in report.results:
-            line = f"{r.claim} (tier {r.tier}) on {r.instance}: {r.status}"
-            if r.status == "fail":
-                line += f" witness {r.witness}"
-            print(line)
-        print(
-            f"tier-1 failures: {len(report.tier1_failures)}; "
-            f"deviations: {len(report.deviations)}"
-        )
+            witness = f" witness {r.witness}" if r.status == "fail" else ""
+            yield f"{r.claim} (tier {r.tier}) on {r.instance}: {r.status}{witness}"
+        yield (f"tier-1 failures: {len(report.tier1_failures)}; "
+               f"deviations: {len(report.deviations)}")
+
+    _emit(args, report.as_dict(), lines())
     return 1 if report.tier1_failures else 0
 
 
@@ -563,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     # the input flags, declared once: --rel; then --strategy and --pi, which
-    # pick a member of the relation's B(S) family, or --table, which gives one
+    # choose a member of the relation's B(S) family, or --table, which gives one
     rel = argparse.ArgumentParser(add_help=False)
     rel.add_argument("--rel", default=None, help="relation file (default: bundled fixture)")
     groupoid = argparse.ArgumentParser(add_help=False, parents=[rel])

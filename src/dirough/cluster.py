@@ -122,6 +122,9 @@ def parse_dataset(text: str, schema: Mapping[str, str] | None = None) -> Dataset
     lon_col = next((i for i, c in enumerate(header) if roles[c] == "lon"), None)
     if not band_cols:
         raise InputFormatError("dataset has no band columns")
+    if (lat_col is None) != (lon_col is None):
+        have, missing = ("lat", "lon") if lon_col is None else ("lon", "lat")
+        raise InputFormatError(f"dataset has a {have} column but no {missing} column")
 
     ids, rows, coords = [], [], []
     for k, rec in enumerate(reader):
@@ -140,7 +143,7 @@ def parse_dataset(text: str, schema: Mapping[str, str] | None = None) -> Dataset
                     f"row {ids[-1]!r}, column {header[i]!r}: not a number: {cell!r}"
                 )
         rows.append(tuple(vals))
-        if lat_col is not None and lon_col is not None:
+        if lat_col is not None:
             try:
                 coords.append((float(rec[lat_col]), float(rec[lon_col])))
             except ValueError:
@@ -151,7 +154,7 @@ def parse_dataset(text: str, schema: Mapping[str, str] | None = None) -> Dataset
         tuple(ids),
         tuple(header[i] for i in band_cols),
         tuple(rows),
-        tuple(coords) if lat_col is not None and lon_col is not None else None,
+        tuple(coords) if lat_col is not None else None,
     )
 
 
@@ -225,13 +228,6 @@ class ClusterSet(NamedTuple):
     flavor: str
     sys: RelationalSystem
     g: Groupoid | None = None
-
-    @property
-    def lower_union(self) -> int:
-        out = 0
-        for c in self.clusters:
-            out |= c.approx.lower
-        return out
 
 
 class ValidityReport(NamedTuple):

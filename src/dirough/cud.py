@@ -109,13 +109,3 @@ def cud_tuple(sys: RelationalSystem, A: int) -> RoughTuple:
     lo = approx_cud(sys, A, "l")
     up = approx_cud(sys, A, "u")
     return RoughTuple(lo, up, up & ~lo, "cud")
-
-
-def compare_cud(sys: RelationalSystem, A: int, B: int) -> dict[str, bool]:
-    """Rough containment and rough equality of two subsets."""
-    ta = cud_tuple(sys, A)
-    tb = cud_tuple(sys, B)
-    return {
-        "cud_subset": is_subset(ta.lower, tb.lower) and is_subset(ta.upper, tb.upper),
-        "cud_equal": ta.lower == tb.lower and ta.upper == tb.upper,
-    }

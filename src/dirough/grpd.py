@@ -52,9 +52,6 @@ class Groupoid(Universe):
                 if not 0 <= v < n:
                     raise StructureError(f"Cayley cell {v} is not an element id")
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     @cached_property
     def subgroupoids(self) -> GranuleFamily:
         """Every product-closed subset, smallest first; enumerated once per

@@ -2,8 +2,7 @@
 
 The lower approximation unions the closed sets inside A, the upper is the
 generated subgroupoid, and the anti-lower upper unions the inclusion-minimal
-closed sets properly containing A. Rough tuples built from these drive two
-gradations of rough equality.
+closed sets properly containing A.
 """
 
 from __future__ import annotations
@@ -48,16 +47,3 @@ def approx_pi(g: Groupoid, A: int, op: str) -> int:
 def pg_tuple(g: Groupoid, A: int) -> PgTuple:
     lower = approx_pi(g, A, "l_pi")
     return PgTuple(lower, generate(g, lower), generate(g, A))
-
-
-def compare_pi(g: Groupoid, A: int, B: int) -> dict[str, bool]:
-    """Rough equality at both gradations.
-
-    pg compares the full triple, acpg only the algebraic pair, so pg
-    equality always implies acpg equality and not conversely.
-    """
-    ta, tb = pg_tuple(g, A), pg_tuple(g, B)
-    return {
-        "pg_equal": ta == tb,
-        "acpg_equal": ta.acpg() == tb.acpg(),
-    }

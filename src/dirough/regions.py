@@ -49,13 +49,3 @@ def region_table(
             else:
                 o2 |= bit
     return {"n": n, "o1": o1, "o2": o2, "i1": i1, "i2": i2, "o": o1 & o2}
-
-
-def region(
-    g: Groupoid, sys: RelationalSystem, A: int, B: int, kind: str
-) -> int:
-    """One kind of region_table."""
-    table = region_table(g, sys, A, B)
-    if kind not in table:
-        raise LawError(f"unknown region kind {kind!r}")
-    return table[kind]

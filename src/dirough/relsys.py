@@ -414,16 +414,6 @@ def approx_basic(sys: RelationalSystem, A: int, op: str = "l") -> int:
     return bounds[op == "u"]
 
 
-def is_ideal_or_filter(sys: RelationalSystem, K: int, kind: str = "ideal") -> bool:
-    """R-ideal: closed under predecessors; R-filter: closed under successors."""
-    sys.check_set(K, "K")
-    if kind == "ideal":
-        return all(is_subset(sys.pred[a], K) for a in bits(K))
-    if kind == "filter":
-        return all(is_subset(sys.succ[a], K) for a in bits(K))
-    raise LawError(f"unknown kind {kind!r}")
-
-
 def check_morphism(
     f: Mapping[int, int] | Sequence[int],
     src: RelationalSystem,

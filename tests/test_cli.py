@@ -322,6 +322,16 @@ class TestGroupoid:
         g = parse_cayley(out)
         assert g.labels == ("a", "b", "c", "e", "f")
 
+    def test_build_prints_the_groupoid_the_others_read(self, capsys, tmp_path):
+        """With no flag, build prints the bundled groupoid, so laws over its
+        output are the laws that a plain `groupoid laws` checks."""
+        code, out, _ = cli(capsys, "groupoid", "build")
+        assert code == 0 and out == dump_cayley(section6_groupoid())
+        table = tmp_path / "t.csv"
+        table.write_text(out)
+        given = cli(capsys, "groupoid", "laws", "--table", str(table))
+        assert given == cli(capsys, "groupoid", "laws")
+
     def test_build_json(self, capsys):
         code, data, _ = cli_json(capsys, "groupoid", "build", "--strategy", "seed:3")
         assert code == 0
@@ -621,6 +631,27 @@ def test_n6_audit_reports_pinned(capsys, tmp_path, name):
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the text stdout of the fixture report and two claim audits,
+# recorded while their handlers printed line by line
+PINNED_TEXT_REPORTS = {
+    "fixture": (("fixture", "section6"),
+                "dfd730136de72b6dce61e8ca0ce3a559f0e4e0b283fe2098d5b8cd2423291e67"),
+    "audit-claims": (("audit", "claims"),
+                     "392fa72c45e61a6935d971d95643b4bd76a7ff513d9b1b4a80a70cb21b76b5da"),
+    "audit-claims-n6": (("audit", "claims", "--rel", "{rel}", "--random", "0"),
+                        "6393b072cc32729e7fe6dab8df9f385145cc9072e5879bff042aecb3056f02ad"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TEXT_REPORTS))
+def test_text_reports_pinned(capsys, tmp_path, name):
+    argv, digest = PINNED_TEXT_REPORTS[name]
+    rel = tmp_path / "s2030.rel"
+    rel.write_text(dump_relation(random_updirected_system(2030, 6)))
+    code, out, _ = cli(capsys, *(a.format(rel=rel) for a in argv))
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestAuditCommand:
     def test_claims_fixture(self, capsys):
         code, data, _ = cli_json(capsys, "audit", "claims", "--random", "0")
@@ -756,6 +787,12 @@ MALFORMED_INPUTS = {
         {"head.csv": b"id,b1,b2\n"},
         ["cluster", "run", "--data", "{d}/head.csv", "--eps", "1"],
         "no rows",
+    ),
+    # a lat column without a lon column is neither a band nor a coordinate
+    "dataset-lat-without-lon": (
+        {"lat.csv": b"id,lat,b1\nr0,1,2\nr1,x,3\n"},
+        ["cluster", "run", "--data", "{d}/lat.csv", "--eps", "2", "--fallback", "basic"],
+        "dataset has a lat column but no lon column",
     ),
     "eps-nan": (
         {"blobs.csv": TWO_BLOBS_CSV.encode()},

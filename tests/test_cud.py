@@ -6,7 +6,6 @@ from conftest import every_relation, label_pairs, rand_system, rand_updirected, 
 from dirough.cud import (
     RoughTuple,
     approx_cud,
-    compare_cud,
     cud_family,
     cud_tuple,
     cudas_op,
@@ -222,8 +221,6 @@ class TestApprox:
         for op, mode in (("l", "pointwise"), ("u", "pointwise"), ("u", "collection")):
             with pytest.raises(NotUpDirectedError):
                 approx_cud(sys, sys.mask(["a"]), op, mode)
-        with pytest.raises(NotUpDirectedError):
-            compare_cud(sys, sys.mask(["a"]), sys.mask(["b"]))
 
     def test_bad_args(self, F):
         with pytest.raises(LawError):
@@ -256,24 +253,3 @@ class TestTuples:
         with pytest.raises(LawError):
             RoughTuple(0, 0, 0, "weird")
 
-
-class TestCompare:
-    def test_reflexive(self, F):
-        r = compare_cud(F, F.mask(["e", "b"]), F.mask(["e", "b"]))
-        assert r == {"cud_subset": True, "cud_equal": True}
-
-    def test_fixture_subset(self, F):
-        r = compare_cud(F, F.mask(["b", "c"]), F.mask(["e", "b", "c"]))
-        assert r["cud_subset"] and not r["cud_equal"]
-
-    def test_quasi_order(self):
-        sys = rand_updirected(5, 5)
-        masks = sample_masks(5, sys.n, 10)
-        for A in masks:
-            for B in masks:
-                ab = compare_cud(sys, A, B)
-                if ab["cud_equal"]:
-                    assert compare_cud(sys, B, A)["cud_equal"]
-                for C in masks:
-                    if ab["cud_subset"] and compare_cud(sys, B, C)["cud_subset"]:
-                        assert compare_cud(sys, A, C)["cud_subset"]

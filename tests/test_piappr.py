@@ -6,7 +6,7 @@ from conftest import rand_updirected, sample_masks
 from dirough.errors import LawError
 from dirough.fixtures import section6_groupoid
 from dirough.grpd import ChoiceStrategy, build_updir_groupoid, generate, is_closed
-from dirough.piappr import PgTuple, approx_pi, compare_pi, pg_tuple
+from dirough.piappr import PgTuple, approx_pi, pg_tuple
 
 
 @pytest.fixture(scope="module")
@@ -100,24 +100,3 @@ class TestPgTuple:
         t = pg_tuple(G, G.mask(["b"]))
         assert t.acpg() == (t.generated_lower, t.upper)
 
-
-class TestComparePi:
-    def test_reflexive(self, G):
-        r = compare_pi(G, G.mask(["a", "b"]), G.mask(["a", "b"]))
-        assert r == {"pg_equal": True, "acpg_equal": True}
-
-    def test_generator_vs_generated(self, G):
-        # {b} approximates to (0, 0, {b,f}); {b,f} is its own closed lower,
-        # so the pairs differ at both gradations
-        r = compare_pi(G, G.mask(["b"]), G.mask(["b", "f"]))
-        assert r == {"pg_equal": False, "acpg_equal": False}
-
-    def test_pg_implies_acpg(self):
-        for seed in range(15):
-            g = rand_groupoid(seed, 5)
-            masks = sample_masks(seed, g.n, 10)
-            for A in masks:
-                for B in masks:
-                    r = compare_pi(g, A, B)
-                    if r["pg_equal"]:
-                        assert r["acpg_equal"]

@@ -7,7 +7,7 @@ from dirough.errors import LawError, NotUpDirectedError, StructureError
 from dirough.fixtures import section6_groupoid, section6_system
 from dirough.grpd import ChoiceStrategy, build_updir_groupoid, parse_cayley
 from dirough.relsys import parse_relation
-from dirough.regions import REGION_KINDS, region, region_table
+from dirough.regions import REGION_KINDS, region_table
 
 
 @pytest.fixture(scope="module")
@@ -22,16 +22,17 @@ def G():
 
 class TestExamples:
     def test_n_region(self, F, G):
-        got = region(G, F, F.mask(["c"]), F.mask(["a", "b"]), "n")
+        got = region_table(G, F, F.mask(["c"]), F.mask(["a", "b"]))["n"]
         assert F.set_labels(got) == ("a", "b")
 
     def test_o_region(self, F, G):
-        got = region(G, F, F.mask(["a"]), F.mask(["b"]), "o")
+        got = region_table(G, F, F.mask(["a"]), F.mask(["b"]))["o"]
         assert F.set_labels(got) == ("f",)
 
     def test_empty_left_operand(self, F, G):
+        t = region_table(G, F, 0, F.full_mask)
         for kind in REGION_KINDS:
-            assert region(G, F, 0, F.full_mask, kind) == 0
+            assert t[kind] == 0
 
     def test_table_covers_all_kinds(self, F, G):
         t = region_table(G, F, F.mask(["a"]), F.mask(["b"]))
@@ -43,7 +44,7 @@ class TestErrors:
     def test_inconsistent_pair(self, F, G):
         other = rand_updirected(1, F.n)
         with pytest.raises(StructureError):
-            region(G, other, 0, 0, "n")
+            region_table(G, other, 0, 0)
 
     @pytest.mark.parametrize("rel,table,error,message", [
         # b.a = a, where B(S) asks for an upper bound of b and a, here only b
@@ -59,13 +60,9 @@ class TestErrors:
             region_table(g, sys_, 1, 2)
         assert str(e.value) == message
 
-    def test_unknown_kind(self, F, G):
-        with pytest.raises(LawError):
-            region(G, F, 0, 0, "x")
-
     def test_operands_checked(self, F, G):
         with pytest.raises(LawError):
-            region(G, F, 1 << F.n, 0, "n")
+            region_table(G, F, 1 << F.n, 0)
 
 
 class TestProperties:
@@ -98,8 +95,9 @@ class TestProperties:
             for A in sample_masks(seed, sys.n, 5):
                 for B in sample_masks(seed + 2, sys.n, 5):
                     la, lb = set(sys.set_labels(A)), set(sys.set_labels(B))
+                    t = region_table(g, sys, A, B)
                     for kind in REGION_KINDS:
-                        got = set(sys.set_labels(region(g, sys, A, B, kind)))
+                        got = set(sys.set_labels(t[kind]))
                         assert got == oracles.regions(uni, tbl, uni, prs, la, lb, kind)
 
     def test_every_offrelation_product_classified(self):

@@ -19,7 +19,6 @@ from dirough.relsys import (
     classify,
     dc_neighborhood,
     dump_relation,
-    is_ideal_or_filter,
     is_up_directed,
     neighborhood,
     parse_relation,
@@ -249,15 +248,6 @@ class TestApproxBasic:
                     if A & ~B == 0:
                         assert lo & ~approx_basic(sys, B, "l") == 0
                         assert up & ~approx_basic(sys, B, "u") == 0
-
-
-class TestIdealFilter:
-    def test_trivial_cases(self, F):
-        assert is_ideal_or_filter(F, 0, "ideal")
-        assert is_ideal_or_filter(F, F.full_mask, "filter")
-
-    def test_abc_not_ideal(self, F):
-        assert not is_ideal_or_filter(F, F.mask(["a", "b", "c"]), "ideal")
 
 
 class TestMorphism:
