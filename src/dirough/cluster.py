@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._bits import bits, is_subset, lex_key, mask_of, rank_key
+from ._bits import is_subset, lex_key, mask_of, rank_key
 from .cud import RoughTuple, cud_family, cud_tuple
 from .errors import InputFormatError, LawError, NotUpDirectedError, StructureError
 from .grpd import Groupoid, subgroupoids
@@ -33,6 +33,8 @@ TOP_LABEL = "__top__"
 _STEP1_BLOCK = 32
 # components per scoring block: a block's member arrays stay small
 _SCORE_BLOCK = 64
+# support pairs per nested-support block: a block's word arrays stay small
+_PAIR_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +94,14 @@ def parse_dataset(text: str, schema: Mapping[str, str] | None = None) -> Dataset
     id, band, lat, lon, ignore; unmapped columns default to band.
 
     Without a schema, columns literally named id, lat, or lon
-    (case-insensitive) take those roles; everything else is a band.
+    (case-insensitive) take those roles; everything else is a band. Each
+    of these three roles has at most one column.
     """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
         raise InputFormatError("empty dataset")
-    roles = {}
     if schema is None:
         schema = {
             col: col.lower()
@@ -111,15 +113,22 @@ def parse_dataset(text: str, schema: Mapping[str, str] | None = None) -> Dataset
     for col in schema:
         if col not in header:
             raise InputFormatError(f"schema names unknown column {col!r}")
-    for col in header:
+    band_cols = []
+    # the one column of each id, lat and lon role
+    role_col: dict[str, int] = {}
+    for i, col in enumerate(header):
         role = schema.get(col, "band")
         if role not in ("id", "band", "lat", "lon", "ignore"):
             raise InputFormatError(f"unknown column role {role!r}")
-        roles[col] = role
-    band_cols = [i for i, c in enumerate(header) if roles[c] == "band"]
-    id_col = next((i for i, c in enumerate(header) if roles[c] == "id"), None)
-    lat_col = next((i for i, c in enumerate(header) if roles[c] == "lat"), None)
-    lon_col = next((i for i, c in enumerate(header) if roles[c] == "lon"), None)
+        if role == "band":
+            band_cols.append(i)
+        elif role != "ignore":
+            if role in role_col:
+                raise InputFormatError(
+                    f"dataset has two {role} columns: {header[role_col[role]]!r} and {col!r}"
+                )
+            role_col[role] = i
+    id_col, lat_col, lon_col = (role_col.get(role) for role in ("id", "lat", "lon"))
     if not band_cols:
         raise InputFormatError("dataset has no band columns")
     if (lat_col is None) != (lon_col is None):
@@ -254,26 +263,34 @@ def rough_tuple_for(
     A: int,
     flavor: str,
 ) -> RoughTuple:
-    """Approximate A per flavor.
+    """Approximate A per flavor: the tuple over _bounds_for's pair.
 
     Reflexive systems admit an exact shortcut past the exponential granule
     family: every singleton is CUD, so both cud approximations collapse to A
     itself, at any size and whether or not the system is up-directed.
+    propose_clusters and validate_clustering read _bounds_for's pairs
+    instead, and propose builds a tuple only for a cluster it returns.
     """
+    lo, up = _bounds_for(sys, g, A, flavor)
+    return RoughTuple(lo, up, up & ~lo, flavor)
+
+
+def _bounds_for(
+    sys: RelationalSystem, g: Groupoid | None, A: int, flavor: str
+) -> tuple[int, int]:
+    """(lower, upper) of A per flavor, with rough_tuple_for's errors."""
     if flavor == "cud":
         if sys.reflexive:
             sys.check_set(A)
-            return RoughTuple(A, A, 0, "cud")
-        return cud_tuple(sys, A)
+            return A, A
+        t = cud_tuple(sys, A)
+        return t.lower, t.upper
     if flavor == "pi":
         if g is None:
             raise LawError("pi clustering needs a groupoid")
-        lo = approx_pi(g, A, "l_pi")
-        up = approx_pi(g, A, "u_pi")
-        return RoughTuple(lo, up, up & ~lo, "pi")
+        return approx_pi(g, A, "l_pi"), approx_pi(g, A, "u_pi")
     if flavor == "basic":
-        lo, up = basic_bounds(sys, A)
-        return RoughTuple(lo, up, up & ~lo, "basic")
+        return basic_bounds(sys, A)
     raise LawError(f"unknown clustering flavor {flavor!r}")
 
 
@@ -319,7 +336,10 @@ def propose_clusters(
     clustered: under "top" the augmented one. Greedy selection prefers
     large lower approximations, skips a candidate whose lower is already
     covered, and stops once the lowers cover the universe; failure to
-    cover is left for validate_clustering to report.
+    cover is left for validate_clustering to report. Candidates are
+    deduplicated and sorted on their (lower, upper) pairs, the first
+    candidate of a pair standing for it, and a RoughCluster is built only
+    for a chosen one.
 
     No two chosen supports are nested, with no test for it, because every
     lower used here is monotone in its support. A support inside a chosen
@@ -346,32 +366,29 @@ def propose_clusters(
     if work_flavor == "pi" and (g is None or g.labels != sys.labels):
         raise LawError("pi clustering needs a groupoid over the system it clusters")
 
-    candidates = _seed_candidates(sys, g, work_flavor, seeds)
-    seen: set[tuple[int, int]] = set()
-    clusters: list[RoughCluster] = []
-    for A in candidates:
-        t = rough_tuple_for(sys, g, A, work_flavor)
-        if not t.lower:
-            continue
-        key = (t.lower, t.upper)
-        if key in seen:
-            continue
-        seen.add(key)
-        clusters.append(RoughCluster(A, t))
+    # the first candidate of each (lower, upper) pair stands for it
+    first: dict[tuple[int, int], int] = {}
+    for A in _seed_candidates(sys, g, work_flavor, seeds):
+        bounds = _bounds_for(sys, g, A, work_flavor)
+        if bounds[0]:
+            first.setdefault(bounds, A)
 
     rank = rank_key(sys.n)
-    clusters.sort(key=lambda c: (-c.approx.lower.bit_count(), rank(c.approx.lower)))
+    pairs = sorted(first, key=lambda b: (-b[0].bit_count(), rank(b[0])))
     chosen: list[RoughCluster] = []
     covered = 0
-    for lower, run in groupby(clusters, key=lambda c: c.approx.lower):
+    for lower, run in groupby(pairs, key=lambda b: b[0]):
         if covered == sys.full_mask:
             break
         if is_subset(lower, covered):
             continue
-        # of the clusters with this lower only the first by support id
-        # tuple can be chosen; the rest are then covered
+        # of the pairs with this lower only the one whose support has the
+        # first id tuple can be chosen; the rest are then covered
         run = list(run)
-        chosen.append(min(run, key=lambda c: lex_key(c.support)) if len(run) > 1 else run[0])
+        best = min(run, key=lambda b: lex_key(first[b])) if len(run) > 1 else run[0]
+        upper = best[1]
+        t = RoughTuple(lower, upper, upper & ~lower, work_flavor)
+        chosen.append(RoughCluster(first[best], t))
         covered |= lower
     return ClusterSet(tuple(chosen), work_flavor, sys, g)
 
@@ -383,41 +400,62 @@ def validate_clustering(
     flavor: str,
 ) -> ValidityReport:
     """covers: lowers union to the universe. disclusion: no two clusters
-    with nested supports or roughly equal tuples."""
+    with nested supports or roughly equal tuples.
+
+    Each cluster's (lower, upper) is derived again from its support and
+    compared with the pair its tuple carries, flavor included; a mismatch
+    raises StructureError. Support i can lie inside support j only if j
+    holds the least member of i, so only such pairs are tested, on the
+    supports' 64-bit words; an empty support lies inside every support.
+    """
     covered = 0
-    # holders[x]: bitset of the clusters whose support contains x
-    holders = [0] * sys.n
-    rough_class: dict[tuple[int, int], int] = {}
+    # the clusters of each (lower, upper) pair, which are roughly equal
+    classes: dict[tuple[int, int], list[int]] = {}
     for i, c in enumerate(cs.clusters):
-        t = rough_tuple_for(sys, g, c.support, flavor)
-        if t != c.approx:
+        bounds = _bounds_for(sys, g, c.support, flavor)
+        if bounds != (c.approx.lower, c.approx.upper) or c.approx.flavor != flavor:
             raise StructureError(
                 f"cluster over {sys.set_labels(c.support)} does not reproduce its tuple"
             )
-        covered |= t.lower
-        for x in bits(c.support):
-            holders[x] |= 1 << i
-        key = (t.lower, t.upper)
-        rough_class[key] = rough_class.get(key, 0) | 1 << i
+        covered |= bounds[0]
+        classes.setdefault(bounds, []).append(i)
     uncovered = sys.full_mask & ~covered
-    k = len(cs.clusters)
-    # partners[i]: the clusters whose support contains, or lies inside,
-    # cluster i's, or whose tuple equals its tuple; an empty support lies
-    # inside every support
-    partners = [rough_class[c.approx.lower, c.approx.upper] for c in cs.clusters]
-    for i, c in enumerate(cs.clusters):
-        supersets = (1 << k) - 1
-        for x in bits(c.support):
-            supersets &= holders[x]
-        partners[i] |= supersets
-        for j in bits(supersets):
-            partners[j] |= 1 << i
-    bad = [(i, j) for i in range(k) for j in bits(partners[i] >> (i + 1) << (i + 1))]
+    partners = _nested([c.support for c in cs.clusters], sys.n)
+    for same in classes.values():
+        if len(same) > 1:
+            partners[np.ix_(same, same)] = True
+    # the pairs i < j in row-major order
+    first, second = np.divmod(np.flatnonzero(partners), len(partners))
+    upper = first < second
     return ValidityReport(
         covers=uncovered == 0,
         uncovered=sys.set_labels(uncovered),
-        disclusion_pairs=tuple(bad),
+        disclusion_pairs=tuple(zip(first[upper].tolist(), second[upper].tolist())),
     )
+
+
+def _nested(supports: Sequence[int], n: int) -> np.ndarray:
+    """The bool matrix whose entry (i, j), i != j, is set when one of
+    supports i and j lies inside the other."""
+    k = len(supports)
+    packed = _packed(supports, 8 * max(1, -(-n // 64)))
+    words = packed.view("<u8")
+    member = np.unpackbits(packed, axis=1, bitorder="little").view(bool)
+    # candidates[j, i]: j holds the least member of i, or i is empty
+    candidates = member[:, member.argmax(axis=1)]
+    candidates[:, ~member.any(axis=1)] = True
+    np.fill_diagonal(candidates, False)
+    outer, inner = np.divmod(np.flatnonzero(candidates), k)
+    inside = np.empty(len(inner), dtype=bool)
+    for p0 in range(0, len(inner), _PAIR_BLOCK):
+        block = slice(p0, p0 + _PAIR_BLOCK)
+        stray = words[inner[block]]
+        stray &= ~words[outer[block]]
+        inside[block] = ~stray.any(axis=1)
+    inner, outer = inner[inside], outer[inside]
+    partners = np.zeros((k, k), dtype=bool)
+    partners[inner, outer] = partners[outer, inner] = True
+    return partners
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +573,18 @@ def _component_variances(
     return var
 
 
+def _packed(masks: Sequence[int], nbytes: int) -> np.ndarray:
+    """The uint8 matrix whose row i holds masks[i] in nbytes little-endian
+    bytes."""
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
+    return packed.reshape(len(masks), nbytes)
+
+
 def _members(masks: Sequence[int], n: int) -> np.ndarray:
     """The bool matrix whose row i marks the members of masks[i], over an
     n-element universe padded to whole bytes."""
-    nbytes = (n + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
-    return np.unpackbits(packed.reshape(len(masks), nbytes), axis=1, bitorder="little").view(bool)
+    packed = _packed(masks, (n + 7) // 8)
+    return np.unpackbits(packed, axis=1, bitorder="little").view(bool)
 
 
 def _mask_of_row(row: np.ndarray) -> int:

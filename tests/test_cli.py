@@ -794,6 +794,17 @@ MALFORMED_INPUTS = {
         ["cluster", "run", "--data", "{d}/lat.csv", "--eps", "2", "--fallback", "basic"],
         "dataset has a lat column but no lon column",
     ),
+    # a second column of the id, lat or lon role would be neither read nor a band
+    "dataset-two-id-columns": (
+        {"ids.csv": b"id,ID,b1\nr0,s0,2\nr1,s1,3\n"},
+        ["cluster", "run", "--data", "{d}/ids.csv", "--eps", "2", "--fallback", "basic"],
+        "dataset has two id columns: 'id' and 'ID'",
+    ),
+    "dataset-two-lat-columns": (
+        {"lats.csv": b"id,lat,LAT,lon,b1\nr0,1,x,2,3\n"},
+        ["cluster", "run", "--data", "{d}/lats.csv", "--eps", "2", "--fallback", "basic"],
+        "dataset has two lat columns: 'lat' and 'LAT'",
+    ),
     "eps-nan": (
         {"blobs.csv": TWO_BLOBS_CSV.encode()},
         ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "nan", "--fallback", "basic"],
