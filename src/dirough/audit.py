@@ -601,11 +601,6 @@ def _witness_labels(
     }
 
 
-def _check_limit(limit: int) -> None:
-    if limit < 1:
-        raise LawError(f"the assignment limit must be at least 1, got {limit}")
-
-
 def _inapplicable(claim: Claim, inst: AuditInstance) -> str | None:
     """Why the claim does not apply to the instance, or None when it does."""
     if claim.needs == "grpd" and inst.g is None:
@@ -621,7 +616,8 @@ def check_claim(
     limit: int = DEFAULT_ASSIGNMENT_LIMIT,
     seed: int = 0,
 ) -> ClaimResult:
-    _check_limit(limit)
+    if limit < 1:
+        raise LawError(f"the assignment limit must be at least 1, got {limit}")
     if (reason := _inapplicable(claim, inst)) is not None:
         return ClaimResult(claim.id, claim.tier, inst.name, "skipped", {"reason": reason})
     if claim.checker is not None:
@@ -676,7 +672,6 @@ def audit_claims(
     tier: str = "all",
     random_instances: int = 4,
     seed: int = 0,
-    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
 ) -> DeviationReport:
     """Run the registry over the given instance plus deterministic random ones.
 
@@ -688,7 +683,6 @@ def audit_claims(
         raise LawError(
             f"the number of random instances must be non-negative, got {random_instances}"
         )
-    _check_limit(limit)
     if sys is None:
         from .fixtures import section6_groupoid, section6_system
 
@@ -708,5 +702,5 @@ def audit_claims(
     results = []
     for claim in claims:
         for inst in instances:
-            results.append(check_claim(claim, inst, limit, seed))
+            results.append(check_claim(claim, inst, DEFAULT_ASSIGNMENT_LIMIT, seed))
     return DeviationReport(tuple(results))

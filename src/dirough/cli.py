@@ -387,10 +387,19 @@ def _parse_weights(spec: str) -> list[float]:
 
 
 def _load_cluster_set(args, sys: RelationalSystem) -> cluster_mod.ClusterSet:
-    """The clusters file re-approximated over sys with the file's flavor (cud if unnamed)."""
+    """The clusters file re-approximated over sys with the file's flavor (cud if unnamed).
+
+    A cluster that lists any of lower, upper and boundary lists all three,
+    and they must be the tuple its support gives.
+    """
     from . import cluster as cluster_mod
 
-    def parse(text: str) -> tuple[str, RelationalSystem, list[int]]:
+    parts = ("lower", "upper", "boundary")
+
+    def is_labels(x) -> bool:
+        return isinstance(x, list) and all(isinstance(lab, str) for lab in x)
+
+    def parse(text: str) -> tuple[str, RelationalSystem, list[int], list]:
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -403,25 +412,40 @@ def _load_cluster_set(args, sys: RelationalSystem) -> cluster_mod.ClusterSet:
         flavor = raw.get("flavor", "cud")
         if flavor not in ("cud", "pi", "basic"):
             raise InputFormatError(f"unknown clustering flavor {flavor!r}")
-        supports = []
+        supports, stored = [], []
         for c in raw["clusters"]:
             labels = c.get("support") if isinstance(c, dict) else None
-            if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            if not is_labels(labels):
                 raise InputFormatError("a cluster has no support label list")
             supports.append(labels)
+            given = None
+            if c.keys() & set(parts):
+                if not all(is_labels(c.get(p)) for p in parts):
+                    raise InputFormatError(
+                        "a cluster's lower, upper and boundary must all be label lists"
+                    )
+                given = tuple(frozenset(c[p]) for p in parts)
+            stored.append(given)
         # written by `cluster run --fallback top`, over the augmented system
         top = any(cluster_mod.TOP_LABEL in labels for labels in supports)
-        over = cluster_mod._augment_with_top(sys) if top else sys
-        return flavor, over, [over.mask(labels) for labels in supports]
+        over = cluster_mod.augment_with_top(sys) if top else sys
+        return flavor, over, [over.mask(labels) for labels in supports], stored
 
-    flavor, sys, supports = read_parsed(args.clusters, parse)
+    flavor, sys, supports, stored = read_parsed(args.clusters, parse)
     g = _groupoid(args, sys, flavor)
     if flavor != "basic" and not sys.up_directed:
         # as `cluster run` does; cud's reflexive shortcut would answer regardless
         raise NotUpDirectedError(f"{args.clusters}: induced relation is not up-directed")
     clusters = []
-    for support in supports:
+    for support, given in zip(supports, stored):
         t = cluster_mod.rough_tuple_for(sys, g, support, flavor)
+        if given is not None and given != tuple(
+            frozenset(sys.set_labels(getattr(t, p))) for p in parts
+        ):
+            raise StructureError(
+                f"{args.clusters}: cluster over {sys.set_labels(support)} "
+                "does not reproduce its tuple"
+            )
         clusters.append(cluster_mod.RoughCluster(support, t))
     return cluster_mod.ClusterSet(tuple(clusters), flavor, sys, g)
 
@@ -435,7 +459,7 @@ def _cmd_cluster(args) -> int:
     if args.sub == "run":
         if args.fallback == "top" and not sys.up_directed:
             # the system clustered, which a pi groupoid must span
-            sys = cluster_mod._augment_with_top(sys)
+            sys = cluster_mod.augment_with_top(sys)
         g = _groupoid(args, sys, args.kind)
         cs = cluster_mod.propose_clusters(sys, g, args.kind, args.seeds, args.fallback)
         report = cluster_mod.validate_clustering(cs.sys, cs.g, cs, cs.flavor)

@@ -89,44 +89,28 @@ class Dataset(Record):
         return {rid: i for i, rid in enumerate(self.ids)}
 
 
-def parse_dataset(text: str, schema: Mapping[str, str] | None = None) -> Dataset:
-    """CSV with a header row. schema maps column name to a role among
-    id, band, lat, lon, ignore; unmapped columns default to band.
-
-    Without a schema, columns literally named id, lat, or lon
-    (case-insensitive) take those roles; everything else is a band. Each
-    of these three roles has at most one column.
+def parse_dataset(text: str) -> Dataset:
+    """CSV with a header row. Columns named id, lat or lon
+    (case-insensitive) take those roles; every other column is a band.
+    Each of these three roles has at most one column.
     """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
         raise InputFormatError("empty dataset")
-    if schema is None:
-        schema = {
-            col: col.lower()
-            for col in header
-            if col.lower() in ("id", "lat", "lon")
-        }
-    else:
-        schema = dict(schema)
-    for col in schema:
-        if col not in header:
-            raise InputFormatError(f"schema names unknown column {col!r}")
     band_cols = []
     # the one column of each id, lat and lon role
     role_col: dict[str, int] = {}
     for i, col in enumerate(header):
-        role = schema.get(col, "band")
-        if role not in ("id", "band", "lat", "lon", "ignore"):
-            raise InputFormatError(f"unknown column role {role!r}")
-        if role == "band":
+        role = col.lower()
+        if role not in ("id", "lat", "lon"):
             band_cols.append(i)
-        elif role != "ignore":
-            if role in role_col:
-                raise InputFormatError(
-                    f"dataset has two {role} columns: {header[role_col[role]]!r} and {col!r}"
-                )
+        elif role in role_col:
+            raise InputFormatError(
+                f"dataset has two {role} columns: {header[role_col[role]]!r} and {col!r}"
+            )
+        else:
             role_col[role] = i
     id_col, lat_col, lon_col = (role_col.get(role) for role in ("id", "lat", "lon"))
     if not band_cols:
@@ -167,8 +151,8 @@ def parse_dataset(text: str, schema: Mapping[str, str] | None = None) -> Dataset
     )
 
 
-def load_dataset(path: str, schema: Mapping[str, str] | None = None) -> Dataset:
-    return read_parsed(path, lambda text: parse_dataset(text, schema))
+def load_dataset(path: str) -> Dataset:
+    return read_parsed(path, parse_dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +217,11 @@ class RoughCluster(NamedTuple):
 
 
 class ClusterSet(NamedTuple):
+    """Clusters whose tuples one machinery produced, named by flavor: cud
+    granules, the subgroupoid lattice (pi), or plain neighborhood
+    approximations (basic, the fallback for systems that are not
+    up-directed)."""
+
     clusters: tuple[RoughCluster, ...]
     flavor: str
     sys: RelationalSystem
@@ -271,8 +260,7 @@ def rough_tuple_for(
     propose_clusters and validate_clustering read _bounds_for's pairs
     instead, and propose builds a tuple only for a cluster it returns.
     """
-    lo, up = _bounds_for(sys, g, A, flavor)
-    return RoughTuple(lo, up, up & ~lo, flavor)
+    return RoughTuple(*_bounds_for(sys, g, A, flavor))
 
 
 def _bounds_for(
@@ -294,7 +282,8 @@ def _bounds_for(
     raise LawError(f"unknown clustering flavor {flavor!r}")
 
 
-def _augment_with_top(sys: RelationalSystem) -> RelationalSystem:
+def augment_with_top(sys: RelationalSystem) -> RelationalSystem:
+    """sys plus a synthetic element, TOP_LABEL, that every element relates to."""
     if TOP_LABEL in sys.labels:
         raise StructureError(f"universe already contains {TOP_LABEL!r}")
     labels = sys.labels + (TOP_LABEL,)
@@ -360,7 +349,7 @@ def propose_clusters(
                 "induced relation is not up-directed; pass a fallback to proceed"
             )
         if on_not_updirected == "top":
-            sys = _augment_with_top(sys)
+            sys = augment_with_top(sys)
         else:
             work_flavor = "basic"
     if work_flavor == "pi" and (g is None or g.labels != sys.labels):
@@ -386,9 +375,7 @@ def propose_clusters(
         # first id tuple can be chosen; the rest are then covered
         run = list(run)
         best = min(run, key=lambda b: lex_key(first[b])) if len(run) > 1 else run[0]
-        upper = best[1]
-        t = RoughTuple(lower, upper, upper & ~lower, work_flavor)
-        chosen.append(RoughCluster(first[best], t))
+        chosen.append(RoughCluster(first[best], RoughTuple(*best)))
         covered |= lower
     return ClusterSet(tuple(chosen), work_flavor, sys, g)
 
@@ -403,8 +390,8 @@ def validate_clustering(
     with nested supports or roughly equal tuples.
 
     Each cluster's (lower, upper) is derived again from its support and
-    compared with the pair its tuple carries, flavor included; a mismatch
-    raises StructureError. Support i can lie inside support j only if j
+    compared with the pair its tuple carries; a mismatch raises
+    StructureError. Support i can lie inside support j only if j
     holds the least member of i, so only such pairs are tested, on the
     supports' 64-bit words; an empty support lies inside every support.
     """
@@ -413,7 +400,7 @@ def validate_clustering(
     classes: dict[tuple[int, int], list[int]] = {}
     for i, c in enumerate(cs.clusters):
         bounds = _bounds_for(sys, g, c.support, flavor)
-        if bounds != (c.approx.lower, c.approx.upper) or c.approx.flavor != flavor:
+        if bounds != (c.approx.lower, c.approx.upper):
             raise StructureError(
                 f"cluster over {sys.set_labels(c.support)} does not reproduce its tuple"
             )

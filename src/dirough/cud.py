@@ -14,27 +14,24 @@ from .relsys import GranuleFamily, Record, RelationalSystem, is_cud
 
 
 class RoughTuple(Record):
-    """(lower, upper, boundary) of one approximation pass.
+    """(lower, upper) of one approximation pass; the boundary is derived.
 
-    flavor records which machinery produced it: cud granules, the
-    subgroupoid lattice (pi), or plain neighborhood approximations (basic,
-    the fallback for systems that are not up-directed).
+    The ClusterSet or caller that holds a tuple names the machinery that
+    produced it.
     """
 
-    _fields = ("lower", "upper", "boundary", "flavor")
+    _fields = ("lower", "upper")
 
-    def __init__(self, lower: int, upper: int, boundary: int, flavor: str):
+    def __init__(self, lower: int, upper: int):
         d = self.__dict__
         d["lower"] = lower
         d["upper"] = upper
-        d["boundary"] = boundary
-        d["flavor"] = flavor
-        if flavor not in ("cud", "pi", "basic"):
-            raise LawError(f"unknown rough-tuple flavor {flavor!r}")
         if not is_subset(lower, upper):
             raise StructureError("rough tuple lower is not inside its upper")
-        if boundary != upper & ~lower:
-            raise StructureError("rough tuple boundary is not upper minus lower")
+
+    @property
+    def boundary(self) -> int:
+        return self.upper & ~self.lower
 
 
 def cud_family(sys: RelationalSystem) -> GranuleFamily:
@@ -108,4 +105,4 @@ def cud_tuple(sys: RelationalSystem, A: int) -> RoughTuple:
     """The pointwise rough tuple; the collection upper may miss the lower."""
     lo = approx_cud(sys, A, "l")
     up = approx_cud(sys, A, "u")
-    return RoughTuple(lo, up, up & ~lo, "cud")
+    return RoughTuple(lo, up)

@@ -127,9 +127,9 @@ class Universe(Record):
     def set_labels(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits(mask))
 
-    def check_set(self, A: int, name: str = "A") -> None:
+    def check_set(self, A: int) -> None:
         if A & ~self.full_mask:
-            raise LawError(f"set {name} is not a subset of the universe")
+            raise LawError("set A is not a subset of the universe")
 
     def check_element(self, x: int) -> None:
         if not 0 <= x < self.n:
@@ -180,16 +180,10 @@ class RelationalSystem(Universe):
         """reach[i] is the bitmask of elements reachable from i in zero or
         more R-steps: the reflexive-transitive closure of R."""
         reach = [self.succ[i] | (1 << i) for i in range(self.n)]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(self.n):
-                acc = reach[i]
-                for j in bits(acc):
-                    acc |= reach[j]
-                if acc != reach[i]:
-                    reach[i] = acc
-                    changed = True
+        # Warshall: pass k adds the paths through k to every row that holds k
+        for k in range(self.n):
+            via = reach[k]
+            reach = [row | via if row >> k & 1 else row for row in reach]
         return tuple(reach)
 
     @cached_property

@@ -248,10 +248,9 @@ def acp_coprod(labels, table, x):
     return (generate(labels, table, x[0]), generate(labels, table, x[1]))
 
 
-def minimal_pseudo_joins(universe, pairs, a, b):
-    """Minimal elements of U_R(a,b) under the reflexive-transitive preorder."""
-    U = upper_bound_set(universe, pairs, a, b)
-    # reachability closure
+def reach_map(universe, pairs):
+    """x -> every element reachable from x in zero or more steps: the
+    reflexive-transitive closure, grown until it is stable."""
     reach = {x: {x} for x in universe}
     changed = True
     succ = succ_map(universe, pairs)
@@ -264,6 +263,13 @@ def minimal_pseudo_joins(universe, pairs, a, b):
             if not grow <= reach[x]:
                 reach[x] |= grow
                 changed = True
+    return reach
+
+
+def minimal_pseudo_joins(universe, pairs, a, b):
+    """Minimal elements of U_R(a,b) under the reflexive-transitive preorder."""
+    U = upper_bound_set(universe, pairs, a, b)
+    reach = reach_map(universe, pairs)
     # keep u unless some v in U is strictly below it (v <* u, not u <* v)
     out = set()
     for u in U:

@@ -206,8 +206,6 @@ class TestSelection:
         assert check_claim(claim, inst).status == "fail"
         with pytest.raises(LawError):
             check_claim(claim, inst, limit=limit)
-        with pytest.raises(LawError):
-            audit_claims(random_instances=0, limit=limit)
 
 
 class TestGenerators:

@@ -580,7 +580,60 @@ class TestCluster:
         assert any(r["component"] == "lower" for r in scored["rows"])
 
 
+    @pytest.mark.parametrize("sub", ["validate", "score"])
+    @pytest.mark.parametrize("edit", ["bounds", "boundary"])
+    def test_tuple_that_does_not_reproduce_is_refused(self, capsys, blob_csv, tmp_path,
+                                                      sub, edit):
+        """The lower, upper and boundary a clusters file lists are judged, not
+        derived again and trusted."""
+        args = ("--data", blob_csv, "--eps", "2")
+        code, data, _ = cli_json(capsys, "cluster", "run", *args, "--fallback", "basic")
+        assert code == 0
+        c = data["selected"]["clusters"][0]
+        universe = ["r0", "r1", "r2", "r3"]
+        if edit == "bounds":
+            c["lower"], c["upper"] = [], universe
+        else:
+            c["boundary"] = [x for x in universe if x not in c["boundary"]]
+        clusters = tmp_path / "clusters.json"
+        clusters.write_text(json.dumps(data))
+        code, out, err = cli(capsys, "cluster", sub, str(clusters), *args)
+        assert code == 1 and out == ""
+        assert err == (f"error: {clusters}: cluster over {tuple(c['support'])} "
+                       "does not reproduce its tuple\n")
+
+    @pytest.mark.parametrize("sub", ["validate", "score"])
+    def test_tuple_needs_all_three_parts(self, capsys, blob_csv, tmp_path, sub):
+        clusters = tmp_path / "clusters.json"
+        for entry in ({"support": ["r0"], "lower": ["r0"]},
+                      {"support": ["r0"], "lower": ["r0"], "upper": ["r0"], "boundary": 0}):
+            clusters.write_text(json.dumps({"flavor": "basic", "clusters": [entry]}))
+            code, out, err = cli(capsys, "cluster", sub, str(clusters),
+                                 "--data", blob_csv, "--eps", "2")
+            assert code == 1 and out == ""
+            assert err == (f"error: {clusters}: a cluster's lower, upper and boundary "
+                           "must all be label lists\n")
+
+
 class TestClusterBytes:
+    @pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+    def test_run_output_reads_back(self, capsys, tmp_path, case):
+        """validate and score accept the tuples of every pinned run as listed."""
+        seed, m, args, _, _ = PINNED_RUNS[case]
+        data = tmp_path / "bands.csv"
+        data.write_text(banded_csv(seed, m))
+        code, out, err = cli(capsys, "cluster", "run", "--data", str(data), *args, "--json")
+        assert code == 0, err
+        clusters = tmp_path / "clusters.json"
+        clusters.write_text(out)
+        relation = [a for flag, value in zip(args[::2], args[1::2])
+                    if flag in ("--eps", "--rho") for a in (flag, value)]
+        argv = (str(clusters), "--data", str(data), *relation)
+        code, report, err = cli_json(capsys, "cluster", "validate", *argv)
+        assert code == 0 and report == json.loads(out)["selected_validity"], err
+        code, _, err = cli_json(capsys, "cluster", "score", *argv)
+        assert code == 0, err
+
     @pytest.mark.parametrize("case", sorted(PINNED_RUNS))
     def test_run_output_pinned(self, capsys, tmp_path, case):
         seed, m, args, run_sha, segment_sha = PINNED_RUNS[case]

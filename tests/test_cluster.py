@@ -15,8 +15,8 @@ from dirough.cluster import (
     ScoreRow,
     TOP_LABEL,
     _PAIR_BLOCK,
-    _augment_with_top,
     _seed_candidates,
+    augment_with_top,
     parse_dataset,
     propose_clusters,
     rough_tuple_for,
@@ -134,54 +134,37 @@ class TestParse:
         assert ds.bands == ("v",)
         assert ds.coords == ((1.5, 2.5),)
 
-    def test_schema_overrides(self):
-        ds = parse_dataset("name,v\na,1\nb,2\n", {"name": "id"})
-        assert ds.ids == ("a", "b") and ds.bands == ("v",)
-
-    def test_ignore_role(self):
-        ds = parse_dataset("note,v\nx,1\n", {"note": "ignore"})
-        assert ds.bands == ("v",)
-
     def test_bad_cell_names_row_and_column(self):
         with pytest.raises(InputFormatError) as err:
             parse_dataset("id,v\np1,abc\n")
         assert "p1" in str(err.value) and "v" in str(err.value)
 
-    def test_unknown_schema_column(self):
-        with pytest.raises(InputFormatError):
-            parse_dataset("v\n1\n", {"w": "band"})
-
     def test_no_bands(self):
         with pytest.raises(InputFormatError):
             parse_dataset("id\np1\n")
 
-    @pytest.mark.parametrize("text,schema,have,missing", [
-        ("id,lat,b1\nr0,1,2\nr1,x,3\n", None, "lat", "lon"),
-        ("LON,b1\n1,2\n", None, "lon", "lat"),
-        ("y,b1\n1,2\n", {"y": "lat"}, "lat", "lon"),
-        ("x,b1\n1,2\n", {"x": "lon"}, "lon", "lat"),
+    @pytest.mark.parametrize("text,have,missing", [
+        ("id,lat,b1\nr0,1,2\nr1,x,3\n", "lat", "lon"),
+        ("LON,b1\n1,2\n", "lon", "lat"),
     ])
-    def test_lone_coordinate_column(self, text, schema, have, missing):
+    def test_lone_coordinate_column(self, text, have, missing):
         """A lat column without a lon column, or the reverse, is neither a band
         nor a coordinate, so the dataset is refused."""
         with pytest.raises(InputFormatError) as err:
-            parse_dataset(text, schema)
+            parse_dataset(text)
         assert str(err.value) == f"dataset has a {have} column but no {missing} column"
 
-    @pytest.mark.parametrize("text,schema,role,first,second", [
-        ("id,ID,b1\nr0,s0,2\n", None, "id", "id", "ID"),
-        ("id,id,b1\nr0,s0,2\n", None, "id", "id", "id"),
-        ("id,lat,LAT,lon,b1\nr0,1,x,2,3\n", None, "lat", "lat", "LAT"),
-        ("lat,lon,Lon,b1\n1,2,3,4\n", None, "lon", "lon", "Lon"),
-        ("a,b,v\nx,y,1\n", {"a": "id", "b": "id"}, "id", "a", "b"),
-        ("lat,lon,q,v\n1,2,3,4\n", {"lat": "lat", "lon": "lon", "q": "lat"}, "lat", "lat", "q"),
-        ("x,y,z,v\n1,2,3,4\n", {"x": "lat", "y": "lon", "z": "lon"}, "lon", "y", "z"),
+    @pytest.mark.parametrize("text,role,first,second", [
+        ("id,ID,b1\nr0,s0,2\n", "id", "id", "ID"),
+        ("id,id,b1\nr0,s0,2\n", "id", "id", "id"),
+        ("id,lat,LAT,lon,b1\nr0,1,x,2,3\n", "lat", "lat", "LAT"),
+        ("lat,lon,Lon,b1\n1,2,3,4\n", "lon", "lon", "Lon"),
     ])
-    def test_second_column_of_a_role(self, text, schema, role, first, second):
-        """A second id, lat or lon column, named or mapped, would be neither
-        read nor a band, so the dataset is refused on its header alone."""
+    def test_second_column_of_a_role(self, text, role, first, second):
+        """A second id, lat or lon column would be neither read nor a band,
+        so the dataset is refused on its header alone."""
         with pytest.raises(InputFormatError) as err:
-            parse_dataset(text, schema)
+            parse_dataset(text)
         assert str(err.value) == f"dataset has two {role} columns: {first!r} and {second!r}"
 
     def test_negative_intensity_rejected(self):
@@ -339,10 +322,9 @@ class TestPropose:
 
     def test_top_fallback_takes_pi_over_the_augmented_system(self):
         sys = step1_relation(two_blobs(), eps=2)
-        g = build_updir_groupoid(_augment_with_top(sys), ChoiceStrategy.min_index(True))
+        g = build_updir_groupoid(augment_with_top(sys), ChoiceStrategy.min_index(True))
         cs = propose_clusters(sys, g, "pi", on_not_updirected="top")
         assert cs.flavor == "pi" and cs.g is g and cs.sys.labels == g.labels
-        assert all(c.approx.flavor == "pi" for c in cs.clusters)
         assert validate_clustering(cs.sys, g, cs, "pi").valid
 
     def test_pi_flavor(self):
@@ -350,8 +332,6 @@ class TestPropose:
         g = build_updir_groupoid(sys, ChoiceStrategy.min_index())
         cs = propose_clusters(sys, g, "pi", seeds="granule")
         assert cs.flavor == "pi"
-        for c in cs.clusters:
-            assert c.approx.flavor == "pi"
         assert validate_clustering(sys, g, cs, "pi").covers
 
     def test_pi_needs_groupoid(self):
@@ -372,7 +352,7 @@ class TestPropose:
         monkeypatch.setenv("DIROUGH_CAP", "2")
         sys = step1_relation(chain3(), eps=5)
         t = rough_tuple_for(sys, None, 0b011, "cud")
-        assert t == RoughTuple(0b011, 0b011, 0, "cud")
+        assert t == RoughTuple(0b011, 0b011)
         with pytest.raises(LawError):
             rough_tuple_for(sys, None, 1 << sys.n, "cud")
 
@@ -481,7 +461,7 @@ class TestValidate:
         sys = step1_relation(chain3(), eps=5)
         cs = propose_clusters(sys, None, "cud")
         c = cs.clusters[0]
-        lie = RoughCluster(c.support, RoughTuple(0, c.approx.upper, c.approx.upper, "cud"))
+        lie = RoughCluster(c.support, RoughTuple(0, c.approx.upper))
         with pytest.raises(StructureError):
             validate_clustering(sys, None, ClusterSet((lie,), "cud", sys), "cud")
 
@@ -493,9 +473,7 @@ class TestValidate:
         assert cs.flavor == "basic"
         for c in cs.clusters[:3]:
             assert sys._bounds[c.support] == (c.approx.lower, c.approx.upper)
-            for lie in (RoughTuple(0, c.approx.upper, c.approx.upper, "basic"),
-                        RoughTuple(c.approx.lower, sys.full_mask,
-                                   sys.full_mask & ~c.approx.lower, "basic")):
+            for lie in (RoughTuple(0, c.approx.upper), RoughTuple(c.approx.lower, sys.full_mask)):
                 assert lie != c.approx
                 liar = ClusterSet((RoughCluster(c.support, lie),), "basic", sys)
                 with pytest.raises(StructureError, match="does not reproduce"):
@@ -524,21 +502,6 @@ class TestValidate:
                     a.support & ~b.support == 0 or b.support & ~a.support == 0)
                 seen_rough_equal |= a.support != b.support and a.approx == b.approx
         assert seen_nested and seen_rough_equal
-
-    def test_other_flavor_rejected(self):
-        """A tuple with the right lower and upper but another flavour is not
-        the cluster's tuple."""
-        chain = step1_relation(chain3(), eps=5)
-        blob = step1_relation(blobs(3, 60, d=2), eps=4)
-        for sys, flavor, other in ((chain, "cud", "pi"), (chain, "cud", "basic"),
-                                   (blob, "basic", "cud")):
-            A = sys.pred[0]
-            t = rough_tuple_for(sys, None, A, flavor)
-            lie = RoughCluster(A, RoughTuple(t.lower, t.upper, t.boundary, other))
-            assert validate_clustering(sys, None, ClusterSet(
-                (RoughCluster(A, t),), flavor, sys), flavor).disclusion_pairs == ()
-            with pytest.raises(StructureError, match="does not reproduce"):
-                validate_clustering(sys, None, ClusterSet((lie,), flavor, sys), flavor)
 
     def test_disclusion_of_no_clusters(self):
         sys = step1_relation(blobs(1, 20, d=2), eps=4)
@@ -653,7 +616,7 @@ class TestScores:
             ds = ds_from(rows)
             sys = step1_relation(ds, eps=1.0)
             lower = sum(1 << i for i in range(m) if mix(seed, i, 5) % 3)
-            t = RoughTuple(lower, sys.full_mask, sys.full_mask & ~lower, "basic")
+            t = RoughTuple(lower, sys.full_mask)
             cs = ClusterSet((RoughCluster(lower, t),), "basic", sys)
             self._check_against_oracles(ds, sys, cs)
 
@@ -689,7 +652,7 @@ class TestScores:
     def test_label_not_a_row_rejected(self):
         ds = two_blobs()
         other = RelationalSystem(ds.ids[:3] + ("stray",), (0b1111,) * 4)
-        mk = lambda m: RoughTuple(m, m, 0, "basic")
+        mk = lambda m: RoughTuple(m, m)
         cs = ClusterSet((RoughCluster(0b0011, mk(0b0011)), RoughCluster(0b1100, mk(0b1100))),
                         "basic", other)
         with pytest.raises(LawError, match="stray"):
@@ -737,9 +700,8 @@ class TestScoresBitExact:
     def _with_extras(cs):
         """cs plus an empty cluster, two singletons and one of every row."""
         full = cs.sys.full_mask
-        extra = [RoughTuple(0, 0, 0, "basic"), RoughTuple(1, 1, 0, "basic"),
-                 RoughTuple(0, 1 << (cs.sys.n - 1), 1 << (cs.sys.n - 1), "basic"),
-                 RoughTuple(full, full, 0, "basic")]
+        extra = [RoughTuple(0, 0), RoughTuple(1, 1), RoughTuple(0, 1 << (cs.sys.n - 1)),
+                 RoughTuple(full, full)]
         clusters = cs.clusters + tuple(RoughCluster(t.upper, t) for t in extra)
         return ClusterSet(clusters, cs.flavor, cs.sys, cs.g)
 
@@ -866,7 +828,7 @@ class TestSegmentation:
 
     def test_boundary_rows(self):
         sys = step1_relation(chain3(), eps=5)
-        mk = lambda m: RoughTuple(m, m, 0, "cud")
+        mk = lambda m: RoughTuple(m, m)
         cs = ClusterSet(
             (RoughCluster(0b011, mk(0b011)), RoughCluster(0b110, mk(0b110))),
             "cud",
@@ -883,7 +845,7 @@ class TestSegmentation:
             clusters = []
             for k in range(1 + seed % 6):
                 m = sum(1 << i for i in range(sys.n) if mix(seed, k, i) % 4 == 0)
-                clusters.append(RoughCluster(m, RoughTuple(m, m, 0, "basic")))
+                clusters.append(RoughCluster(m, RoughTuple(m, m)))
             cs = ClusterSet(tuple(clusters), "basic", sys)
             want = []
             for i, lab in enumerate(sys.labels):

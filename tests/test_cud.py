@@ -237,19 +237,12 @@ class TestTuples:
         assert F.set_labels(t.lower) == ("b", "c")
         assert F.set_labels(t.upper) == ("b", "c", "e", "f")
         assert F.set_labels(t.boundary) == ("e", "f")
-        assert t.flavor == "cud"
 
     def test_empty_and_top(self, F):
-        assert cud_tuple(F, 0) == RoughTuple(0, 0, 0, "cud")
-        assert cud_tuple(F, F.full_mask) == RoughTuple(
-            F.full_mask, F.full_mask, 0, "cud"
-        )
+        assert cud_tuple(F, 0) == RoughTuple(0, 0)
+        assert cud_tuple(F, F.full_mask) == RoughTuple(F.full_mask, F.full_mask)
 
     def test_invariants_enforced(self):
         with pytest.raises(StructureError):
-            RoughTuple(0b11, 0b01, 0b10, "cud")
-        with pytest.raises(StructureError):
-            RoughTuple(0b01, 0b11, 0b11, "cud")
-        with pytest.raises(LawError):
-            RoughTuple(0, 0, 0, "weird")
+            RoughTuple(0b11, 0b01)
 

@@ -158,7 +158,7 @@ def _records():
     from dirough import acp, audit, cluster, cud, fixtures, grpd, piappr, relsys
 
     s = relsys.RelationalSystem(("a",), (1,))
-    t = cud.RoughTuple(0, 1, 1, "cud")
+    t = cud.RoughTuple(0, 1)
     cs = cluster.ClusterSet((cluster.RoughCluster(1, t),), "cud", s)
     recs = [
         relsys.Universe(("a",)), s, relsys.SpaceProfile(True, True, True, True, True),
@@ -308,18 +308,52 @@ def test_environment_read_only_for_the_cap():
     assert reads and reads == set(_environment_reads("relsys", cap))
 
 
+def _private_crossings(path: Path, stems: set[str]) -> list[str]:
+    """The private names path takes from another dirough module: imported by
+    name, or read as an attribute of a name an import binds to a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    crossing, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "dirough"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    crossing.append(f"{path.stem}: {node.module or '.'}.{alias.name}")
+                elif node.module in (None, "dirough") and alias.name in stems:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith("dirough."))
+    crossing += [
+        f"{path.stem}: {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_") and not node.attr.endswith("__")
+    ]
+    return crossing
+
+
 def test_no_private_name_crosses_modules():
     src = Path(dirough.__file__).parent
-    crossing = [
-        f"{path.stem}: {node.module or '.'}.{alias.name}"
-        for path in sorted(src.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom)
-        and (node.level or (node.module or "").split(".")[0] == "dirough")
-        for alias in node.names
-        if alias.name.startswith("_")
+    stems = {path.stem for path in src.glob("*.py")}
+    assert [c for path in sorted(src.glob("*.py")) for c in _private_crossings(path, stems)] == []
+
+
+def test_private_attribute_read_is_a_crossing(tmp_path):
+    """A private name read through a module binding crosses as surely as one
+    imported by name."""
+    path = tmp_path / "caller.py"
+    path.write_text(
+        "from . import cluster as cluster_mod\n"
+        "import dirough.audit as audit_mod\n"
+        "from .grpd import _allowed\n"
+        "cluster_mod._bounds_for, audit_mod._BY_ID, cluster_mod.__name__, cluster_mod.TOP_LABEL\n"
+    )
+    assert _private_crossings(path, {"cluster", "audit", "grpd"}) == [
+        "caller: grpd._allowed", "caller: cluster_mod._bounds_for", "caller: audit_mod._BY_ID",
     ]
-    assert crossing == []
 
 
 # --- one way for a Cayley table into the CLI --------------------------------

@@ -68,6 +68,19 @@ class TestReach:
                             todo.append(z)
                 assert sys.reach[x] == sum(1 << z for z in seen)
 
+    def test_matches_oracle(self):
+        """Every relation with n <= 3, then sparse to dense seeded systems
+        with n = 5..40."""
+        systems = [sys for n in range(1, 4) for sys in every_relation(n)]
+        systems += [
+            rand_system(seed, 5 + seed % 36, density)
+            for seed in range(40) for density in (2, 5, 10, 35)
+        ]
+        assert len(systems) == 690
+        for sys in systems:
+            want = oracles.reach_map(sys.labels, label_pairs(sys))
+            assert [set(sys.set_labels(m)) for m in sys.reach] == [want[x] for x in sys.labels]
+
 
 class TestNeighborhood:
     def test_direct_b(self, F):
