@@ -461,7 +461,9 @@ def _cmd_cluster(args) -> int:
             # the system clustered, which a pi groupoid must span
             sys = cluster_mod.augment_with_top(sys)
         g = _groupoid(args, sys, args.kind)
-        cs = cluster_mod.propose_clusters(sys, g, args.kind, args.seeds, args.fallback)
+        # an augmented system is up-directed, so it needs no library fallback
+        fallback = "error" if args.fallback == "top" else args.fallback
+        cs = cluster_mod.propose_clusters(sys, g, args.kind, args.seeds, fallback)
         report = cluster_mod.validate_clustering(cs.sys, cs.g, cs, cs.flavor)
         scored = cluster_mod.score_clusters(ds, cs, args.metric)
         weights = _parse_weights(args.weights) if args.weights else None

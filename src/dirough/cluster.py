@@ -15,7 +15,7 @@ import io
 import math
 from functools import cached_property
 from itertools import groupby
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .piappr import approx_pi
 from .relsys import Record, RelationalSystem, basic_bounds, from_id_pairs, read_parsed
 
 RHO_NAMES = ("euclidean", "chebyshev")
-FALLBACKS = ("error", "basic", "top")
+FALLBACKS = ("error", "basic")
 TOP_LABEL = "__top__"
 # source rows per step-1 block: a block's (rows, N) masks stay small
 _STEP1_BLOCK = 32
@@ -42,7 +42,8 @@ _PAIR_BLOCK = 1024
 
 
 class Dataset(Record):
-    """Rows of non-negative band intensities, optionally georeferenced."""
+    """Rows of non-negative band intensities, optionally georeferenced;
+    array, not a field, holds them as one read-only float array."""
 
     _fields = ("ids", "bands", "rows", "coords")
 
@@ -65,24 +66,21 @@ class Dataset(Record):
         for rid, row in zip(ids, rows):
             if len(row) != dim:
                 raise InputFormatError(f"row {rid!r} has {len(row)} bands, expected {dim}")
-            for band, v in zip(bands, row):
-                if not math.isfinite(v) or v < 0:
-                    raise InputFormatError(
-                        f"row {rid!r}, band {band!r}: intensities must be finite and >= 0"
-                    )
+        X = np.asarray(rows, dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(X) & (X >= 0)))
+        if len(bad):
+            i, j = divmod(int(bad[0]), dim)
+            raise InputFormatError(
+                f"row {ids[i]!r}, band {bands[j]!r}: intensities must be finite and >= 0"
+            )
+        X.flags.writeable = False
+        d["array"] = X
         if coords is not None and len(coords) != len(ids):
             raise InputFormatError("coordinate count does not match row count")
 
     @property
     def dimension(self) -> int:
         return len(self.bands)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The rows as one read-only float array, built once and shared."""
-        X = np.asarray(self.rows, dtype=float)
-        X.flags.writeable = False
-        return X
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -92,20 +90,23 @@ class Dataset(Record):
 def parse_dataset(text: str) -> Dataset:
     """CSV with a header row. Columns named id, lat or lon
     (case-insensitive) take those roles; every other column is a band.
-    Each of these three roles has at most one column.
+    Each of these three roles has at most one column, and each band name
+    one column. Header names and cells are trimmed; blank lines are skipped.
     """
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
+    header = next((rec for rec in reader if rec), None)
+    if header is None:
         raise InputFormatError("empty dataset")
-    band_cols = []
-    # the one column of each id, lat and lon role
+    header = [col.strip() for col in header]
+    # the column of each band name, and the one column of each id, lat and lon role
+    band_cols: dict[str, int] = {}
     role_col: dict[str, int] = {}
     for i, col in enumerate(header):
         role = col.lower()
         if role not in ("id", "lat", "lon"):
-            band_cols.append(i)
+            if col in band_cols:
+                raise InputFormatError(f"dataset has two band columns named {col!r}")
+            band_cols[col] = i
         elif role in role_col:
             raise InputFormatError(
                 f"dataset has two {role} columns: {header[role_col[role]]!r} and {col!r}"
@@ -127,13 +128,13 @@ def parse_dataset(text: str) -> Dataset:
             raise InputFormatError(f"row {k + 1} has {len(rec)} fields, expected {len(header)}")
         ids.append(rec[id_col].strip() if id_col is not None else f"r{k}")
         vals = []
-        for i in band_cols:
+        for band, i in band_cols.items():
             cell = rec[i].strip()
             try:
                 vals.append(float(cell))
             except ValueError:
                 raise InputFormatError(
-                    f"row {ids[-1]!r}, column {header[i]!r}: not a number: {cell!r}"
+                    f"row {ids[-1]!r}, column {band!r}: not a number: {cell!r}"
                 )
         rows.append(tuple(vals))
         if lat_col is not None:
@@ -145,7 +146,7 @@ def parse_dataset(text: str) -> Dataset:
         raise InputFormatError("dataset has no rows")
     return Dataset(
         tuple(ids),
-        tuple(header[i] for i in band_cols),
+        tuple(band_cols),
         tuple(rows),
         tuple(coords) if lat_col is not None else None,
     )
@@ -162,23 +163,16 @@ def load_dataset(path: str) -> Dataset:
 def step1_relation(
     ds: Dataset,
     rho: str = "euclidean",
-    eps: float | Mapping[str, float] = 1.0,
+    eps: float = 1.0,
 ) -> RelationalSystem:
     """Rac iff row a is componentwise <= row c and within eps of it.
 
-    eps is a global scalar or a per-row map keyed by the source row's id.
     Reflexive by construction (distance 0, dominance non-strict).
     """
     if rho not in RHO_NAMES:
         raise LawError(f"unknown distance {rho!r}")
-    if isinstance(eps, Mapping):
-        missing = [rid for rid in ds.ids if rid not in eps]
-        if missing:
-            raise LawError(f"eps map is missing rows: {', '.join(missing)}")
-        eps_by_row = np.asarray([float(eps[rid]) for rid in ds.ids])
-    else:
-        eps_by_row = np.full(len(ds.ids), float(eps))
-    if not (eps_by_row > 0).all():
+    eps = float(eps)
+    if not eps > 0:
         raise LawError("eps must be positive")
 
     X = ds.array
@@ -198,7 +192,7 @@ def step1_relation(
             dist = np.sqrt((diff**2).sum(axis=1))
         else:
             dist = np.abs(diff).max(axis=1, initial=0.0)
-        far = ~(dist <= eps_by_row[a0 + src])
+        far = ~(dist <= eps)
         related[src[far], dst[far]] = False
         packed = np.packbits(related, axis=1, bitorder="little")
         succ += [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -319,10 +313,11 @@ def propose_clusters(
     """Generate, deduplicate, and greedily select candidate clusters.
 
     A system that is not up-directed stops the pipeline unless the caller
-    opts into a fallback: "basic" switches to plain neighborhood
-    approximations, "top" adds a synthetic row above everything. Neither
-    happens silently. Pi clustering reads g, a groupoid over the system
-    clustered: under "top" the augmented one. Greedy selection prefers
+    opts into the "basic" fallback, which switches to plain neighborhood
+    approximations; it never happens silently. A caller that wants a
+    synthetic row above everything passes augment_with_top(sys), which is
+    up-directed. Pi clustering reads g, a groupoid over the system
+    clustered: for an augmented one, over it. Greedy selection prefers
     large lower approximations, skips a candidate whose lower is already
     covered, and stops once the lowers cover the universe; failure to
     cover is left for validate_clustering to report. Candidates are
@@ -348,10 +343,7 @@ def propose_clusters(
             raise NotUpDirectedError(
                 "induced relation is not up-directed; pass a fallback to proceed"
             )
-        if on_not_updirected == "top":
-            sys = augment_with_top(sys)
-        else:
-            work_flavor = "basic"
+        work_flavor = "basic"
     if work_flavor == "pi" and (g is None or g.labels != sys.labels):
         raise LawError("pi clustering needs a groupoid over the system it clusters")
 
@@ -427,10 +419,15 @@ def _nested(supports: Sequence[int], n: int) -> np.ndarray:
     k = len(supports)
     packed = _packed(supports, 8 * max(1, -(-n // 64)))
     words = packed.view("<u8")
-    member = np.unpackbits(packed, axis=1, bitorder="little").view(bool)
+    # the least member of each support, -1 for an empty one
+    least = np.asarray([(m & -m).bit_length() - 1 for m in supports], dtype=np.intp)
+    held = least.clip(0)
     # candidates[j, i]: j holds the least member of i, or i is empty
-    candidates = member[:, member.argmax(axis=1)]
-    candidates[:, ~member.any(axis=1)] = True
+    candidates = packed[:, held >> 3]
+    candidates >>= (held & 7).astype(np.uint8)
+    candidates &= 1
+    candidates = candidates.view(bool)
+    candidates[:, least < 0] = True
     np.fill_diagonal(candidates, False)
     outer, inner = np.divmod(np.flatnonzero(candidates), k)
     inside = np.empty(len(inner), dtype=bool)
@@ -495,8 +492,8 @@ def score_clusters(ds: Dataset, cs: ClusterSet, metric: str = "nasd") -> ScoreTa
     The mean squared Euclidean distance over all ordered pairs, self-pairs
     included, is twice the summed per-band population variance, so both
     metrics come from one variance vector. Empty components score null
-    rather than zero; a singleton scores 0. The synthetic top row of the
-    "top" fallback has no bands and is left out of every component. All
+    rather than zero; a singleton scores 0. The synthetic top row of
+    augment_with_top has no bands and is left out of every component. All
     components are scored in one pass, with the bits that scoring each on
     its own gives.
     """
@@ -636,7 +633,7 @@ def segmentation_rows(cs: ClusterSet) -> list[tuple[str, str]]:
 
     Rows inside exactly one lower approximation get that cluster's index;
     rows in no lower (or in several) are boundary. The synthetic top row of
-    the "top" fallback is not a dataset row and gets no line.
+    augment_with_top is not a dataset row and gets no line.
     """
     member = _members([c.approx.lower for c in cs.clusters], cs.sys.n)
     hits = member.sum(axis=0).tolist()

@@ -252,16 +252,8 @@ def build_relation(
     universe: Sequence[str], pairs: Iterable[tuple[str, str]]
 ) -> RelationalSystem:
     """Build a system from labels and label pairs; duplicates collapse."""
-    labels = tuple(universe)
-    index = {lab: i for i, lab in enumerate(labels)}
-    succ = [0] * len(labels)
-    for x, y in pairs:
-        if x not in index:
-            raise LabelError(f"unknown label {x!r} in pair")
-        if y not in index:
-            raise LabelError(f"unknown label {y!r} in pair")
-        succ[index[x]] |= 1 << index[y]
-    return RelationalSystem(labels, tuple(succ))
+    u = Universe(tuple(universe))
+    return from_id_pairs(u.labels, ((u.id(x), u.id(y)) for x, y in pairs))
 
 
 def from_id_pairs(labels: Sequence[str], idpairs: Iterable[tuple[int, int]]) -> RelationalSystem:

@@ -313,10 +313,9 @@ def regions(labels, table, universe, pairs, A, B, kind):
 
 def step1(rows, rho, eps):
     """Index pairs (a, c) with row a componentwise <= row c and within eps
-    of it; eps is one number or one per source row."""
+    of it."""
     out = set()
     for a, p in enumerate(rows):
-        bound = eps[a] if isinstance(eps, (list, tuple)) else eps
         for c, q in enumerate(rows):
             if not all(y - x >= 0 for x, y in zip(p, q)):
                 continue
@@ -324,7 +323,7 @@ def step1(rows, rho, eps):
                 dist = math.sqrt(sum((y - x) ** 2 for x, y in zip(p, q)))
             else:
                 dist = max((abs(y - x) for x, y in zip(p, q)), default=0.0)
-            if dist <= bound:
+            if dist <= eps:
                 out.add((a, c))
     return out
 

@@ -858,6 +858,12 @@ MALFORMED_INPUTS = {
         ["cluster", "run", "--data", "{d}/lats.csv", "--eps", "2", "--fallback", "basic"],
         "dataset has two lat columns: 'lat' and 'LAT'",
     ),
+    # a score row or a --weights entry could not be told apart by band name
+    "dataset-two-band-columns": (
+        {"bands.csv": b"id,b1,b1\nr0,1,2\nr1,3,4\n"},
+        ["cluster", "run", "--data", "{d}/bands.csv", "--eps", "2", "--fallback", "basic"],
+        "dataset has two band columns named 'b1'",
+    ),
     "eps-nan": (
         {"blobs.csv": TWO_BLOBS_CSV.encode()},
         ["cluster", "run", "--data", "{d}/blobs.csv", "--eps", "nan", "--fallback", "basic"],
@@ -1381,6 +1387,24 @@ class TestColdStart:
         sub = next(a for a in build_parser()._actions if a.dest == "cmd")
         kind = next(a for a in sub.choices["regions"]._actions if a.dest == "kind")
         assert tuple(kind.choices) == REGION_KINDS
+
+    def test_cluster_vocabulary_spelled_out_in_parser(self):
+        """cluster run's --fallback choices are the library's fallbacks and
+        the CLI's own top; each --kind and --metric choice runs through
+        propose_clusters and score_clusters."""
+        from dirough import cluster
+        from dirough.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if a.dest == "cmd")
+        csub = next(a for a in sub.choices["cluster"]._actions if a.dest == "sub")
+        choices = {a.dest: tuple(a.choices) for a in csub.choices["run"]._actions if a.choices}
+        assert choices["fallback"] == cluster.FALLBACKS + ("top",)
+        ds = cluster.parse_dataset(TWO_BLOBS_CSV)
+        sys = cluster.step1_relation(ds, eps=2)
+        for kind in choices["kind"]:
+            cs = cluster.propose_clusters(sys, None, kind, on_not_updirected="basic")
+            for metric in choices["metric"]:
+                assert len(cluster.score_clusters(ds, cs, metric).rows) == 3 * len(cs.clusters)
 
     def test_cluster_run_loads_cluster(self, blob_csv):
         mods = imported_modules(
