@@ -31,6 +31,9 @@ FALLBACKS = ("error", "basic")
 TOP_LABEL = "__top__"
 # source rows per step-1 block: a block's (rows, N) masks stay small
 _STEP1_BLOCK = 32
+# the least band-0 reach of a step-1 window: a difference this large still
+# squares to a normal double, so its square never underflows to zero
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 # components per scoring block: a block's member arrays stay small
 _SCORE_BLOCK = 64
 # support pairs per nested-support block: a block's word arrays stay small
@@ -167,7 +170,18 @@ def step1_relation(
 ) -> RelationalSystem:
     """Rac iff row a is componentwise <= row c and within eps of it.
 
-    Reflexive by construction (distance 0, dominance non-strict).
+    Reflexive by construction (distance 0, dominance non-strict). The rows
+    are taken in band-0 order, a block of source rows at a time, and each
+    block is compared only with its window: the rows whose band 0 lies
+    from the block's first band-0 value to its last plus a margin of
+    max(2 * eps, _SQRT_TINY). A row before the window fails dominance. A
+    row past it differs from every source row by more than the margin in
+    band 0, even as rounded, so under either rho it lies farther than eps
+    away: its squared band-0 difference cannot underflow, and a sum that
+    overflows is scaled. The dominance and distance tests decide every
+    pair inside the window, so the relation is the one all N² pairs give.
+    The cost is O(N·w·d) for windows of w rows, and N²·d at worst, when
+    eps or a run of equal band-0 values spans the rows.
     """
     if rho not in RHO_NAMES:
         raise LawError(f"unknown distance {rho!r}")
@@ -175,28 +189,54 @@ def step1_relation(
     if not eps > 0:
         raise LawError("eps must be positive")
 
-    X = ds.array
-    n = len(ds.ids)
-    cols = np.ascontiguousarray(X.T)
-    succ = []
+    n, d = len(ds.ids), ds.dimension
+    X = ds.array.reshape(n, d)
+    band0 = X[:, 0] if d else np.zeros(n)
+    order = np.argsort(band0, kind="stable")
+    S, key = X[order], band0[order]
+    cols = np.ascontiguousarray(S.T)
+    margin = max(2 * eps, _SQRT_TINY)
+    packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     for a0 in range(0, n, _STEP1_BLOCK):
-        block = X[a0:a0 + _STEP1_BLOCK]
+        block = S[a0:a0 + _STEP1_BLOCK]
+        b = len(block)
+        # Python floats: an end past the largest double is inf, silently
+        lo = int(key.searchsorted(key[a0], "left"))
+        hi = int(key.searchsorted(float(key[a0 + b - 1]) + margin, "right"))
+        window = S[lo:hi]
         # dominance band by band: for finite floats c - a >= 0 iff c >= a
-        related = np.ones((len(block), n), dtype=bool)
-        for j in range(ds.dimension):
-            related &= cols[j] >= block[:, j, None]
+        related = np.ones((b, hi - lo), dtype=bool)
+        for j in range(d):
+            related &= cols[j, lo:hi] >= block[:, j, None]
         # the distance only over the dominated pairs, as (K, d) rows
-        src, dst = np.nonzero(related)
-        diff = X[dst] - X[a0 + src]
+        pairs = np.flatnonzero(related)
+        src, dst = np.divmod(pairs, hi - lo)
+        diff = window[dst] - block[src]
         if rho == "euclidean":
-            dist = np.sqrt((diff**2).sum(axis=1))
+            dist = _euclidean(diff)
         else:
             dist = np.abs(diff).max(axis=1, initial=0.0)
-        far = ~(dist <= eps)
-        related[src[far], dst[far]] = False
-        packed = np.packbits(related, axis=1, bitorder="little")
-        succ += [int.from_bytes(row.tobytes(), "little") for row in packed]
-    return RelationalSystem(ds.ids, tuple(succ))
+        related.reshape(-1)[pairs[~(dist <= eps)]] = False
+        # back into id order, block row by block row
+        scattered = np.zeros((b, n), dtype=bool)
+        scattered[:, order[lo:hi]] = related
+        packed[order[a0:a0 + b]] = np.packbits(scattered, axis=1, bitorder="little")
+    succ = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return RelationalSystem(ds.ids, succ)
+
+
+def _euclidean(diff: np.ndarray) -> np.ndarray:
+    """The euclidean norm of each row of diff. A row whose sum of squares
+    overflows is scaled by its largest |diff| first; every other row keeps
+    the bits of the plain sqrt of its sum of squares."""
+    with np.errstate(over="ignore"):
+        dist = np.sqrt((diff**2).sum(axis=1))
+        big = np.flatnonzero(np.isinf(dist))
+        if len(big):
+            part = np.abs(diff[big])
+            scale = part.max(axis=1)
+            dist[big] = scale * np.sqrt(((part / scale[:, None]) ** 2).sum(axis=1))
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +327,23 @@ def augment_with_top(sys: RelationalSystem) -> RelationalSystem:
     return from_id_pairs(labels, pairs)
 
 
+def _seeds(sys: RelationalSystem, g: Groupoid | None, flavor: str, seeds: str) -> list[int]:
+    """The distinct seed masks, in no particular order."""
+    if seeds == "neighborhood":
+        return [nb for filed in sys.nbds_by_least for nb in filed]
+    if seeds == "granule":
+        if flavor != "pi" and sys.reflexive:
+            return [1 << x for x in range(sys.n)]  # the minimal CUD sets
+        fam = subgroupoids(g) if flavor == "pi" else cud_family(sys)
+        return fam.minimal_members(bool)
+    raise LawError(f"unknown seed kind {seeds!r}")
+
+
 def _seed_candidates(
     sys: RelationalSystem, g: Groupoid | None, flavor: str, seeds: str
 ) -> list[int]:
-    if seeds == "neighborhood":
-        cands = [nb for filed in sys.nbds_by_least for nb in filed]
-    elif seeds == "granule":
-        if flavor != "pi" and sys.reflexive:
-            cands = [1 << x for x in range(sys.n)]  # the minimal CUD sets
-        else:
-            fam = subgroupoids(g) if flavor == "pi" else cud_family(sys)
-            cands = fam.minimal_members(bool)
-    else:
-        raise LawError(f"unknown seed kind {seeds!r}")
-    return sorted(cands, key=rank_key(sys.n))
+    """The seeds in candidate order: fewest members first, then by id tuple."""
+    return sorted(_seeds(sys, g, flavor, seeds), key=rank_key(sys.n))
 
 
 def propose_clusters(
@@ -323,7 +366,9 @@ def propose_clusters(
     cover is left for validate_clustering to report. Candidates are
     deduplicated and sorted on their (lower, upper) pairs, the first
     candidate of a pair standing for it, and a RoughCluster is built only
-    for a chosen one.
+    for a chosen one. Basic approximations of neighborhood seeds skip the
+    pairs: each seed is its own lower, and only a chosen seed's bounds
+    are computed.
 
     No two chosen supports are nested, with no test for it, because every
     lower used here is monotone in its support. A support inside a chosen
@@ -347,17 +392,33 @@ def propose_clusters(
     if work_flavor == "pi" and (g is None or g.labels != sys.labels):
         raise LawError("pi clustering needs a groupoid over the system it clusters")
 
-    # the first candidate of each (lower, upper) pair stands for it
-    first: dict[tuple[int, int], int] = {}
-    for A in _seed_candidates(sys, g, work_flavor, seeds):
-        bounds = _bounds_for(sys, g, A, work_flavor)
-        if bounds[0]:
-            first.setdefault(bounds, A)
-
-    rank = rank_key(sys.n)
-    pairs = sorted(first, key=lambda b: (-b[0].bit_count(), rank(b[0])))
     chosen: list[RoughCluster] = []
     covered = 0
+    if work_flavor == "basic" and seeds == "neighborhood":
+        # a neighborhood is its own basic lower, so the lowers are distinct
+        # and the seeds sort as their pairs would: largest first, and in
+        # candidate order within a size, which the stable sort keeps. Only
+        # a chosen seed is approximated.
+        cands = _seed_candidates(sys, g, work_flavor, seeds)
+        for A in sorted(cands, key=int.bit_count, reverse=True):
+            if covered == sys.full_mask:
+                break
+            if not is_subset(A, covered):
+                chosen.append(RoughCluster(A, RoughTuple(*basic_bounds(sys, A))))
+                covered |= A
+        return ClusterSet(tuple(chosen), work_flavor, sys, g)
+
+    # the first candidate of each (lower, upper) pair stands for it, with
+    # its lower's key: the candidate's own where the lower is the candidate
+    rank = rank_key(sys.n)
+    cands = _seeds(sys, g, work_flavor, seeds)
+    first: dict[tuple[int, int], tuple[int, int]] = {}
+    for key, A in sorted(zip(map(rank, cands), cands)):
+        bounds = _bounds_for(sys, g, A, work_flavor)
+        if bounds[0] and bounds not in first:
+            first[bounds] = A, key if bounds[0] == A else rank(bounds[0])
+
+    pairs = sorted(first, key=lambda b: (-b[0].bit_count(), first[b][1]))
     for lower, run in groupby(pairs, key=lambda b: b[0]):
         if covered == sys.full_mask:
             break
@@ -366,8 +427,8 @@ def propose_clusters(
         # of the pairs with this lower only the one whose support has the
         # first id tuple can be chosen; the rest are then covered
         run = list(run)
-        best = min(run, key=lambda b: lex_key(first[b])) if len(run) > 1 else run[0]
-        chosen.append(RoughCluster(first[best], RoughTuple(*best)))
+        best = min(run, key=lambda b: lex_key(first[b][0])) if len(run) > 1 else run[0]
+        chosen.append(RoughCluster(first[best][0], RoughTuple(*best)))
         covered |= lower
     return ClusterSet(tuple(chosen), work_flavor, sys, g)
 
@@ -495,7 +556,8 @@ def score_clusters(ds: Dataset, cs: ClusterSet, metric: str = "nasd") -> ScoreTa
     rather than zero; a singleton scores 0. The synthetic top row of
     augment_with_top has no bands and is left out of every component. All
     components are scored in one pass, with the bits that scoring each on
-    its own gives.
+    its own gives. A nonempty component whose score is not finite, as when
+    its squares overflow, raises LawError.
     """
     if metric not in ("band_variance", "nasd"):
         raise LawError(f"unknown metric {metric!r}")
@@ -508,11 +570,15 @@ def score_clusters(ds: Dataset, cs: ClusterSet, metric: str = "nasd") -> ScoreTa
         if stray := mask & missing:
             lab = labels[(stray & -stray).bit_length() - 1]
             raise LawError(f"cluster element {lab!r} is not a dataset row")
-    var = _component_variances(ds.array, row_of, masks, cs.sys.n)
-    if metric == "nasd":
-        values = (2 * var.sum(axis=1) / ds.dimension).tolist()
-    else:
-        values = [tuple(v) for v in var.tolist()]
+    # an empty component scores 0/0, left out below; a nonempty one whose
+    # score passes the largest double is an error, not a value
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = _component_variances(ds.array, row_of, masks, cs.sys.n)
+        scores = 2 * var.sum(axis=1, keepdims=True) / ds.dimension if metric == "nasd" else var
+    for k in np.flatnonzero(~np.isfinite(scores).all(axis=1)).tolist():
+        if masks[k]:
+            raise LawError(f"cluster {k // 3} {_COMPONENTS[k % 3]}: {metric} score is not finite")
+    values = scores[:, 0].tolist() if metric == "nasd" else [tuple(v) for v in var.tolist()]
     rows = tuple(
         ScoreRow(k // 3, _COMPONENTS[k % 3], val if mask else None)
         for k, (mask, val) in enumerate(zip(masks, values))
@@ -523,7 +589,8 @@ def score_clusters(ds: Dataset, cs: ClusterSet, metric: str = "nasd") -> ScoreTa
 def _component_variances(
     X: np.ndarray, row_of: np.ndarray, masks: Sequence[int], n: int
 ) -> np.ndarray:
-    """Per-band population variance of every component; nan for an empty one.
+    """Per-band population variance of every component; nan, from 0/0, for
+    an empty one. The caller sets numpy's errstate for it.
 
     Each value has the bits of X[rows].var(axis=0) over the component's rows
     in id order. With two or more bands numpy adds those rows one by one,
@@ -548,12 +615,11 @@ def _component_variances(
                 if m:
                     out[i] = X[rows[end - m:end]].var(axis=0)
             continue
-        with np.errstate(invalid="ignore"):  # 0/0 for an empty component
-            for j, col in enumerate(X.T):
-                vals = col[rows]
-                mean = np.bincount(comp, vals, k) / size
-                dev = vals - mean[comp]
-                out[:, j] = np.bincount(comp, dev * dev, k) / size
+        for j, col in enumerate(X.T):
+            vals = col[rows]
+            mean = np.bincount(comp, vals, k) / size
+            dev = vals - mean[comp]
+            out[:, j] = np.bincount(comp, dev * dev, k) / size
     return var
 
 

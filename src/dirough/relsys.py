@@ -160,8 +160,11 @@ class RelationalSystem(Universe):
         """pred[i] is the bitmask of predecessors of i."""
         cols = [0] * self.n
         for i, row in enumerate(self.succ):
-            for j in bits(row):
-                cols[j] |= 1 << i
+            bit = 1 << i
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= bit
+                row ^= low
         return tuple(cols)
 
     @cached_property

@@ -552,6 +552,24 @@ class TestCluster:
         assert assignments["r2"] == assignments["r3"]
         assert assignments["r0"] != assignments["r2"]
 
+    @pytest.mark.parametrize("rho", ["l2", "linf"])
+    def test_score_that_overflows_is_an_error(self, tmp_path, rho):
+        """Rows 0 and 1e200 relate under both distances at eps 1e300, and
+        the squares of their cluster's scores overflow: no Infinity reaches
+        stdout, and no numpy warning reaches stderr."""
+        (tmp_path / "big.csv").write_text("id,b\nr0,0\nr1,1e200\n")
+        clusters = '{"flavor": "cud", "clusters": [{"support": ["r0", "r1"]}]}'
+        (tmp_path / "c.json").write_text(clusters)
+        data = ("--data", "{d}/big.csv", "--rho", rho, "--eps", "1e300")
+        for metric in ("nasd", "band_variance"):
+            for argv in (
+                ("cluster", "run", *data, "--fallback", "basic", "--json"),
+                ("cluster", "score", "{d}/c.json", *data, "--json"),
+            ):
+                out = one_error_line((*argv, "--metric", metric), tmp_path)
+                assert out.stdout == ""
+                assert out.stderr == f"error: cluster 0 lower: {metric} score is not finite\n"
+
     def test_validate_consumes_run_output(self, capsys, blob_csv, tmp_path):
         code, data, _ = cli_json(
             capsys, "cluster", "run", "--data", blob_csv, "--eps", "2",

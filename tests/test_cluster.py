@@ -286,6 +286,105 @@ class TestStep1:
         with pytest.raises(LawError):
             step1_relation(ds_from([(1,)]), rho="manhattan")
 
+    def test_euclidean_sum_of_squares_overflow(self):
+        # 1e200 squared overflows; the distance is still 1e200, within eps
+        ds = ds_from([(0,), (1e200,)])
+        for rho in ("euclidean", "chebyshev"):
+            assert step1_relation(ds, rho, 1e300).succ == (0b11, 0b10), rho
+        assert step1_relation(ds, "euclidean", 1e199).succ == (0b01, 0b10)
+        with pytest.raises(OverflowError):
+            oracles.step1([(0.0,), (1e200,)], "euclidean", 1e300)
+
+    def test_euclidean_overflow_keeps_other_distances(self):
+        # two bands overflow together; a pair that does not overflow keeps
+        # its plain distance, 5 exactly at a 3-4-5 offset
+        ds = ds_from([(0, 0), (1e160, 1e160), (3, 4)])
+        sys = step1_relation(ds, "euclidean", 5)
+        assert sys.has(0, 2) and not sys.has(0, 1)
+        assert step1_relation(ds, "euclidean", 1.5e160).has(0, 1)
+        assert not step1_relation(ds, "euclidean", 1.4e160).has(0, 1)
+
+
+def band0_rows(seed, m, d, band0):
+    """m rows of d bands, tenths from 0 to 4.9; band 0 of row i is band0(i)."""
+    return [
+        (band0(i),) + tuple(mix(seed, i, j) % 50 / 10 for j in range(1, d)) for i in range(m)
+    ]
+
+
+class TestStep1Window:
+    """Step 1 compares each block of rows in band-0 order only with a window
+    of rows by band 0; every relation here is checked against the all-pairs
+    oracle under both distances."""
+
+    def _check(self, rows, eps):
+        ds = ds_from(rows)
+        for rho in ("euclidean", "chebyshev"):
+            got = step1_relation(ds, rho, eps)
+            assert set(got.pairs()) == oracles.step1(rows, rho, eps), (rho, eps)
+
+    @pytest.mark.parametrize("m", [1, 31, 33, 65])
+    def test_row_counts_around_blocks(self, m):
+        for seed in range(3):
+            rows = band0_rows(seed, m, 3, lambda i: mix(seed, i, 0) % 50 / 10)
+            for eps in (0.3, 1.1, 2.5):
+                self._check(rows, eps)
+
+    def test_ties_across_a_block_boundary(self):
+        # 70 rows, shuffled; in band-0 order rows 24..39 share one value, so
+        # the tie spans the boundary between the first and second block,
+        # and the second block's window must start before the block
+        order = sorted(range(70), key=lambda i: mix(4, i))
+        value = {i: (0.7 if 24 <= r < 40 else r / 10) for r, i in enumerate(order)}
+        rows = band0_rows(4, 70, 3, lambda i: value[i])
+        for eps in (0.2, 0.7, 1.3):
+            self._check(rows, eps)
+
+    def test_gaps_at_eps_and_at_the_margin(self):
+        eps = 0.3
+        gaps = [
+            eps, math.nextafter(eps, math.inf), math.nextafter(eps, 0),
+            2 * eps, math.nextafter(2 * eps, 0), math.nextafter(2 * eps, math.inf),
+        ]
+        for base in (0.0, 0.1, 2.7):
+            # the other bands equal, so a pair's distance is its band-0 gap
+            rows = [(base, 1.5, 0.4)] + [(base + gap, 1.5, 0.4) for gap in gaps]
+            self._check(rows, eps)
+            # with a second band, the euclidean distance exceeds the gap
+            rows += [(base + gap, 1.5 + gap / 2, 0.4) for gap in gaps]
+            self._check(rows, eps)
+
+    def test_gap_that_rounds_to_eps(self):
+        # 0.2 + 0.7 rounds below 0.9, yet 0.9 - 0.2 rounds to 0.7: the pair
+        # is within eps, and past the first block's last value plus eps
+        assert 0.2 + 0.7 < 0.9 and 0.9 - 0.2 == 0.7
+        rows = [(0.2, 1.0)] * 32 + [(0.9, 1.0)]
+        self._check(rows, 0.7)
+        assert step1_relation(ds_from(rows), "chebyshev", 0.7).has(0, 32)
+
+    def test_constant_band0(self):
+        rows = band0_rows(5, 70, 3, lambda i: 1.3)
+        for eps in (0.4, 1.5):
+            self._check(rows, eps)
+
+    def test_one_band(self):
+        for seed in range(3):
+            rows = band0_rows(seed, 80, 1, lambda i: mix(seed, i) % 70 / 10)
+            for eps in (0.1, 0.5, 2.0):
+                self._check(rows, eps)
+
+    def test_infinite_eps(self):
+        rows = band0_rows(6, 70, 2, lambda i: mix(6, i) % 50 / 10)
+        self._check(rows, math.inf)
+
+    def test_underflowing_squares_are_within_tiny_eps(self):
+        # 1e-170 squared underflows to 0, so the euclidean distance is 0,
+        # although the band-0 gap is far more than twice eps
+        # the first block holds only band 0 = 0, so its window must reach them
+        rows = [(0.0, 1.0)] * 32 + [(1e-170, 1.0), (2e-170, 1.0), (1.0, 1.0)]
+        self._check(rows, 1e-300)
+        assert step1_relation(ds_from(rows), "euclidean", 1e-300).has(0, 33)
+
 
 class TestStep1Lowers:
     """Step 1 is reflexive, and stays so with the top row, so every lower of
@@ -719,6 +818,20 @@ class TestScores:
         sys, cs = self._basic_cs(ds)
         with pytest.raises(LawError):
             score_clusters(ds, cs, "silhouette")
+
+    def test_score_that_is_not_finite(self):
+        # each band's variance, 1.5e154 ** 2 / 4, is finite; twice their sum is not
+        ds = ds_from([(0, 0), (1.5e154, 1.5e154)])
+        sys, cs = self._basic_cs(ds, eps=1e300)
+        var = score_clusters(ds, cs, "band_variance").value(0, "lower")
+        assert var == pytest.approx((5.625e307,) * 2) and all(map(math.isfinite, var))
+        with pytest.raises(LawError, match="^cluster 0 lower: nasd score is not finite$"):
+            score_clusters(ds, cs, "nasd")
+        ds = ds_from([(0,), (1e200,)])
+        sys, cs = self._basic_cs(ds, eps=1e300)
+        for metric in ("nasd", "band_variance"):
+            with pytest.raises(LawError, match=f"^cluster 0 lower: {metric} score is not finite$"):
+                score_clusters(ds, cs, metric)
 
 
 def decimal_blobs(seed, m, d):
