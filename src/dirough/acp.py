@@ -8,9 +8,9 @@ closes the complements crosswise, and the coproduct re-closes components
 the four operator laws, each tagged by tier.
 
 The public operations validate their operands and then run the operations
-proper (_PairOps), which close one set per call. The audit checks each
-carrier element once and runs the same operations over the subgroupoid
-family's tables, which cover all 2^n subsets.
+proper (_PairOps), which read Sg per call and list no family. The audit
+checks each carrier element once and runs the same operations over the
+subgroupoid family's tables, which cover all 2^n subsets.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ def top(g: Groupoid) -> AcpElement:
 class _PairOps:
     """The pair operations of g, written over two maps of subsets: sg, the
     least closed superset, and flat, the union of the closed sets inside a
-    set. Per call by default, so one operation on any groupoid costs one
-    closure; with tables, both maps and the closedness test read the
-    subgroupoid family's tables over all 2^n subsets, which the audit
-    builds once."""
+    set. Per call by default, so one operation on any groupoid costs a few
+    closures and lists no family (flat is approx_pi's l_pi); with tables,
+    both maps and the closedness test read the subgroupoid family's tables
+    over all 2^n subsets, which the audit builds once."""
 
     def __init__(self, g: Groupoid, tables: bool = False):
         self.full = g.full_mask
@@ -67,8 +67,10 @@ class _PairOps:
             self.sg, self.flat = fam.least.__getitem__, fam.within.__getitem__
             self.closed = fam.__contains__
         else:
+            from .piappr import approx_pi
+
             self.sg, self.closed = partial(generate, g), partial(is_closed, g)
-            self.flat = lambda A: subgroupoids(g).union_within(A)
+            self.flat = partial(approx_pi, g, op="l_pi")
 
     def fault(self, x: AcpElement) -> str | None:
         """Why x is not a valid pair, or None."""

@@ -17,7 +17,7 @@ a report is reproducible byte for byte.
 from __future__ import annotations
 
 import operator
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterator, NamedTuple
 
 from ._bits import assignments, bits, is_subset, mix, mix_rows
@@ -31,7 +31,7 @@ from .grpd import (
     relation_of,
     verify_b_of_s,
 )
-from .piappr import approx_pi
+from .piappr import minimal_closed_supersets
 from .relsys import (
     Record,
     RelationalSystem,
@@ -183,7 +183,8 @@ OPERATORS: dict[str, Operator] = {
     ),
     "l_pi": Operator("grpd", lambda i, A: i.g.subgroupoids.within[A]),
     "u_pi": Operator("grpd", lambda i, A: i.g.subgroupoids.least[A]),
-    "u_a": Operator("grpd", lambda i, A: approx_pi(i.g, A, "u_a")),
+    "u_a": Operator("grpd", lambda i, A: reduce(operator.or_, minimal_closed_supersets(
+        i.g.subgroupoids.least.__getitem__, A, i.g.full_mask), A)),
 }
 
 

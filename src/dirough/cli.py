@@ -14,7 +14,7 @@ import argparse
 import json
 import os as _os
 import sys as _sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -206,10 +206,10 @@ def _print_json(data) -> None:
     _write(chain(_json_pieces(data, "\n"), "\n"))
 
 
-def _emit(args, data: dict, text_lines: Iterable[str]) -> None:
-    """data as JSON under --json, else the text lines, which are read only then."""
+def _emit(args, data: dict | Callable[[], dict], text_lines: Iterable[str]) -> None:
+    """data (called if callable) as JSON under --json, else the text lines; each read only then."""
     if args.json:
-        _print_json(data)
+        _print_json(data() if callable(data) else data)
     else:
         _write(line + "\n" for line in text_lines)
 
@@ -475,13 +475,6 @@ def _cmd_cluster(args) -> int:
                     fh.write(cluster_mod.segmentation_csv(chosen))
             except OSError as exc:
                 raise InputFormatError(f"cannot write {args.segment}: {exc.strerror or exc}")
-        data = {
-            "proposed": _cluster_set_dict(cs),
-            "validity": report.as_dict(),
-            "scores": scored.as_dict(),
-            "selected": _cluster_set_dict(chosen),
-            "selected_validity": final_report.as_dict(),
-        }
         lines = [
             f"proposed clusters: {len(cs.clusters)}",
             f"valid: {str(report.valid).lower()}",
@@ -492,7 +485,13 @@ def _cmd_cluster(args) -> int:
                 f"upper {_fmt_set(chosen.sys, c.approx.upper)}"
             )
         lines.append(f"selected valid: {str(final_report.valid).lower()}")
-        _emit(args, data, lines)
+        _emit(args, lambda: {
+            "proposed": _cluster_set_dict(cs),
+            "validity": report.as_dict(),
+            "scores": scored.as_dict(),
+            "selected": _cluster_set_dict(chosen),
+            "selected_validity": final_report.as_dict(),
+        }, lines)
         return 0
     cs = _load_cluster_set(args, sys)
     if args.sub == "validate":
@@ -516,7 +515,7 @@ def _cmd_cluster(args) -> int:
             else f"{r.value:.6g}"
         )
         lines.append(f"cluster {r.cluster} {r.component}: {val}")
-    _emit(args, scored.as_dict(), lines)
+    _emit(args, scored.as_dict, lines)
     return 0
 
 

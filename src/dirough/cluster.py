@@ -13,17 +13,17 @@ from __future__ import annotations
 import csv
 import io
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
 from ._bits import is_subset, lex_key, mask_of, rank_key
 from .cud import RoughTuple, cud_family, cud_tuple
 from .errors import InputFormatError, LawError, NotUpDirectedError, StructureError
-from .grpd import Groupoid, subgroupoids
-from .piappr import approx_pi
+from .grpd import Groupoid, generate
+from .piappr import approx_pi, minimal_closed_supersets
 from .relsys import Record, RelationalSystem, basic_bounds, from_id_pairs, read_parsed
 
 RHO_NAMES = ("euclidean", "chebyshev")
@@ -327,15 +327,16 @@ def augment_with_top(sys: RelationalSystem) -> RelationalSystem:
     return from_id_pairs(labels, pairs)
 
 
-def _seeds(sys: RelationalSystem, g: Groupoid | None, flavor: str, seeds: str) -> list[int]:
+def _seeds(sys: RelationalSystem, g: Groupoid | None, flavor: str, seeds: str) -> Collection[int]:
     """The distinct seed masks, in no particular order."""
     if seeds == "neighborhood":
         return [nb for filed in sys.nbds_by_least for nb in filed]
     if seeds == "granule":
-        if flavor != "pi" and sys.reflexive:
+        if flavor == "pi":  # the minimal nonempty closed sets
+            return minimal_closed_supersets(partial(generate, g), 0, g.full_mask)
+        if sys.reflexive:
             return [1 << x for x in range(sys.n)]  # the minimal CUD sets
-        fam = subgroupoids(g) if flavor == "pi" else cud_family(sys)
-        return fam.minimal_members(bool)
+        return cud_family(sys).minimal_members(bool)
     raise LawError(f"unknown seed kind {seeds!r}")
 
 

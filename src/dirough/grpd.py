@@ -72,6 +72,11 @@ class Groupoid(Universe):
 
         return GranuleFamily(sweep_subsets(n, closed), n)
 
+    @cached_property
+    def closures(self) -> tuple[int, ...]:
+        """closures[x] is Sg({x}): n ``generate`` calls, once per groupoid."""
+        return tuple(generate(self, 1 << x) for x in range(self.n))
+
 
 class ChoiceStrategy(Record):
     """How build_updir_groupoid resolves the free choice in the no-edge case.

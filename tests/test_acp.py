@@ -11,6 +11,7 @@ from dirough._bits import is_subset, mix
 from dirough.acp import (
     CARRIER_MODES,
     AcpElement,
+    _PairOps,
     acp_carrier,
     acp_coprod,
     acp_leq,
@@ -85,7 +86,8 @@ class TestCarrier:
     def test_realized_are_approximation_pairs(self, G):
         reached = set()
         for A in range(1 << G.n):
-            reached.add(pg_tuple(G, A).acpg())
+            t = pg_tuple(G, A)
+            reached.add((t.generated_lower, t.upper))
         assert {(x.first, x.second) for x in acp_carrier(G, "realized")} == reached
 
     def test_unknown_mode(self, G):
@@ -177,9 +179,10 @@ class TestOperations:
 
 
 def test_per_call_operations_need_no_tables(monkeypatch):
-    """On a 17-element groupoid, past the default cap, join and the
-    coproduct still close per call, while meet and negation, which read the
-    subgroupoid family, stop at the cap."""
+    """On a 17-element groupoid, past the default cap, every operation runs
+    per call and lists no family: join and the coproduct close one set, meet
+    and negation read the singleton closures. Under a cap raised to 17 they
+    equal the operations over the family's tables."""
     monkeypatch.delenv("DIROUGH_CAP", raising=False)
     g = build_updir_groupoid(random_updirected_system(0, 17), ChoiceStrategy.min_index(True))
     x = AcpElement(generate(g, g.mask(["v2"])), generate(g, g.mask(["v2", "v5"])))
@@ -191,10 +194,14 @@ def test_per_call_operations_need_no_tables(monkeypatch):
     assert acp_coprod(g, x).as_labels(g) == {
         "first": ["v0", "v2"], "second": ["v0", "v1", "v2", "v5"],
     }
+    meet, negs = acp_op(g, x, y, "meet"), (acp_neg(g, x), acp_neg(g, y))
+    assert "subgroupoids" not in g.__dict__
     with pytest.raises(CapExceededError):
-        acp_op(g, x, y, "meet")
-    with pytest.raises(CapExceededError):
-        acp_neg(g, x)
+        subgroupoids(g)
+    monkeypatch.setenv("DIROUGH_CAP", "17")
+    tables = _PairOps(g, tables=True)
+    assert meet == tables.op(x, y, "meet")
+    assert negs == (tables.neg(x), tables.neg(y))
 
 
 def lemma_groupoids():

@@ -665,6 +665,73 @@ class TestClusterBytes:
         assert hashlib.sha256(seg.read_bytes()).hexdigest() == segment_sha
 
 
+class TestClusterPastTheCap:
+    @pytest.mark.parametrize("seeds", ["neighborhood", "granule"])
+    def test_pi_top_on_40_rows(self, capsys, tmp_path, monkeypatch, seeds):
+        """pi clustering reads Sg alone, so 41 elements with the top row
+        need no raised cap: each lower is its support, each upper its Sg,
+        and validate and score read the output back."""
+        from dirough import cluster as cluster_mod
+        from dirough.grpd import generate
+
+        monkeypatch.delenv("DIROUGH_CAP", raising=False)
+        data = tmp_path / "bands.csv"
+        data.write_text(banded_csv(7, 40))
+        args = ("--data", str(data), "--eps", "4")
+        code, out, err = cli(capsys, "cluster", "run", *args, "--kind", "pi",
+                             "--fallback", "top", "--seeds", seeds, "--json")
+        assert code == 0, err
+        ds = cluster_mod.load_dataset(str(data))
+        sys_ = cluster_mod.augment_with_top(cluster_mod.step1_relation(ds, "euclidean", 4.0))
+        assert sys_.n == 41 and sys_.up_directed
+        g = build_updir_groupoid(sys_, ChoiceStrategy.min_index(pi_constrained=True))
+        doc = json.loads(out)
+        for part in ("proposed", "selected"):
+            assert doc[part]["flavor"] == "pi" and doc[part]["clusters"]
+            for c in doc[part]["clusters"]:
+                assert c["lower"] == c["support"]
+                assert c["upper"] == list(g.set_labels(generate(g, g.mask(c["support"]))))
+        clusters = tmp_path / "clusters.json"
+        clusters.write_text(out)
+        code, report, err = cli_json(capsys, "cluster", "validate", str(clusters), *args)
+        assert code == 0 and report == doc["selected_validity"], err
+        code, _, err = cli_json(capsys, "cluster", "score", str(clusters), *args)
+        assert code == 0, err
+
+
+def test_text_cluster_run_lists_only_what_it_prints(capsys, tmp_path, monkeypatch):
+    """Text output builds no JSON document: labels are listed for the
+    selected clusters' lower and upper, and for the two uncovered sets the
+    validations report, nothing else."""
+    from dirough import cluster as cluster_mod
+    from dirough.relsys import Universe
+
+    data = tmp_path / "bands.csv"
+    data.write_text(banded_csv(1, 150))
+    args = ("--data", str(data), "--eps", "4", "--fallback", "basic")
+    code, out, err = cli(capsys, "cluster", "run", *args, "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    listed, real = [], Universe.set_labels
+    monkeypatch.setattr(Universe, "set_labels",
+                        lambda u, mask: listed.append(real(u, mask)) or real(u, mask))
+    code, text, err = cli(capsys, "cluster", "run", *args)
+    assert code == 0, err
+    want = [tuple(doc[v]["uncovered"]) for v in ("validity", "selected_validity")]
+    want += [tuple(c[p]) for c in doc["selected"]["clusters"] for p in ("lower", "upper")]
+    assert sorted(listed) == sorted(want)
+    assert len(doc["proposed"]["clusters"]) > len(doc["selected"]["clusters"])
+    # cluster score builds its JSON document only under --json too
+    clusters = tmp_path / "clusters.json"
+    clusters.write_text(out)
+    built, as_dict = [], cluster_mod.ScoreTable.as_dict
+    monkeypatch.setattr(cluster_mod.ScoreTable, "as_dict",
+                        lambda table: built.append(1) or as_dict(table))
+    for flags, count in (((), 0), (("--json",), 1)):
+        code, _, err = cli(capsys, "cluster", "score", str(clusters), *args[:4], *flags)
+        assert code == 0 and len(built) == count, err
+
+
 class TestFixtureCommand:
     def test_exit_zero_and_schema(self, capsys):
         code, data, _ = cli_json(capsys, "fixture", "section6")

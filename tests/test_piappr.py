@@ -96,7 +96,3 @@ class TestPgTuple:
                 assert is_closed(g, t.generated_lower)
                 assert is_closed(g, t.upper)
 
-    def test_acpg_projects(self, G):
-        t = pg_tuple(G, G.mask(["b"]))
-        assert t.acpg() == (t.generated_lower, t.upper)
-
