@@ -35,7 +35,7 @@ from .piappr import minimal_closed_supersets
 from .relsys import (
     Record,
     RelationalSystem,
-    approx_basic,
+    basic_bounds,
     dc_neighborhood,
     from_id_pairs,
 )
@@ -171,8 +171,8 @@ class Operator(NamedTuple):
 
 
 OPERATORS: dict[str, Operator] = {
-    "l": Operator("sys", lambda i, A: approx_basic(i.sys, A, "l")),
-    "u": Operator("sys", lambda i, A: approx_basic(i.sys, A, "u")),
+    "l": Operator("sys", lambda i, A: basic_bounds(i.sys, A)[0]),
+    "u": Operator("sys", lambda i, A: basic_bounds(i.sys, A)[1]),
     # these five read the granule families' tables over all 2^n subsets;
     # eth_closure, approx_cud and approx_pi give the same values per call
     "eth": Operator("sys", lambda i, A: i.sys.cud_family.least[A], updir=True),

@@ -261,12 +261,12 @@ def _cmd_approx(args) -> int:
         lo, up = basic_bounds(holder, A)
         _emit_sets(args, holder, {"kind": "nbd"}, A, {"lower": lo, "upper": up})
         return 0
-    from .cud import approx_cud
+    from .cud import cud_bounds
 
     # Not packaged as a RoughTuple: the collection-mode upper may fail
     # to contain the lower, which that container rejects by design.
     mode = args.mode or "pointwise"
-    lo, up = (approx_cud(holder, A, side, mode) for side in ("l", "u"))
+    lo, up = cud_bounds(holder, A, mode)
     _emit_sets(args, holder, {"kind": "cud", "mode": mode}, A,
                {"lower": lo, "upper": up, "boundary": up & ~lo})
     return 0
@@ -434,7 +434,7 @@ def _load_cluster_set(args, sys: RelationalSystem) -> cluster_mod.ClusterSet:
     flavor, sys, supports, stored = read_parsed(args.clusters, parse)
     g = _groupoid(args, sys, flavor)
     if flavor != "basic" and not sys.up_directed:
-        # as `cluster run` does; cud's reflexive shortcut would answer regardless
+        # as `cluster run` does, naming the file
         raise NotUpDirectedError(f"{args.clusters}: induced relation is not up-directed")
     clusters = []
     for support, given in zip(supports, stored):

@@ -20,7 +20,7 @@ from typing import Collection, NamedTuple, Sequence
 import numpy as np
 
 from ._bits import is_subset, lex_key, mask_of, rank_key
-from .cud import RoughTuple, cud_family, cud_tuple
+from .cud import RoughTuple, cud_bounds, cud_family
 from .errors import InputFormatError, LawError, NotUpDirectedError, StructureError
 from .grpd import Groupoid, generate
 from .piappr import approx_pi, minimal_closed_supersets
@@ -288,9 +288,6 @@ def rough_tuple_for(
 ) -> RoughTuple:
     """Approximate A per flavor: the tuple over _bounds_for's pair.
 
-    Reflexive systems admit an exact shortcut past the exponential granule
-    family: every singleton is CUD, so both cud approximations collapse to A
-    itself, at any size and whether or not the system is up-directed.
     propose_clusters and validate_clustering read _bounds_for's pairs
     instead, and propose builds a tuple only for a cluster it returns.
     """
@@ -302,11 +299,7 @@ def _bounds_for(
 ) -> tuple[int, int]:
     """(lower, upper) of A per flavor, with rough_tuple_for's errors."""
     if flavor == "cud":
-        if sys.reflexive:
-            sys.check_set(A)
-            return A, A
-        t = cud_tuple(sys, A)
-        return t.lower, t.upper
+        return cud_bounds(sys, A)
     if flavor == "pi":
         if g is None:
             raise LawError("pi clustering needs a groupoid")
@@ -336,7 +329,7 @@ def _seeds(sys: RelationalSystem, g: Groupoid | None, flavor: str, seeds: str) -
             return minimal_closed_supersets(partial(generate, g), 0, g.full_mask)
         if sys.reflexive:
             return [1 << x for x in range(sys.n)]  # the minimal CUD sets
-        return cud_family(sys).minimal_members(bool)
+        return cud_family(sys).minimal_meeting(sys.full_mask)
     raise LawError(f"unknown seed kind {seeds!r}")
 
 

@@ -71,38 +71,42 @@ def cudas_op(sys: RelationalSystem, A: int, B: int, op: str) -> int:
     raise LawError(f"unknown CUDAS operation {op!r}")
 
 
-def approx_cud(sys: RelationalSystem, A: int, op: str, mode: str = "pointwise") -> int:
-    """Lower and upper approximations over the CUD family.
-
-    The lower approximation unions the CUD sets inside A. The upper comes in
-    two flavours: pointwise unions, for each element of A, the minimal CUD
-    sets containing that element; collection unions the inclusion-minimal
-    family members that meet A at all. Both need an up-directed system,
-    which is one whose whole universe is CUD. An unknown mode is rejected
-    for either op.
-    """
+def cud_bounds(sys: RelationalSystem, A: int, mode: str = "pointwise") -> tuple[int, int]:
+    """Both CUD approximations of A in one walk over it, in an up-directed
+    system. The lower unions the CUD sets inside A: x is in it when one of
+    the minimal members holding x lies inside A, since any CUD set holding x
+    lies above one. The pointwise upper unions those members over x in A;
+    the collection upper, the minimal members that meet A. In a reflexive
+    system every singleton is CUD: both sides are A, and no family is listed."""
     sys.check_set(A)
-    if op not in ("l", "u"):
-        raise LawError(f"unknown approximation op {op!r}")
     if mode not in ("pointwise", "collection"):
         raise LawError(f"unknown upper approximation mode {mode!r}")
     if not sys.up_directed:
         raise NotUpDirectedError("CUD approximations need an up-directed system")
+    if sys.reflexive:
+        return A, A
     fam = cud_family(sys)
-    if op == "l":
-        return fam.union_within(A)
-    out = 0
-    if mode == "pointwise":
-        for x in bits(A):
-            out |= fam.minimal_union[x]
-    else:
-        for H in fam.minimal_members(lambda m: m & A):
-            out |= H
-    return out
+    lower = upper = 0
+    for x in bits(A):
+        if any(is_subset(H, A) for H in fam.minimal_holding[x]):
+            lower |= 1 << x
+        upper |= fam.minimal_union[x]
+    if mode == "collection":
+        upper = 0
+        for H in fam.minimal_meeting(A):
+            upper |= H
+    return lower, upper
+
+
+def approx_cud(sys: RelationalSystem, A: int, op: str, mode: str = "pointwise") -> int:
+    """The lower ("l") or upper ("u") CUD approximation of A; one side of
+    cud_bounds."""
+    sys.check_set(A)  # a set outside the universe is reported first
+    if op not in ("l", "u"):
+        raise LawError(f"unknown approximation op {op!r}")
+    return cud_bounds(sys, A, mode)[op == "u"]
 
 
 def cud_tuple(sys: RelationalSystem, A: int) -> RoughTuple:
     """The pointwise rough tuple; the collection upper may miss the lower."""
-    lo = approx_cud(sys, A, "l")
-    up = approx_cud(sys, A, "u")
-    return RoughTuple(lo, up)
+    return RoughTuple(*cud_bounds(sys, A))

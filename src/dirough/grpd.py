@@ -14,9 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from functools import cached_property
+from functools import cached_property, partial
 from operator import getitem
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ._bits import bits, mask_of, mix, sweep_subsets
 from .errors import (
@@ -167,6 +167,17 @@ def _pick(sys: RelationalSystem, strategy: ChoiceStrategy, a: int, b: int) -> in
     return ids[mix(strategy.seed, *key) % len(ids)]
 
 
+def _by_set(sys: RelationalSystem, rule: Callable[[int, int], int]) -> Callable[[int, int], int]:
+    """rule(a, b), made once per set U_R(a,b) outside R, where a pi rule reads U alone."""
+    memo: dict[int, int] = {}
+    def by_set(a: int, b: int) -> int:
+        if sys.has(a, b):
+            return rule(a, b)
+        U = sys.succ[a] & sys.succ[b]
+        return memo[U] if U in memo else memo.setdefault(U, rule(a, b))
+    return by_set
+
+
 def build_updir_groupoid(sys: RelationalSystem, strategy: ChoiceStrategy) -> Groupoid:
     """Build a member of the B(S) family for an up-directed system.
 
@@ -178,7 +189,9 @@ def build_updir_groupoid(sys: RelationalSystem, strategy: ChoiceStrategy) -> Gro
     if not sys.up_directed:
         raise NotUpDirectedError("system is not up-directed")
     elems = range(sys.n)
-    rows = tuple(tuple(_pick(sys, strategy, a, b) for b in elems) for a in elems)
+    pick = partial(_pick, sys, strategy)
+    pick = _by_set(sys, pick) if strategy.pi_constrained else pick
+    rows = tuple(tuple(pick(a, b) for b in elems) for a in elems)
     return Groupoid(sys.labels, rows)
 
 
@@ -194,10 +207,11 @@ def b_of_s_fault(sys: RelationalSystem, g: Groupoid, pi: bool = False) -> str | 
     if not all(_allowed(sys, a, b, False) >> g.table[a][b] & 1 for a, b in cells):
         return "explicit table violates the B(S) condition"
     if pi:
+        allowed = _by_set(sys, partial(_allowed, sys, pi=True))
         by_set: dict[int, int] = {}
         for a, b in cells:
             v = g.table[a][b]
-            if not _allowed(sys, a, b, True) >> v & 1:
+            if not allowed(a, b) >> v & 1:
                 return f"product {g.labels[a]}.{g.labels[b]} is not a pseudo join"
             if not sys.has(a, b) and by_set.setdefault(sys.succ[a] & sys.succ[b], v) != v:
                 return "choice does not factor through the upper-bound set"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 import os
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from ._bits import bits, element_slices, is_subset, lattice_transform, mask_of, sweep_subsets
@@ -466,24 +466,16 @@ class GranuleFamily(Record):
     def _member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
-    def minimal_members(self, keep: Callable[[int], bool]) -> tuple[int, ...]:
-        """Inclusion-minimal members among those that keep accepts."""
-        kept: list[int] = []
-        for m in self.members:  # smallest first: no later member lies below a kept one
-            if keep(m) and not any(is_subset(k, m) for k in kept):
-                kept.append(m)
-        return tuple(kept)
-
     @cached_property
-    def minimal_union(self) -> tuple[int, ...]:
-        """minimal_union[x] unions the inclusion-minimal members containing x.
+    def minimal_holding(self) -> tuple[tuple[int, ...], ...]:
+        """minimal_holding[x] lists the inclusion-minimal members holding x.
 
         Computed on 2^n-bit indicator words, bit A standing for subset A
         (``_bits.element_slices``). For each x, the members holding x are
         grown one element e at a time, e in increasing order, which reaches
         every superset of each; a member so reached lies strictly above
-        another, and the others are the minimal ones. About 5n^2 big-int
-        operations in all.
+        another, and the others are the minimal ones, whose masks are the
+        set bits left. About 5n^2 big-int operations in all.
         """
         n = self.n
         slices = element_slices(n)
@@ -501,23 +493,31 @@ class GranuleFamily(Record):
                     grown = (reach & (full ^ slices[e])) << (1 << e)
                     reach |= grown
                     above |= grown
-            minimal = holding & ~above
-            out.append(mask_of(y for y in range(n) if minimal & slices[y]))
+            out.append(tuple(bits(holding & ~above)))
         return tuple(out)
 
-    def union_within(self, A: int) -> int:
-        out = 0
-        for m in self.members:
-            if is_subset(m, A):
-                out |= m
-        return out
+    @cached_property
+    def minimal_union(self) -> tuple[int, ...]:
+        """minimal_union[x] unions minimal_holding[x]."""
+        return tuple(reduce(operator.or_, held, 0) for held in self.minimal_holding)
+
+    def minimal_meeting(self, A: int) -> tuple[int, ...]:
+        """The inclusion-minimal members meeting A, fewest members first: the
+        minimal sets among the minimal_holding entries of A's elements."""
+        kept: list[int] = []
+        found = {H for x in bits(A) for H in self.minimal_holding[x]}
+        for H in sorted(found, key=int.bit_count):  # no later set lies below a kept one
+            if not any(is_subset(k, H) for k in kept):
+                kept.append(H)
+        return tuple(kept)
 
     # Tables over all 2^n subsets, indexed by the subset's mask and built
     # once on first use; only the whole-lattice audits read them.
 
     @cached_property
     def within(self) -> tuple[int, ...]:
-        """within[A] = union_within(A): an OR transform over the lattice."""
+        """within[A] unions the members inside A: an OR transform over the
+        lattice."""
         table = [0] * (1 << self.n)
         for m in self.members:
             table[m] = m

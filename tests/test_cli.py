@@ -21,7 +21,7 @@ from dirough.audit import random_updirected_system
 from dirough.cli import _print_json, run
 from dirough.grpd import ChoiceStrategy, build_updir_groupoid, dump_cayley, parse_cayley
 from dirough.fixtures import section6_groupoid, section6_system
-from dirough.relsys import dump_relation, exhaustive_cap
+from dirough.relsys import RelationalSystem, dump_relation, exhaustive_cap
 
 try:
     import tomllib
@@ -193,6 +193,25 @@ class TestApprox:
             capsys, "approx", "--rel", str(p), "--set", "e,b,c", "--kind", "cud"
         )
         assert code == 0 and data["lower"] == ["b", "c"]
+
+    @pytest.mark.parametrize("mode", ["pointwise", "collection"])
+    def test_cud_on_a_reflexive_relation_past_the_cap(self, capsys, tmp_path, monkeypatch, mode):
+        """Every singleton of a reflexive relation is CUD, so both sides are
+        the set itself and no family is listed; a relation that is not
+        reflexive still lists its family, under the cap."""
+        monkeypatch.delenv("DIROUGH_CAP", raising=False)
+        base = rand_updirected(20, 20)
+        assert base.up_directed and not base.reflexive
+        refl = RelationalSystem(base.labels, tuple(r | 1 << i for i, r in enumerate(base.succ)))
+        argv = ("approx", "--kind", "cud", "--mode", mode, "--set", "v3,v7,v11", "--rel")
+        (tmp_path / "refl.rel").write_text(dump_relation(refl))
+        code, data, err = cli_json(capsys, *argv, str(tmp_path / "refl.rel"))
+        assert code == 0 and not err
+        assert data["lower"] == data["upper"] == ["v3", "v7", "v11"]
+        (tmp_path / "base.rel").write_text(dump_relation(base))
+        code, out, err = cli(capsys, *argv, str(tmp_path / "base.rel"))
+        assert code == 1 and not out
+        assert "exceeds the exhaustive cap 16" in err
 
 
 class TestGranules:

@@ -28,7 +28,7 @@ from dirough.cluster import (
     step1_relation,
     validate_clustering,
 )
-from dirough.cud import RoughTuple
+from dirough.cud import RoughTuple, approx_cud, cud_tuple
 from dirough.errors import InputFormatError, LawError, NotUpDirectedError, StructureError
 from dirough.grpd import ChoiceStrategy, build_updir_groupoid, is_closed
 from dirough.piappr import approx_pi
@@ -510,14 +510,12 @@ class TestPropose:
             rough_tuple_for(sys, None, 1 << sys.n, "cud")
 
     def test_reflexive_shortcut_is_exact(self):
-        # every singleton of a reflexive system is CUD, up-directed or not
-        seen_not_updirected = False
+        # every singleton of a reflexive system is CUD
         for seed in range(12):
-            base = rand_system(seed, 5)
+            base = rand_updirected(seed, 5)
             sys = RelationalSystem(
                 base.labels, tuple(row | 1 << i for i, row in enumerate(base.succ))
             )
-            seen_not_updirected |= not is_up_directed(sys)
             uni, prs = list(sys.labels), label_pairs(sys)
             for A in sample_masks(seed, sys.n, 8):
                 labs = frozenset(sys.set_labels(A))
@@ -530,7 +528,27 @@ class TestPropose:
             fam = [H for H in oracles.cud_family(uni, prs) if H]
             minimal = {H for H in fam if not any(K < H for K in fam)}
             assert {frozenset(sys.set_labels(m)) for m in granules} == minimal
-        assert seen_not_updirected
+
+    def test_reflexive_but_not_updirected_is_refused(self):
+        seen = 0
+        for seed in range(12):
+            base = rand_system(seed, 5)
+            sys = RelationalSystem(
+                base.labels, tuple(row | 1 << i for i, row in enumerate(base.succ))
+            )
+            if is_up_directed(sys):
+                continue
+            seen += 1
+            for A in sample_masks(seed, sys.n, 4):
+                for bounds in (
+                    lambda: rough_tuple_for(sys, None, A, "cud"),
+                    lambda: cud_tuple(sys, A),
+                    lambda: approx_cud(sys, A, "l"),
+                    lambda: approx_cud(sys, A, "u", "collection"),
+                ):
+                    with pytest.raises(NotUpDirectedError):
+                        bounds()
+        assert seen
 
 
 class TestProposeMatchesGreedyOracle:

@@ -6,6 +6,7 @@ from conftest import every_relation, label_pairs, rand_system, rand_updirected, 
 from dirough.cud import (
     RoughTuple,
     approx_cud,
+    cud_bounds,
     cud_family,
     cud_tuple,
     cudas_op,
@@ -14,7 +15,8 @@ from dirough.cud import (
 )
 from dirough.errors import CapExceededError, LawError, NotUpDirectedError, StructureError
 from dirough.fixtures import section6_system
-from dirough.relsys import build_relation
+from dirough.grpd import ChoiceStrategy, build_updir_groupoid
+from dirough.relsys import RelationalSystem, build_relation
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +231,97 @@ class TestApprox:
             approx_cud(F, F.full_mask, "u", "other")
         with pytest.raises(LawError):
             approx_cud(F, 1 << F.n, "l")
+
+
+def oracle_bounds(sys, A):
+    """(lower, pointwise upper, collection upper) of A from tests/oracles.py."""
+    uni, prs, a = list(sys.labels), label_pairs(sys), set(sys.set_labels(A))
+    return tuple(
+        sys.mask(f(uni, prs, a))
+        for f in (oracles.cud_lower, oracles.cud_upper_pointwise, oracles.cud_upper_collection)
+    )
+
+
+def both_modes(sys, A):
+    lo, up = cud_bounds(sys, A)
+    lo_c, coll = cud_bounds(sys, A, "collection")
+    assert lo_c == lo
+    return lo, up, coll
+
+
+def minimal(masks):
+    return {m for m in masks if not any(k != m and k & ~m == 0 for k in masks)}
+
+
+class TestBounds:
+    """cud_bounds reads the per-element minimal members; each side is
+    checked against the oracles and against the whole-lattice tables."""
+
+    def test_every_subset_of_every_updirected_relation_up_to_3(self):
+        checked = 0
+        for n in range(4):
+            for sys in every_relation(n):
+                if not sys.up_directed:
+                    continue
+                checked += 1
+                for A in range(1 << n):
+                    assert both_modes(sys, A) == oracle_bounds(sys, A), (sys.succ, A)
+        assert checked == 1 + 1 + 7 + 175
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_seeded_systems_against_the_oracles(self, n):
+        for seed in range(2):
+            sys = rand_updirected(seed, n)
+            for A in sample_masks(seed, n, 4):
+                assert both_modes(sys, A) == oracle_bounds(sys, A), (seed, A)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_subset_against_the_tables(self, n):
+        for seed in range(3):
+            sys = rand_updirected(seed, n)
+            fam = sys.cud_family
+            for A in range(1 << n):
+                assert cud_bounds(sys, A) == (fam.within[A], fam.pointwise_upper[A]), A
+
+    def test_the_minimal_members_by_brute_force(self):
+        for seed in range(6):
+            for sys in (rand_updirected(seed, 6), rand_system(seed, 6)):
+                fam = cud_family(sys)
+                members = fam.members
+                for x in range(sys.n):
+                    want = minimal([m for m in members if m >> x & 1])
+                    assert sorted(fam.minimal_holding[x]) == sorted(want)
+                for A in sample_masks(seed, sys.n, 16):
+                    want = minimal([m for m in members if m & A])
+                    assert sorted(fam.minimal_meeting(A)) == sorted(want)
+
+    def test_on_subgroupoid_families_the_minimal_member_is_the_closure(self):
+        for seed in range(4):
+            for pi in (False, True):
+                g = build_updir_groupoid(rand_updirected(seed, 7), ChoiceStrategy.seeded(seed, pi))
+                held = g.subgroupoids.minimal_holding
+                assert held == tuple((c,) for c in g.closures)
+
+    def test_reflexive_lists_no_family(self, monkeypatch):
+        monkeypatch.delenv("DIROUGH_CAP", raising=False)
+        base = rand_updirected(20, 20)
+        sys = RelationalSystem(base.labels, tuple(r | 1 << i for i, r in enumerate(base.succ)))
+        for A in sample_masks(20, 20, 8):
+            assert both_modes(sys, A) == (A, A, A)
+            assert cud_tuple(sys, A) == RoughTuple(A, A)
+        assert "cud_family" not in sys.__dict__
+        with pytest.raises(CapExceededError):
+            cud_bounds(base, 1)
+
+    def test_checks_in_order(self):
+        """The set, then the mode, then up-directedness."""
+        sys = build_relation(["a", "b"], [("a", "a"), ("b", "b")])
+        with pytest.raises(LawError, match="universe"):
+            cud_bounds(sys, 1 << 2, "other")
+        with pytest.raises(LawError, match="mode"):
+            cud_bounds(sys, 1, "other")
+        with pytest.raises(NotUpDirectedError):
+            cud_bounds(sys, 1)
 
 
 class TestTuples:
