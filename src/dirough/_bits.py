@@ -37,6 +37,15 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def id_list(mask: int) -> list[int]:
+    """The set bit positions of mask in increasing order, read from its
+    little-endian bytes through the per-byte table: O(N/8) table reads on
+    an N-bit mask, where bits pays O(N/64) words per member. A walk over a
+    sparse mask in a wide universe is cheaper through bits."""
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    return [8 * i + j for i, v in enumerate(data) if v for j in _BYTE_BITS[v]]
+
+
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 

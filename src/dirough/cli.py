@@ -507,15 +507,17 @@ def _cmd_cluster(args) -> int:
         )
         return 0
     scored = cluster_mod.score_clusters(ds, cs, args.metric)
-    lines = []
-    for r in scored.rows:
-        val = "null" if r.value is None else (
-            "[" + ", ".join(f"{v:.6g}" for v in r.value) + "]"
-            if isinstance(r.value, tuple)
-            else f"{r.value:.6g}"
-        )
-        lines.append(f"cluster {r.cluster} {r.component}: {val}")
-    _emit(args, scored.as_dict, lines)
+
+    def lines() -> Iterator[str]:
+        for r in scored.rows:
+            val = "null" if r.value is None else (
+                "[" + ", ".join(f"{v:.6g}" for v in r.value) + "]"
+                if isinstance(r.value, tuple)
+                else f"{r.value:.6g}"
+            )
+            yield f"cluster {r.cluster} {r.component}: {val}"
+
+    _emit(args, scored.as_dict, lines())
     return 0
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import groupby
-from typing import Collection, NamedTuple, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -510,11 +510,43 @@ class ScoreRow(NamedTuple):
 
 
 class ScoreTable(Record):
+    """Scores of the lower, upper and boundary component of each cluster
+    in a cluster set, under one metric.
+
+    A table built from explicit rows holds them as given. score_clusters
+    builds one that has scored every lower and scores the uppers, or the
+    boundaries, the first time something reads one of them: value(i,
+    "upper"), or rows and what reads it (as_dict, ==, hash, repr). A
+    nonempty upper or boundary whose score is not finite raises LawError
+    then, as score_clusters does for a lower.
+    """
+
     _fields = ("metric", "rows", "cluster_set")
 
     def __init__(self, metric: str, rows: tuple[ScoreRow, ...], cluster_set: ClusterSet):
         d = self.__dict__
         d["metric"], d["rows"], d["cluster_set"] = metric, rows, cluster_set
+
+    @classmethod
+    def _scored(
+        cls, metric: str, cluster_set: ClusterSet, column: Callable[[str], list]
+    ) -> ScoreTable:
+        """The table whose component name of cluster i scores column(name)[i];
+        column is cached, so each component is scored once."""
+        table = cls.__new__(cls)
+        d = table.__dict__
+        d["metric"], d["cluster_set"], d["_column"] = metric, cluster_set, cache(column)
+        return table
+
+    @cached_property
+    def rows(self) -> tuple[ScoreRow, ...]:
+        # only a table from _scored gets here: explicit rows shadow this
+        columns = [self._column(name) for name in _COMPONENTS]
+        return tuple(
+            ScoreRow(i, name, col[i])
+            for i in range(len(self.cluster_set.clusters))
+            for name, col in zip(_COMPONENTS, columns)
+        )
 
     @cached_property
     def _values(self) -> dict[tuple[int, str], tuple[float, ...] | float | None]:
@@ -522,10 +554,14 @@ class ScoreTable(Record):
         return {(r.cluster, r.component): r.value for r in reversed(self.rows)}
 
     def value(self, cluster: int, component: str):
-        try:
-            return self._values[cluster, component]
-        except KeyError:
-            raise LawError(f"no score for cluster {cluster} component {component!r}")
+        column = self.__dict__.get("_column")
+        if column is None:
+            if (key := (cluster, component)) in self._values:
+                return self._values[key]
+        # a scored table has every component of every cluster
+        elif component in _COMPONENTS and cluster in range(len(self.cluster_set.clusters)):
+            return column(component)[int(cluster)]
+        raise LawError(f"no score for cluster {cluster} component {component!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -548,36 +584,46 @@ def score_clusters(ds: Dataset, cs: ClusterSet, metric: str = "nasd") -> ScoreTa
     included, is twice the summed per-band population variance, so both
     metrics come from one variance vector. Empty components score null
     rather than zero; a singleton scores 0. The synthetic top row of
-    augment_with_top has no bands and is left out of every component. All
-    components are scored in one pass, with the bits that scoring each on
-    its own gives. A nonempty component whose score is not finite, as when
-    its squares overflow, raises LawError.
+    augment_with_top has no bands and is left out of every component.
+
+    The metric and every component's elements are checked here, and every
+    lower is scored here: the lowers are what select_clusters ranks. The
+    table scores the uppers, or the boundaries, the first time something
+    reads one (see ScoreTable). Each component is scored in one pass over
+    all clusters, with the bits that scoring each cluster's on its own
+    gives. A nonempty component whose score is not finite, as when its
+    squares overflow, raises LawError when it is scored: here for a lower,
+    on first read for an upper or a boundary.
     """
     if metric not in ("band_variance", "nasd"):
         raise LawError(f"unknown metric {metric!r}")
     labels = cs.sys.labels
     row_of = np.asarray([ds._index.get(lab, -1) for lab in labels], dtype=np.intp)
-    missing = mask_of(np.flatnonzero(row_of < 0).tolist())
     top = 1 << labels.index(TOP_LABEL) if TOP_LABEL in labels else 0
-    masks = [getattr(c.approx, name) & ~top for c in cs.clusters for name in _COMPONENTS]
-    for mask in masks:
-        if stray := mask & missing:
-            lab = labels[(stray & -stray).bit_length() - 1]
-            raise LawError(f"cluster element {lab!r} is not a dataset row")
-    # an empty component scores 0/0, left out below; a nonempty one whose
-    # score passes the largest double is an error, not a value
-    with np.errstate(over="ignore", invalid="ignore"):
-        var = _component_variances(ds.array, row_of, masks, cs.sys.n)
-        scores = 2 * var.sum(axis=1, keepdims=True) / ds.dimension if metric == "nasd" else var
-    for k in np.flatnonzero(~np.isfinite(scores).all(axis=1)).tolist():
-        if masks[k]:
-            raise LawError(f"cluster {k // 3} {_COMPONENTS[k % 3]}: {metric} score is not finite")
-    values = scores[:, 0].tolist() if metric == "nasd" else [tuple(v) for v in var.tolist()]
-    rows = tuple(
-        ScoreRow(k // 3, _COMPONENTS[k % 3], val if mask else None)
-        for k, (mask, val) in enumerate(zip(masks, values))
-    )
-    return ScoreTable(metric, rows, cs)
+    missing = mask_of(np.flatnonzero(row_of < 0).tolist()) & ~top
+    for c in cs.clusters:
+        # a boundary lies inside its upper, so it holds no stray of its own
+        for mask in (c.approx.lower, c.approx.upper):
+            if stray := mask & missing:
+                lab = labels[(stray & -stray).bit_length() - 1]
+                raise LawError(f"cluster element {lab!r} is not a dataset row")
+
+    def column(name: str) -> list:
+        comps = [getattr(c.approx, name) & ~top for c in cs.clusters]
+        # an empty component scores 0/0, left out below; a nonempty one whose
+        # score passes the largest double is an error, not a value
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = _component_variances(ds.array, row_of, comps, cs.sys.n)
+            scores = 2 * var.sum(axis=1, keepdims=True) / ds.dimension if metric == "nasd" else var
+        for i in np.flatnonzero(~np.isfinite(scores).all(axis=1)).tolist():
+            if comps[i]:
+                raise LawError(f"cluster {i} {name}: {metric} score is not finite")
+        values = scores[:, 0].tolist() if metric == "nasd" else [tuple(v) for v in var.tolist()]
+        return [val if mask else None for mask, val in zip(comps, values)]
+
+    table = ScoreTable._scored(metric, cs, column)
+    table._column("lower")
+    return table
 
 
 def _component_variances(

@@ -198,24 +198,40 @@ def build_updir_groupoid(sys: RelationalSystem, strategy: ChoiceStrategy) -> Gro
 def b_of_s_fault(sys: RelationalSystem, g: Groupoid, pi: bool = False) -> str | None:
     """The first reason g is not in the B(S) family of sys (the pi family under
     pi), or None: a system not up-directed, a cell outside the B(S) rule, then
-    per cell a product that is no pseudo join, or a choice not factoring through U_R(a,b)."""
+    per cell a product that is no pseudo join, or a choice not factoring through U_R(a,b).
+
+    One walk over the cells in row-major order decides both: it returns at
+    the first cell outside the B(S) rule, and under pi it keeps the first pi
+    fault, which counts only once the B(S) rule holds everywhere. U_R(a,b)
+    is computed once per cell outside R, and its pseudo joins once per set.
+    """
     if g.labels != sys.labels:
         raise StructureError("groupoid and system universes differ")
     if not sys.up_directed:
         return "system is not up-directed"
-    cells = tuple(itertools.product(range(sys.n), repeat=2))
-    if not all(_allowed(sys, a, b, False) >> g.table[a][b] & 1 for a, b in cells):
-        return "explicit table violates the B(S) condition"
-    if pi:
-        allowed = _by_set(sys, partial(_allowed, sys, pi=True))
-        by_set: dict[int, int] = {}
-        for a, b in cells:
-            v = g.table[a][b]
-            if not allowed(a, b) >> v & 1:
-                return f"product {g.labels[a]}.{g.labels[b]} is not a pseudo join"
-            if not sys.has(a, b) and by_set.setdefault(sys.succ[a] & sys.succ[b], v) != v:
-                return "choice does not factor through the upper-bound set"
-    return None
+    succ = sys.succ
+    pi_fault = None
+    # per upper-bound set U: its pseudo joins, and the first product over it
+    joins: dict[int, int] = {}
+    chosen: dict[int, int] = {}
+    for a, row in enumerate(g.table):
+        above_a = succ[a]
+        for b, v in enumerate(row):
+            if above_a >> b & 1:
+                if v != b:
+                    return "explicit table violates the B(S) condition"
+                continue
+            U = above_a & succ[b]
+            if not U >> v & 1:
+                return "explicit table violates the B(S) condition"
+            if pi and pi_fault is None:
+                if U not in joins:
+                    joins[U] = pseudo_joins(sys, a, b)
+                if not joins[U] >> v & 1:
+                    pi_fault = f"product {g.labels[a]}.{g.labels[b]} is not a pseudo join"
+                elif chosen.setdefault(U, v) != v:
+                    pi_fault = "choice does not factor through the upper-bound set"
+    return pi_fault
 
 
 def verify_b_of_s(sys: RelationalSystem, g: Groupoid, pi: bool = False) -> bool:

@@ -17,7 +17,9 @@ import os
 from functools import cached_property, partial, reduce
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
-from ._bits import bits, element_slices, is_subset, lattice_transform, mask_of, sweep_subsets
+from ._bits import (
+    bits, element_slices, id_list, is_subset, lattice_transform, mask_of, sweep_subsets,
+)
 from .errors import (
     CapExceededError, DiroughError, InputFormatError, LabelError, LawError, StructureError,
 )
@@ -125,7 +127,7 @@ class Universe(Record):
         return mask_of(self.id(x) for x in names)
 
     def set_labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in bits(mask))
+        return tuple(self.labels[i] for i in id_list(mask))
 
     def check_set(self, A: int) -> None:
         if A & ~self.full_mask:

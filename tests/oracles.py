@@ -282,6 +282,35 @@ def minimal_pseudo_joins(universe, pairs, a, b):
     return frozenset(out)
 
 
+def b_of_s_fault(labels, pairs, table, pi):
+    """The first reason the Cayley table (rows of element positions) is
+    not in the B(S) family of the relation, the pi family under pi, or
+    None, in two walks over the cells in row-major order: every cell
+    against the B(S) rule first, then, under pi, each cell against its
+    pseudo joins and the choice made for its upper-bound set."""
+    if not is_up_directed(labels, pairs):
+        return "system is not up-directed"
+    related = set(pairs)
+    cells = [(a, b) for a in labels for b in labels]
+    product = {(a, b): labels[table[i][j]]
+               for i, a in enumerate(labels) for j, b in enumerate(labels)}
+    for a, b in cells:
+        allowed = {b} if (a, b) in related else upper_bound_set(labels, pairs, a, b)
+        if product[a, b] not in allowed:
+            return "explicit table violates the B(S) condition"
+    if pi:
+        chosen = {}
+        for a, b in cells:
+            v = product[a, b]
+            if (a, b) in related:
+                continue  # the B(S) rule has fixed v = b
+            if v not in minimal_pseudo_joins(labels, pairs, a, b):
+                return f"product {a}.{b} is not a pseudo join"
+            if chosen.setdefault(upper_bound_set(labels, pairs, a, b), v) != v:
+                return "choice does not factor through the upper-bound set"
+    return None
+
+
 def regions(labels, table, universe, pairs, A, B, kind):
     succ = succ_map(universe, pairs)
     A, B = set(A), set(B)

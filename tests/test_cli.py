@@ -589,6 +589,46 @@ class TestCluster:
                 assert out.stdout == ""
                 assert out.stderr == f"error: cluster 0 lower: {metric} score is not finite\n"
 
+    @pytest.mark.parametrize("metric", ["nasd", "band_variance"])
+    def test_upper_that_overflows_is_an_error_where_printed(self, capsys, tmp_path, metric):
+        """Rows 0, 1e154 and 2e154 at eps 1e154: every lower scores a finite
+        value, and the upper holding all three rows overflows. An output that
+        prints that score is one error line; a text run prints no score."""
+        (tmp_path / "chain.csv").write_text("id,b\ns0,0\ns1,1e154\ns2,2e154\n")
+        clusters = '{"flavor": "basic", "clusters": [{"support": ["s0", "s1"]}]}'
+        (tmp_path / "c.json").write_text(clusters)
+        data = ("--data", "{d}/chain.csv", "--eps", "1e154", "--metric", metric)
+        run = ("cluster", "run", *data, "--fallback", "basic")
+        for argv in (
+            (*run, "--json"),
+            ("cluster", "score", "{d}/c.json", *data),
+            ("cluster", "score", "{d}/c.json", *data, "--json"),
+        ):
+            out = one_error_line(argv, tmp_path)
+            assert out.stdout == ""
+            assert out.stderr == f"error: cluster 0 upper: {metric} score is not finite\n"
+        code, text, err = cli(capsys, *(a.format(d=tmp_path) for a in run))
+        assert code == 0 and err == "" and text.startswith("proposed clusters: 2\n")
+
+    def test_text_run_scores_only_lowers(self, capsys, tmp_path, monkeypatch):
+        from dirough import cluster as cluster_mod
+
+        data = tmp_path / "bands.csv"
+        data.write_text(banded_csv(2, 150))
+        scored, real = [], cluster_mod._component_variances
+        monkeypatch.setattr(cluster_mod, "_component_variances",
+                            lambda X, row_of, masks, n: scored.append(len(masks))
+                            or real(X, row_of, masks, n))
+        args = ("cluster", "run", "--data", str(data), "--eps", "4", "--fallback", "basic")
+        code, _, err = cli(capsys, *args)
+        assert code == 0, err
+        assert len(scored) == 1
+        code, doc, err = cli_json(capsys, *args)
+        assert code == 0, err
+        proposed = len(doc["proposed"]["clusters"])
+        assert proposed > len(doc["selected"]["clusters"])
+        assert scored == [proposed] * 4
+
     def test_validate_consumes_run_output(self, capsys, blob_csv, tmp_path):
         code, data, _ = cli_json(
             capsys, "cluster", "run", "--data", blob_csv, "--eps", "2",

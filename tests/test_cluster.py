@@ -852,6 +852,84 @@ class TestScores:
                 score_clusters(ds, cs, metric)
 
 
+def overflowing_chain():
+    """Rows 0, 1e154 and 2e154 at eps 1e154: each neighborhood spans one
+    step, whose scores are finite, and the union of all three rows, an
+    upper, overflows under both metrics."""
+    ds = ds_from([(0,), (1e154,), (2e154,)])
+    sys = step1_relation(ds, eps=1e154)
+    cs = ClusterSet((RoughCluster(0b011, RoughTuple(0b011, 0b111)),), "basic", sys)
+    return ds, cs
+
+
+class TestScoresOnRead:
+    """score_clusters scores the lowers; an upper or a boundary is scored
+    when something first reads it, with the value that rows gives."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        import dirough.cluster as cluster_mod
+
+        scored, real = [], cluster_mod._component_variances
+        monkeypatch.setattr(cluster_mod, "_component_variances",
+                            lambda X, row_of, masks, n: scored.append(len(masks))
+                            or real(X, row_of, masks, n))
+        return scored
+
+    def test_pipeline_scores_only_lowers(self, monkeypatch):
+        """The in-process pipeline that the cluster-bands benchmark runs."""
+        scored = self._counting(monkeypatch)
+        ds = decimal_blobs(3, 150, 4)
+        sys = step1_relation(ds, eps=4)
+        cs = propose_clusters(sys, None, "cud", "neighborhood", "basic")
+        validate_clustering(sys, None, cs, cs.flavor)
+        table = score_clusters(ds, cs, "nasd")
+        chosen = select_clusters(table, None, 2)
+        validate_clustering(sys, None, chosen, chosen.flavor)
+        segmentation_csv(chosen)
+        assert len(cs.clusters) > 2 and scored == [len(cs.clusters)]
+        # reading the rows scores the uppers and the boundaries, once each
+        table.as_dict()
+        table.value(0, "upper")
+        assert scored == [len(cs.clusters)] * 3
+
+    @pytest.mark.parametrize("metric", ["nasd", "band_variance"])
+    def test_value_before_rows_is_the_rows_value(self, metric):
+        ds = decimal_blobs(7, 60, 3)
+        cs = propose_clusters(step1_relation(ds, eps=4), None, "cud", on_not_updirected="basic")
+        want = score_clusters(ds, cs, metric).rows
+        for component in ("upper", "boundary"):
+            table = score_clusters(ds, cs, metric)
+            early = [table.value(i, component) for i in range(len(cs.clusters))]
+            assert "rows" not in vars(table)
+            assert repr(early) == repr([r.value for r in want if r.component == component])
+            assert table.rows == want and repr(table.rows) == repr(want)
+
+    def test_missing_score_scores_nothing(self, monkeypatch):
+        ds = two_blobs()
+        sys = step1_relation(ds, eps=2)
+        cs = propose_clusters(sys, None, "cud", on_not_updirected="basic")
+        table = score_clusters(ds, cs, "nasd")
+        scored = self._counting(monkeypatch)
+        for cluster, component in ((len(cs.clusters), "upper"), (-1, "lower"), (0, "support")):
+            with pytest.raises(LawError, match="no score for cluster"):
+                table.value(cluster, component)
+        assert scored == []
+
+    @pytest.mark.parametrize("metric", ["nasd", "band_variance"])
+    def test_upper_that_overflows_raises_on_read(self, metric):
+        ds, cs = overflowing_chain()
+        table = score_clusters(ds, cs, metric)
+        assert table.value(0, "lower") == (5e307 if metric == "nasd" else (2.5e307,))
+        message = f"^cluster 0 upper: {metric} score is not finite$"
+        for read in (lambda: table.rows, table.as_dict, lambda: table.value(0, "upper"),
+                     lambda: repr(table), lambda: table == table):
+            with pytest.raises(LawError, match=message):
+                read()
+        # the boundary, one row, scores 0 on its own
+        assert table.value(0, "boundary") == (0.0 if metric == "nasd" else (0.0,))
+
+
 def decimal_blobs(seed, m, d):
     """m rows around three far-apart centres, two decimals per band, so that
     sums round and the order of their terms shows in the bits."""

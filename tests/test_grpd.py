@@ -12,7 +12,7 @@ from conftest import (
     every_relation, label_pairs, rand_equivalence, rand_system, rand_updirected,
 )
 
-from dirough._bits import mix
+from dirough._bits import bits, mix
 from dirough.cud import cud_family
 from dirough.errors import (
     InputFormatError,
@@ -161,6 +161,40 @@ class TestBuild:
         assert not verify_b_of_s(sys, g, pi=True)
         with pytest.raises(StructureError, match="universes differ"):
             verify_b_of_s(sys, Groupoid(("x", "y"), g.table))
+
+    def test_fault_matches_two_walk_reference(self):
+        """Every relation with n <= 3: every B(S) table, and each of them
+        with one cell moved outside the B(S) rule, with and without pi;
+        beside a relation that is not up-directed, one table per cell value."""
+        seen = set()
+        for n in range(1, 4):
+            for sys in every_relation(n):
+                pairs = label_pairs(sys)
+                cells = list(itertools.product(range(n), repeat=2))
+                allowed = [
+                    [b] if sys.has(a, b) else list(bits(sys.succ[a] & sys.succ[b]))
+                    for a, b in cells
+                ]
+                if not sys.up_directed:
+                    tables = [(v,) * (n * n) for v in range(n)]
+                else:
+                    family = list(itertools.product(*allowed))
+                    tables = family + [
+                        t[:k] + (v,) + t[k + 1:]
+                        for t in family for k in range(n * n)
+                        for v in range(n) if v not in allowed[k]
+                    ]
+                for cells_of in tables:
+                    table = tuple(cells_of[a * n:(a + 1) * n] for a in range(n))
+                    g = Groupoid(sys.labels, table)
+                    for pi in (False, True):
+                        want = oracles.b_of_s_fault(sys.labels, pairs, table, pi)
+                        assert b_of_s_fault(sys, g, pi) == want, (pairs, table, pi)
+                        seen.add(want.split()[0] if want and "join" in want else want)
+        assert seen == {
+            None, "system is not up-directed", "explicit table violates the B(S) condition",
+            "product", "choice does not factor through the upper-bound set",
+        }
 
     def test_not_updirected_rejected(self):
         sys = build_relation(["x", "y"], [("x", "x"), ("y", "y")])

@@ -5,7 +5,9 @@ import pytest
 import oracles
 from conftest import every_relation, label_pairs, mix
 
-from dirough._bits import element_slices, lattice_transform, lex_key, mask_of, rank_key
+from dirough._bits import (
+    bits, element_slices, id_list, lattice_transform, lex_key, mask_of, rank_key,
+)
 from dirough.audit import _AUDIT_STRATEGIES, random_system, random_updirected_system
 from dirough.grpd import build_updir_groupoid
 from dirough.relsys import build_relation
@@ -102,6 +104,13 @@ def wide_masks(seed, n, count):
     top = max(n - 8, 0)
     tails = [dense[0] & ~(255 << top) & full | v << top & full for v in range(256)]
     return dense + sparse + tails
+
+
+@pytest.mark.parametrize("n", [10, 13, 63, 65, 550, 4001])
+def test_id_list_is_bits(n):
+    masks = range(1 << n) if n <= 10 else wide_masks(n, n, 100)
+    for m in masks:
+        assert id_list(m) == list(bits(m))
 
 
 @pytest.mark.parametrize("n", [*range(11), 13, 64, 550, 4001])
